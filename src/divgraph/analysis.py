@@ -10,6 +10,7 @@ whether two groups have the same invariant.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,7 +24,9 @@ from .groups import (
     subgroup_as_group,
 )
 from .lattice import (
+    DEFAULT_ORDER_LIMIT,
     SubgroupLattice,
+    _cyclic_members,
     all_subgroups,
     center,
     commutator_subgroup,
@@ -424,7 +427,7 @@ def analyze(G: Group, L: SubgroupLattice | None = None,
 
     families_direct = tuple(
         L.conjugacy_class_of_subgroup(
-            L.id_of(_cyclic_members_of(G, d.representative))
+            L.id_of(_cyclic_members(G, d.representative))
         )
         for d, _ in dg.components
     )
@@ -476,15 +479,6 @@ def analyze(G: Group, L: SubgroupLattice | None = None,
         conjugate_cyclic_families=tuple(families),
         oracle_checks=checks,
     )
-
-
-def _cyclic_members_of(G: Group, g: int) -> tuple[int, ...]:
-    members = [0]
-    x = g
-    while x != 0:
-        members.append(x)
-        x = G.mul(x, g)
-    return tuple(sorted(members))
 
 
 # -- certificates ------------------------------------------------------------------
@@ -578,11 +572,16 @@ class ComparisonResult:
     right: Certificate
 
 
-def compare(G1: Group, G2: Group, budget: int = DEFAULT_BUDGET) -> ComparisonResult:
+def compare(G1: Group, G2: Group, budget: int = DEFAULT_BUDGET,
+            lattice_cap: int = DEFAULT_ORDER_LIMIT) -> ComparisonResult:
     """Equal certificates <=> equivalent division graphs."""
-    c1 = certificate(division_graph(G1), budget=budget)
-    c2 = certificate(division_graph(G2), budget=budget)
+    c1 = certificate(_capped_division_graph(G1, lattice_cap), budget=budget)
+    c2 = certificate(_capped_division_graph(G2, lattice_cap), budget=budget)
     return ComparisonResult("same" if c1 == c2 else "different", c1, c2)
+
+
+def _capped_division_graph(G: Group, lattice_cap: int) -> DivisionGraph:
+    return division_graph(G, all_subgroups(G, order_limit=lattice_cap))
 
 
 @dataclass(frozen=True)
@@ -590,36 +589,77 @@ class ScanReport:
     group_names: tuple[str, ...]
     collisions: tuple[tuple[str, str], ...]  # equal certificate, non-isomorphic
     matched_isomorphic: tuple[tuple[str, str], ...]
+    certified: int  # certificates computed; the rest were decided by invariants
 
     @property
     def clean(self) -> bool:
         return not self.collisions
 
 
-def conjecture_scan(groups, budget: int = DEFAULT_BUDGET) -> ScanReport:
+def _scan_invariant(G: Group, dg: DivisionGraph) -> tuple:
+    """Order plus the multisets of component and color fingerprints.
+
+    Each part is unchanged by permuting components and renaming colors (the
+    order is ``recover_order(dg)``), so equivalent graphs share it.
+    """
+    colors = sorted({c for _, comp in dg.components for c in comp.clusters})
+    return (
+        G.order,
+        tuple(sorted(_component_fingerprint(comp) for _, comp in dg.components)),
+        tuple(sorted(_color_fingerprint(dg, color) for color in colors)),
+    )
+
+
+def conjecture_scan(groups, budget: int = DEFAULT_BUDGET,
+                    lattice_cap: int = DEFAULT_ORDER_LIMIT) -> ScanReport:
     """Look for equal certificates among non-isomorphic groups.
 
-    Isomorphic pairs with unequal certificates would contradict certificate
-    invariance outright, so that case raises instead of being reported.
+    Only groups whose cheap invariant (``_scan_invariant``) is shared with
+    another group in the scan are certified.  This is sound: equal
+    certificates mean equivalent graphs, and equivalent graphs have equal
+    invariants, so a pair with different invariants can neither collide nor
+    match.  The invariant starts with the order, so groups are handled one
+    order at a time and only one order's division graphs are alive at once.
+
+    Every pair is still tested for isomorphism.  An isomorphic pair with
+    different invariants or different certificates would contradict
+    certificate invariance outright, so that case raises instead of being
+    reported.
     """
     groups = list(groups)
-    certs = [certificate(division_graph(g), budget=budget) for g in groups]
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(groups):
+        by_order.setdefault(g.order, []).append(i)
+    invariants: list[tuple] = [()] * len(groups)
+    certs: dict[int, Certificate] = {}
+    for members in by_order.values():
+        graphs = {i: _capped_division_graph(groups[i], lattice_cap) for i in members}
+        for i in members:
+            invariants[i] = _scan_invariant(groups[i], graphs[i])
+        shared = Counter(invariants[i] for i in members)
+        for i in members:
+            if shared[invariants[i]] > 1:
+                certs[i] = certificate(graphs[i], budget=budget)
+        del graphs  # free this order's graphs before building the next order's
+
     collisions = []
     matched = []
     for i, j in combinations(range(len(groups)), 2):
-        same_cert = certs[i] == certs[j]
+        same_invariant = invariants[i] == invariants[j]
+        same_cert = same_invariant and certs[i] == certs[j]
         iso = are_isomorphic(groups[i], groups[j])
         if same_cert and not iso:
             collisions.append((groups[i].name, groups[j].name))
         elif same_cert and iso:
             matched.append((groups[i].name, groups[j].name))
         elif iso and not same_cert:
+            differing = "certificates" if same_invariant else "division-graph invariants"
             raise InternalInvariantError(
                 f"isomorphic groups {groups[i].name} and {groups[j].name} "
-                "received different certificates"
+                f"received different {differing}"
             )
     return ScanReport(
-        tuple(g.name for g in groups), tuple(collisions), tuple(matched)
+        tuple(g.name for g in groups), tuple(collisions), tuple(matched), len(certs)
     )
 
 

@@ -115,7 +115,8 @@ def _cmd_division_graph(args) -> int:
 
 def _cmd_analyze(args) -> int:
     G = _load_group(args, args.group)
-    report = analysis.analyze(G)
+    L = lattice.all_subgroups(G, order_limit=args.lattice_cap)
+    report = analysis.analyze(G, L)
     _dump(args, report.to_json())
     if not report.all_agree:
         raise InternalInvariantError(
@@ -127,7 +128,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_compare(args) -> int:
     G1 = _load_group(args, args.left)
     G2 = _load_group(args, args.right)
-    result = analysis.compare(G1, G2, budget=args.budget)
+    result = analysis.compare(G1, G2, budget=args.budget,
+                              lattice_cap=args.lattice_cap)
     _dump(args, {
         "left": G1.name,
         "right": G2.name,
@@ -140,7 +142,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_verify_lagarias(args) -> int:
     G = _load_group(args, args.group)
-    report = ust.verify_lagarias(G)
+    L = lattice.all_subgroups(G, order_limit=args.lattice_cap)
+    report = ust.verify_lagarias(G, L)
     _dump(args, {
         "group": report.group_name,
         "elements": report.elements,
@@ -171,7 +174,8 @@ def _cmd_an_divisions(args) -> int:
 
 def _cmd_conjecture_scan(args) -> int:
     candidates = groups.standard_groups(args.max_order)
-    report = analysis.conjecture_scan(candidates, budget=args.budget)
+    report = analysis.conjecture_scan(candidates, budget=args.budget,
+                                      lattice_cap=args.lattice_cap)
     _dump(args, {
         "max_order": args.max_order,
         "groups": list(report.group_names),

@@ -176,20 +176,6 @@ def power(G: Group, g: int, k: int) -> int:
     return G.power(g, k)
 
 
-def close_under_product(G: Group, seed) -> list[int]:
-    """Closure of a set of elements under the group product, sorted."""
-    seen = set(seed)
-    frontier = list(seen)
-    while frontier:
-        x = frontier.pop()
-        for s in tuple(seen):
-            for y in (G.mul(x, s), G.mul(s, x)):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return sorted(seen)
-
-
 def closure_from_generators(G: Group, gens) -> list[int]:
     """Subgroup generated by ``gens`` via BFS right-multiplication."""
     seen = {0}
@@ -741,13 +727,22 @@ def group_from_json(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     if not isinstance(data, dict):
         raise NotClosed("group JSON must be an object")
     name = data.get("name", "json-group")
+    if not isinstance(name, str):
+        raise NotClosed("'name' must be a string")
     if "table" in data:
         table = data["table"]
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise NotClosed("'table' must be a list of rows, each a list of indices")
+        names = data.get("names")
+        if names is not None and not (
+            isinstance(names, list) and all(isinstance(x, str) for x in names)
+        ):
+            raise NotClosed("'names' must be a list of strings")
         if "order" in data and data["order"] != len(table):
             raise NotClosed(
                 f"declared order {data['order']} but table has {len(table)} rows"
             )
-        return validate_cayley_table(table, names=data.get("names"), name=name,
+        return validate_cayley_table(table, names=names, name=name,
                                      order_cap=order_cap)
     if "generators" in data:
         degree = data.get("degree")

@@ -5,6 +5,7 @@ pytest -s or -v plus -rA) and asserts both the mathematical content and the
 stated wall-clock budget.
 """
 
+import hashlib
 import random
 import time
 
@@ -255,7 +256,13 @@ def test_acceptance_8_order_27_pair():
     assert ea.order == h27.order == 27
     hist = ea.element_order_histogram()
     assert hist == h27.element_order_histogram() == {1: 1, 3: 26}
-    assert compare(ea, h27).verdict == "different"
+    result = compare(ea, h27)
+    assert result.verdict == "different"
+    # certificate bytes are pinned; they change only with a version bump
+    assert hashlib.sha256(result.left.data).hexdigest() == (
+        "01174a09b22e01fd7ceff4d5b86c04f9995c42da7a87d3bb5b703b557f3d2bec")
+    assert hashlib.sha256(result.right.data).hexdigest() == (
+        "2314e9c27254426aea86b8f18bec55d88e3b36a6f9166e0fbcfb95c76fb67d36")
     _report(8, started, 60.0)
 
 

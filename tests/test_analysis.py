@@ -1,9 +1,13 @@
 import random
+from collections import Counter
+from itertools import combinations, count
 
 import pytest
 
 import divgraph as dv
+from divgraph import analysis
 from divgraph.analysis import (
+    Certificate,
     analyze,
     certificate,
     compare,
@@ -187,6 +191,44 @@ def test_conjecture_scan_reports_isomorphic_duplicates():
     report = conjecture_scan([dv.symmetric(3), dv.dihedral(3)])
     assert report.clean
     assert report.matched_isomorphic == (("symmetric:3", "dihedral:3"),)
+
+
+def test_conjecture_scan_matches_certify_everything():
+    groups = dv.standard_groups(12)
+    certs = [certificate(division_graph(g)) for g in groups]
+    collisions, matched = [], []
+    for i, j in combinations(range(len(groups)), 2):
+        if certs[i] == certs[j]:
+            pair = (groups[i].name, groups[j].name)
+            (matched if dv.are_isomorphic(groups[i], groups[j]) else collisions).append(pair)
+    report = conjecture_scan(groups)
+    assert report.collisions == tuple(collisions)
+    assert report.matched_isomorphic == tuple(matched)
+    assert 0 < report.certified < len(groups)
+
+
+def test_conjecture_scan_still_checks_certificates(monkeypatch):
+    serial = count()
+    monkeypatch.setattr(analysis, "certificate",
+                        lambda dg, budget=None: Certificate(b"%d" % next(serial)))
+    with pytest.raises(dv.InternalInvariantError, match="different certificates"):
+        conjecture_scan([dv.symmetric(3), dv.dihedral(3)])
+
+
+def test_conjecture_scan_still_checks_invariants(monkeypatch):
+    serial = count()
+    monkeypatch.setattr(analysis, "_scan_invariant", lambda G, dg: (next(serial),))
+    with pytest.raises(dv.InternalInvariantError, match="different division-graph invariants"):
+        conjecture_scan([dv.symmetric(3), dv.dihedral(3)])
+
+
+def test_conjecture_scan_certifies_only_shared_invariants():
+    groups = dv.standard_groups(48)
+    report = conjecture_scan(groups)
+    assert report.clean
+    shared = Counter(analysis._scan_invariant(g, division_graph(g)) for g in groups)
+    assert report.certified == sum(n for n in shared.values() if n > 1)
+    assert report.certified < len(groups)
 
 
 # -- subgroup and quotient extraction ---------------------------------------------------

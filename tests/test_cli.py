@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from divgraph.cli import run
 
 
@@ -100,6 +102,19 @@ def test_lattice_cap_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--catalog", "cyclic:30"),
+    ("compare", "cyclic:30", "cyclic:5"),
+    ("verify-lagarias", "--catalog", "cyclic:30"),
+    ("conjecture-scan", "--max-order", "12"),
+], ids=lambda argv: argv[0])
+def test_lattice_cap_honoured_by_every_command(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--lattice-cap", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cap exceeded:") and err.count("\n") == 1
+
+
 def test_unknown_descriptor_exits_1(capsys):
     code, _, err = invoke(capsys, "divisions", "--catalog", "nonsense:9")
     assert code == 1
@@ -180,11 +195,27 @@ def test_lagarias_violation_exits_3(capsys, monkeypatch):
     from divgraph.ust import LagariasReport
 
     fake = LagariasReport("fake", 4, 3, (("a", "b", "made-up violation"),))
-    monkeypatch.setattr(cli.ust, "verify_lagarias", lambda G: fake)
+    monkeypatch.setattr(cli.ust, "verify_lagarias", lambda G, L: fake)
     code = cli.run(["verify-lagarias", "--catalog", "cyclic:4"])
     captured = capsys.readouterr()
     assert code == 3
     assert "INVARIANT VIOLATION" in captured.err
+
+
+@pytest.mark.parametrize("data", [
+    {"table": 5},
+    {"table": [5, 6]},
+    {"table": [[0, 1], [1, 0]], "names": 5},
+    {"table": [[0, 1], [1, 0]], "names": [0, 1]},
+    {"name": ["x"], "table": [[0, 1], [1, 0]]},
+], ids=["table-int", "rows-int", "names-int", "names-not-strings", "name-list"])
+def test_malformed_table_json_exits_1(tmp_path, capsys, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_bad_generator_json_exits_1(tmp_path, capsys):
