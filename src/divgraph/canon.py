@@ -8,9 +8,17 @@ highly symmetric graphs stay tractable.  A leaf encoding carries the full
 labeled adjacency, so two graphs receive equal encodings if and only if
 they are isomorphic respecting initial cell classes, arc directions, and
 arc labels.
+
+The ordered partition is position-indexed: ``cell_of[v]`` is the start
+position of v's cell and ``cell_at[s]`` the members of the cell starting at
+s (None where none starts).  A split renames only the split cell's members,
+cell lists are never mutated, so a search node copies just the two flat
+lists, and the search runs on an explicit stack, not Python's recursion.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .errors import CanonicalizationBudgetExceeded
 
@@ -18,13 +26,15 @@ DEFAULT_BUDGET = 500_000
 
 
 class CanonicalResult:
-    __slots__ = ("encoding", "order", "automorphisms", "nodes")
+    __slots__ = ("encoding", "order", "automorphisms", "nodes", "leaves", "rounds")
 
-    def __init__(self, encoding, order, automorphisms, nodes):
+    def __init__(self, encoding, order, automorphisms, nodes, leaves, rounds):
         self.encoding = encoding            # bytes
         self.order = order                  # canonical position -> vertex id
         self.automorphisms = automorphisms  # generator vertex maps found
         self.nodes = nodes                  # search nodes visited
+        self.leaves = leaves                # leaves reached
+        self.rounds = rounds                # refinement rounds run
 
 
 def canonical_form(n: int, arcs, init_cells,
@@ -43,18 +53,14 @@ class _Searcher:
     def __init__(self, n, arcs, init_cells, budget):
         self.n = n
         self.budget = budget
-        self.nodes = 0
+        self.nodes = self.leaves = self.rounds = 0
         out = [[] for _ in range(n)]
         in_ = [[] for _ in range(n)]
-        nbrs = [set() for _ in range(n)]
         for u, v, label in arcs:
             out[u].append((label, v))
             in_[v].append((label, u))
-            nbrs[u].add(v)
-            nbrs[v].add(u)
         self.out = [tuple(x) for x in out]
         self.in_ = [tuple(x) for x in in_]
-        self.nbrs = [tuple(x) for x in nbrs]
 
         self.init_class = [-1] * n
         for ci, cell in enumerate(init_cells):
@@ -75,82 +81,103 @@ class _Searcher:
 
     # -- refinement ---------------------------------------------------------
 
-    def _refine(self, cells, cell_of, changed):
-        """Split cells by neighborhood signatures until equitable.
+    def _refine(self, cell_at, cell_of, changed):
+        """Split cells by neighborhood signatures until equitable, in place.
 
-        One round recomputes signatures only in cells holding a neighbor of
-        a vertex whose cell membership changed, and applies all of the
-        round's splits simultaneously, so the schedule is invariant under
-        isomorphism.
+        A round splits each non-singleton cell holding a neighbor of a
+        vertex ``changed`` by the previous round, by sorted (label, cell
+        start) lists of out- and in-arcs, and applies all its splits at
+        once, so the schedule is invariant under isomorphism.
+
+        Only arcs into changed cells enter the signatures, and they order
+        the members exactly as full signatures would.  Every cell a round
+        can split was uniform with respect to the partition before the
+        previous round (for a child's first round, the parent's equitable
+        partition): its members have the same (label, old cell) counts.  So
+        their arcs into unchanged cells are identical, and per label they
+        have equally many arcs into each split cell, whose parts fill a
+        contiguous block of positions.  Comparing sorted full signatures
+        therefore gives the same result as comparing the sorted arcs into
+        changed cells alone, for equality and order; a dirty cell's members
+        are either all empty or all non-empty.  The first round of the
+        initial partition changes every vertex, so its signatures are full.
         """
-        out, in_, nbrs = self.out, self.in_, self.nbrs
+        out, in_ = self.out, self.in_
         while changed:
-            touched = set()
-            for v in changed:
-                touched.update(nbrs[v])
-            dirty = sorted({
-                cell_of[w] for w in touched if len(cells[cell_of[w]]) > 1
-            })
-            splits = {}
-            for ci in dirty:
+            self.rounds += 1
+            out_sig, in_sig = defaultdict(list), defaultdict(list)
+            for w in changed:
+                s = cell_of[w]
+                for lab, u in in_[w]:
+                    if len(cell_at[cell_of[u]]) > 1:
+                        out_sig[u].append((lab, s))
+                for lab, u in out[w]:
+                    if len(cell_at[cell_of[u]]) > 1:
+                        in_sig[u].append((lab, s))
+            dirty = sorted({cell_of[u] for u in out_sig.keys() | in_sig.keys()})
+            splits = []
+            for s in dirty:
                 sigs: dict[tuple, list[int]] = {}
-                for v in cells[ci]:
-                    sig = (
-                        tuple(sorted((lab, cell_of[w]) for lab, w in out[v])),
-                        tuple(sorted((lab, cell_of[w]) for lab, w in in_[v])),
-                    )
+                for v in cell_at[s]:
+                    sig = (tuple(sorted(out_sig.get(v, ()))),
+                           tuple(sorted(in_sig.get(v, ()))))
                     sigs.setdefault(sig, []).append(v)
                 if len(sigs) > 1:
-                    splits[ci] = [sigs[key] for key in sorted(sigs)]
-            if not splits:
-                break
-            new_cells = []
-            changed = set()
-            for ci, cell in enumerate(cells):
-                if ci in splits:
-                    new_cells.extend(splits[ci])
-                    changed.update(cell)
-                else:
-                    new_cells.append(cell)
-            cells = new_cells
-            for idx, cell in enumerate(cells):
-                for v in cell:
-                    cell_of[v] = idx
-        return cells, cell_of
-
-    def _initial_partition(self):
-        by_class: dict[int, list[int]] = {}
-        for v in range(self.n):
-            by_class.setdefault(self.init_class[v], []).append(v)
-        cells = [sorted(by_class[ci]) for ci in sorted(by_class)]
-        cell_of = [0] * self.n
-        for idx, cell in enumerate(cells):
-            for v in cell:
-                cell_of[v] = idx
-        return self._refine(cells, cell_of, set(range(self.n)))
+                    splits.append((s, [sigs[key] for key in sorted(sigs)]))
+            changed = []
+            for s, parts in splits:
+                for part in parts:
+                    cell_at[s] = part
+                    for v in part:
+                        cell_of[v] = s
+                    s += len(part)
+                    changed += part
 
     # -- search -------------------------------------------------------------
 
     def run(self) -> CanonicalResult:
-        cells, cell_of = self._initial_partition()
-        self._search(cells, cell_of, ())
+        cell_at, cell_of = [None] * self.n, [0] * self.n
+        by_class: dict[int, list[int]] = {}
+        for v in range(self.n):
+            by_class.setdefault(self.init_class[v], []).append(v)
+        s = 0
+        for ci in sorted(by_class):
+            cell_at[s] = by_class[ci]
+            for v in by_class[ci]:
+                cell_of[v] = s
+            s += len(by_class[ci])
+        self._refine(cell_at, cell_of, range(self.n))
+        stack = [self._search(cell_at, cell_of, ())]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(self._search(*child))
         return CanonicalResult(
             self._encode_bytes(self.best_key),
             self.best_order,
             list(self.generators),
             self.nodes,
+            self.leaves,
+            self.rounds,
         )
 
-    def _search(self, cells, cell_of, prefix):
+    def _search(self, cell_at, cell_of, prefix):
+        """One search node, yielding its children's arguments in visiting
+        order; ``run`` finishes each child's subtree before resuming it."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise CanonicalizationBudgetExceeded(
-                f"canonical search exceeded {self.budget} nodes"
+                f"canonical search exceeded {self.budget} nodes (at depth "
+                f"{len(prefix)}; {self.leaves} leaves and "
+                f"{len(self.generators)} automorphisms found)"
             )
 
         # node-invariant pruning: the canonical leaf minimizes the sequence
         # of cell-size tuples along its path before the leaf key is compared
-        inv = tuple(len(cell) for cell in cells)
+        cells = list(filter(None, cell_at))
+        inv = tuple(map(len, cells))
         depth = len(prefix)
         if self.best_key is not None and depth < len(self.best_path):
             best_inv = self.best_path[depth]
@@ -165,41 +192,33 @@ class _Searcher:
             del self.best_path[depth:]
             self.best_path.append(inv)
 
-        target = None
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = ci
-                break
+        target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
+            self.leaves += 1
             self._handle_leaf(cells, prefix)
             return
 
         explored: list[int] = []
         orbit_of = None
         orbit_gen_count = -1
-        for v in cells[target]:
+        start = cell_of[target[0]]
+        for v in target:
             if explored:
                 if orbit_gen_count != len(self.generators):
-                    orbit_of = self._cell_orbits(cells[target], prefix)
+                    orbit_of = self._cell_orbits(target, prefix)
                     orbit_gen_count = len(self.generators)
                 if orbit_of is not None:
                     root = orbit_of[v]
                     if any(orbit_of[u] == root for u in explored):
                         continue
             explored.append(v)
-            child_cells = [list(c) for c in cells]
-            child_cell_of = list(cell_of)
-            rest = [w for w in child_cells[target] if w != v]
-            child_cells[target] = [v]
-            child_cells.insert(target + 1, rest)
-            for idx in range(target + 1, len(child_cells)):
-                for w in child_cells[idx]:
-                    child_cell_of[w] = idx
-            child_cell_of[v] = target
-            child_cells, child_cell_of = self._refine(
-                child_cells, child_cell_of, set(rest) | {v}
-            )
-            self._search(child_cells, child_cell_of, prefix + (v,))
+            child_at, child_of = list(cell_at), list(cell_of)
+            rest = [w for w in target if w != v]
+            child_at[start], child_at[start + 1] = [v], rest
+            for w in rest:
+                child_of[w] = start + 1
+            self._refine(child_at, child_of, target)
+            yield child_at, child_of, prefix + (v,)
             if self._bounce is not None:
                 if self._bounce < depth:
                     return  # a discovered automorphism covers this whole subtree

@@ -255,12 +255,7 @@ def center(G: Group, L: SubgroupLattice | None = None) -> Subgroup:
 
 def commutator_subgroup(G: Group, L: SubgroupLattice | None = None) -> Subgroup:
     """Subgroup generated by all commutators a^-1 b^-1 a b."""
-    comms = set()
-    for a in G.elements():
-        a_inv = G.inverse[a]
-        for b in G.elements():
-            comms.add(G.mul(G.mul(G.inverse[b], a_inv), G.mul(b, a)))
-    members = tuple(closure_from_generators(G, sorted(comms)))
+    members = _derived_members(G, G.elements())
     if L is not None:
         return L.subgroups[L.id_of(members)]
     return Subgroup(members, _mask_of(members), -1)

@@ -1,9 +1,14 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from divgraph.canon import canonical_form
-from divgraph.errors import CanonicalizationBudgetExceeded
+from divgraph import analysis
+from divgraph.canon import _Searcher, canonical_form
+from divgraph.errors import CanonicalizationBudgetExceeded, ResourceCapExceeded
+from divgraph.groups import catalog, relabeled_copy
+from divgraph.ust import division_graph
 
 
 def shuffle_graph(n, arcs, cells, rng):
@@ -94,8 +99,21 @@ def test_highly_symmetric_graph_with_automorphism_pruning():
 
 def test_budget_exhaustion():
     arcs = [(i, 5 + j, 1) for i in range(5) for j in range(5)]
-    with pytest.raises(CanonicalizationBudgetExceeded):
+    with pytest.raises(CanonicalizationBudgetExceeded) as info:
         canonical_form(10, arcs, [list(range(10))], budget=3)
+    assert str(info.value) == (
+        "canonical search exceeded 3 nodes "
+        "(at depth 3; 0 leaves and 0 automorphisms found)"
+    )
+
+
+def test_deep_search_hits_budget_not_recursion_limit():
+    # the empty graph on 1500 vertices is searched along a 1500-deep path
+    with pytest.raises(CanonicalizationBudgetExceeded) as info:
+        canonical_form(1500, [], [list(range(1500))], budget=2000)
+    assert isinstance(info.value, ResourceCapExceeded)  # CLI exit code 2
+    assert "\n" not in str(info.value)
+    assert "exceeded 2000 nodes" in str(info.value)
 
 
 def test_automorphisms_are_automorphisms():
@@ -111,3 +129,267 @@ def test_empty_graph_and_single_vertex():
     a = canonical_form(3, [], [[0, 1, 2]]).encoding
     b = canonical_form(3, [], [[2, 0, 1]]).encoding
     assert a == b
+
+
+def test_counters_repeat_across_relabellings(monkeypatch):
+    results = []
+
+    def recording(*args, **kwargs):
+        result = canonical_form(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(analysis, "canonical_form", recording)
+    G = catalog("symmetric:4")
+    rng = random.Random(4)
+    for _ in range(3):
+        relabel = list(range(G.order))
+        rng.shuffle(relabel)
+        analysis.certificate(division_graph(relabeled_copy(G, relabel)))
+    counters = {
+        (r.nodes, r.leaves, r.rounds, len(r.automorphisms), r.encoding)
+        for r in results
+    }
+    assert len(results) == 3 and len(counters) == 1
+    nodes, leaves, rounds, _, _ = counters.pop()
+    assert 1 <= leaves <= nodes <= rounds
+
+
+# -- the search before incremental refinement, kept as the reference -------------
+
+class _ReferenceSearcher(_Searcher):
+    """Index-based refinement with full signatures, a deep-copying
+    recursive search and its own leaf handling."""
+
+    def __init__(self, n, arcs, init_cells, budget):
+        super().__init__(n, arcs, init_cells, budget)
+        self.nbrs = [
+            tuple({w for _, w in self.out[v]} | {w for _, w in self.in_[v]})
+            for v in range(n)
+        ]
+
+    def _refine(self, cells, cell_of, changed):
+        out, in_, nbrs = self.out, self.in_, self.nbrs
+        while changed:
+            touched = set()
+            for v in changed:
+                touched.update(nbrs[v])
+            dirty = sorted({
+                cell_of[w] for w in touched if len(cells[cell_of[w]]) > 1
+            })
+            splits = {}
+            for ci in dirty:
+                sigs = {}
+                for v in cells[ci]:
+                    sig = (
+                        tuple(sorted((lab, cell_of[w]) for lab, w in out[v])),
+                        tuple(sorted((lab, cell_of[w]) for lab, w in in_[v])),
+                    )
+                    sigs.setdefault(sig, []).append(v)
+                if len(sigs) > 1:
+                    splits[ci] = [sigs[key] for key in sorted(sigs)]
+            if not splits:
+                break
+            new_cells = []
+            changed = set()
+            for ci, cell in enumerate(cells):
+                if ci in splits:
+                    new_cells.extend(splits[ci])
+                    changed.update(cell)
+                else:
+                    new_cells.append(cell)
+            cells = new_cells
+            for idx, cell in enumerate(cells):
+                for v in cell:
+                    cell_of[v] = idx
+        return cells, cell_of
+
+    def run(self):
+        by_class = {}
+        for v in range(self.n):
+            by_class.setdefault(self.init_class[v], []).append(v)
+        cells = [sorted(by_class[ci]) for ci in sorted(by_class)]
+        cell_of = [0] * self.n
+        for idx, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = idx
+        self._search(*self._refine(cells, cell_of, set(range(self.n))), ())
+        return self
+
+    def _search(self, cells, cell_of, prefix):
+        self.nodes += 1
+        inv = tuple(len(cell) for cell in cells)
+        depth = len(prefix)
+        if self.best_key is not None and depth < len(self.best_path):
+            best_inv = self.best_path[depth]
+            if inv > best_inv:
+                return
+            if inv < best_inv:
+                self.best_key = None
+                self.best_order = None
+                del self.best_path[depth:]
+                self.best_path.append(inv)
+        elif self.best_key is None:
+            del self.best_path[depth:]
+            self.best_path.append(inv)
+
+        target = None
+        for ci, cell in enumerate(cells):
+            if len(cell) > 1:
+                target = ci
+                break
+        if target is None:
+            self._handle_leaf(cells, prefix)
+            return
+
+        explored = []
+        orbit_of = None
+        orbit_gen_count = -1
+        for v in cells[target]:
+            if explored:
+                if orbit_gen_count != len(self.generators):
+                    orbit_of = self._cell_orbits(cells[target], prefix)
+                    orbit_gen_count = len(self.generators)
+                if orbit_of is not None:
+                    root = orbit_of[v]
+                    if any(orbit_of[u] == root for u in explored):
+                        continue
+            explored.append(v)
+            child_cells = [list(c) for c in cells]
+            child_cell_of = list(cell_of)
+            rest = [w for w in child_cells[target] if w != v]
+            child_cells[target] = [v]
+            child_cells.insert(target + 1, rest)
+            for idx in range(target + 1, len(child_cells)):
+                for w in child_cells[idx]:
+                    child_cell_of[w] = idx
+            child_cell_of[v] = target
+            child_cells, child_cell_of = self._refine(
+                child_cells, child_cell_of, set(rest) | {v}
+            )
+            self._search(child_cells, child_cell_of, prefix + (v,))
+            if self._bounce is not None:
+                if self._bounce < depth:
+                    return
+                self._bounce = None
+
+    def _handle_leaf(self, cells, prefix):
+        order = [cell[0] for cell in cells]
+        position = [0] * self.n
+        for pos, v in enumerate(order):
+            position[v] = pos
+        key = tuple(
+            (
+                self.init_class[v],
+                tuple(sorted((lab, position[w]) for lab, w in self.out[v])),
+            )
+            for v in order
+        )
+        if self.best_key is None or key < self.best_key:
+            self.best_key = key
+            self.best_order = order
+            self.best_prefix = prefix
+        elif key == self.best_key:
+            mapping = [0] * self.n
+            for pos in range(self.n):
+                mapping[self.best_order[pos]] = order[pos]
+            mapping = tuple(mapping)
+            if mapping not in self._gen_set and any(
+                mapping[i] != i for i in range(self.n)
+            ):
+                self.generators.append(mapping)
+                self._gen_set.add(mapping)
+            self._maybe_bounce(mapping, prefix)
+
+
+@st.composite
+def labelled_digraphs(draw, max_n):
+    """(n, arcs, initial cells): random, circulant or disjoint-copies arcs
+    under a random vertex numbering, so that symmetric cases are common."""
+    n = draw(st.integers(1, max_n))
+    labels = st.integers(1, draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["random", "circulant", "copies"]))
+    arcs = {}
+    if kind == "random":
+        for u, v, lab in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), labels),
+            max_size=3 * n,
+        )):
+            arcs.setdefault((u, v), lab)
+    elif kind == "circulant":
+        for step, lab in draw(st.lists(st.tuples(st.integers(1, n), labels), max_size=3)):
+            for u in range(n):
+                arcs[(u, (u + step) % n)] = lab
+    else:
+        k = draw(st.integers(1, max(1, n // 2)))
+        base = draw(st.lists(
+            st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), labels),
+            max_size=2 * k,
+        ))
+        for c in range(n // k):
+            for u, v, lab in base:
+                arcs[(c * k + u, c * k + v)] = lab
+    if not draw(st.booleans()):  # self-loops only now and then
+        arcs = {(u, v): lab for (u, v), lab in arcs.items() if u != v}
+    classes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    numbering = draw(st.permutations(range(n)))
+    arcs = [(numbering[u], numbering[v], lab) for (u, v), lab in sorted(arcs.items())]
+    cells = [[numbering[v] for v in range(n) if classes[v] == c] for c in range(3)]
+    return n, arcs, cells
+
+
+@settings(max_examples=400, deadline=None)
+@given(labelled_digraphs(max_n=12))
+def test_incremental_refinement_matches_reference(graph):
+    n, arcs, cells = graph
+    new = canonical_form(n, arcs, cells)
+    ref = _ReferenceSearcher(n, arcs, cells, budget=10**6).run()
+    assert new.encoding == ref._encode_bytes(ref.best_key)
+    assert new.order == ref.best_order
+    assert new.nodes == ref.nodes
+    assert new.automorphisms == ref.generators
+
+
+def _classes(n, cells):
+    cls = [0] * n
+    for c, cell in enumerate(cells):
+        for v in cell:
+            cls[v] = c
+    return cls
+
+
+def _maps_onto(p, n, arcs_a, cls_a, arcs_b, cls_b):
+    return (all(cls_b[p[v]] == cls_a[v] for v in range(n))
+            and {(p[u], p[v], lab) for u, v, lab in arcs_a} == set(arcs_b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_digraphs(max_n=6), st.data())
+def test_encodings_agree_with_brute_force_isomorphism(graph, data):
+    n, arcs, cells = graph
+    numbering = data.draw(st.permutations(range(n)))
+    arcs_b = [(numbering[u], numbering[v], lab) for u, v, lab in arcs]
+    cells_b = [[numbering[v] for v in cell] for cell in cells]
+    edit = data.draw(st.sampled_from(["none", "arc", "label", "class"]))
+    u, v = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if edit == "arc":  # toggle the arc u -> v
+        kept = [a for a in arcs_b if a[:2] != (u, v)]
+        arcs_b = kept if len(kept) < len(arcs_b) else kept + [(u, v, 1)]
+    elif edit == "label" and arcs_b:
+        a, b, lab = arcs_b[0]
+        arcs_b[0] = (a, b, lab % 3 + 1)
+    elif edit == "class":
+        cells_b = [[w for w in cell if w != u] for cell in cells_b]
+        cells_b[data.draw(st.integers(0, 2))].append(u)
+
+    cls_a, cls_b = _classes(n, cells), _classes(n, cells_b)
+    result_a = canonical_form(n, arcs, cells)
+    result_b = canonical_form(n, arcs_b, cells_b)
+    isomorphic = any(
+        _maps_onto(p, n, arcs, cls_a, arcs_b, cls_b) for p in permutations(range(n))
+    )
+    assert (result_a.encoding == result_b.encoding) == isomorphic
+    for g in result_a.automorphisms:
+        assert _maps_onto(g, n, arcs, cls_a, arcs, cls_a)
+    for g in result_b.automorphisms:
+        assert _maps_onto(g, n, arcs_b, cls_b, arcs_b, cls_b)
