@@ -317,7 +317,8 @@ def labelled_digraphs(draw, max_n):
         )):
             arcs.setdefault((u, v), lab)
     elif kind == "circulant":
-        for step, lab in draw(st.lists(st.tuples(st.integers(1, n), labels), max_size=3)):
+        steps = draw(st.lists(st.tuples(st.integers(1, n), labels), max_size=3))
+        for step, lab in steps:
             for u in range(n):
                 arcs[(u, (u + step) % n)] = lab
     else:
