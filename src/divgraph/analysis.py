@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .canon import DEFAULT_BUDGET, canonical_form
-from .divisions import divisions
 from .errors import InternalInvariantError, MalformedGraph
 from .groups import (
     Group,
@@ -32,10 +31,10 @@ from .lattice import (
     commutator_subgroup,
     cyclic_subgroup_ids,
     is_nilpotent,
-    is_normal,
     is_solvable,
     minimal_generator_count,
     normal_subgroup_ids,
+    prime_factorization,
 )
 from .ust import DivisionGraph, USTComponent, division_graph
 
@@ -237,17 +236,8 @@ def invariant_factors_from_cyclic_orders(orders) -> tuple[int, ...]:
     """Normalize a multiset of cyclic factor orders to invariant factors."""
     primary: dict[int, list[int]] = {}
     for order in orders:
-        n, d = order, 2
-        while d * d <= n:
-            if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
-                primary.setdefault(d, []).append(e)
-            d += 1
-        if n > 1:
-            primary.setdefault(n, []).append(1)
+        for p, e in prime_factorization(order).items():
+            primary.setdefault(p, []).append(e)
     for exps in primary.values():
         exps.sort(reverse=True)
     factors = []
@@ -269,24 +259,10 @@ def invariant_factors_direct(G: Group) -> tuple[int, ...] | None:
     """
     if not G.is_abelian():
         return None
-    n = G.order
     orders = [G.element_order(g) for g in G.elements()]
     cyclic_orders: list[int] = []
-    m = n
-    d = 2
-    primes = []
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
-    for p in primes:
-        sylow = 1
-        while n % (sylow * p) == 0:
-            sylow *= p
+    for p, k in prime_factorization(G.order).items():
+        sylow = p ** k
         exps = []  # exps[j-1] = log_p #{g : order(g) | p^j}
         j = 1
         while True:
@@ -396,9 +372,8 @@ def analyze(G: Group, L: SubgroupLattice | None = None,
     """Full report: graph-side recoveries checked against direct computation."""
     if L is None:
         L = all_subgroups(G)
-    divs = divisions(G)
     if dg is None:
-        dg = division_graph(G, L, divs)
+        dg = division_graph(G, L)
 
     sketch = recover_lattice(dg)
     normal_colors = recover_normal_colors(dg)
@@ -453,9 +428,7 @@ def analyze(G: Group, L: SubgroupLattice | None = None,
     simple_graph = recover_order(dg) > 1 and not any(
         c not in (graph_trivial, graph_full) for c in normal_colors
     )
-    simple_direct = G.order > 1 and all(
-        s.id in (L.trivial_id, L.full_id) for s in L.subgroups if is_normal(L, s)
-    )
+    simple_direct = G.order > 1 and normal_direct <= {L.trivial_id, L.full_id}
     checks["simple"] = OracleCheck(simple_graph, simple_direct, simple_graph == simple_direct)
 
     mingen_graph = _min_generators_from_sketch(sketch, cyclic_colors)

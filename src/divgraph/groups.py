@@ -6,7 +6,6 @@ Groups are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import random
 from math import factorial
 from itertools import permutations as _itertools_permutations
 
@@ -22,7 +21,6 @@ from .errors import (
 from .perms import Permutation
 
 DEFAULT_ORDER_CAP = 5040  # 7!
-EXHAUSTIVE_ASSOC_LIMIT = 512  # full O(n^3) check below this, sampling above
 EAGER_TABLE_LIMIT = 512  # permutation groups above this keep a lazy table
 
 
@@ -51,19 +49,7 @@ class Group:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def _from_table(name, table, names=None):
-        """Internal: wrap a table that is already known to be a group."""
-        n = len(table)
-        _check_latin(table)
-        if any(table[0][i] != i or table[i][0] != i for i in range(n)):
-            raise NoIdentity("index 0 is not a two-sided identity")
-        inverse = _inverse_from_table(table)
-        if names is None:
-            names = [f"g{i}" for i in range(n)]
-        return Group(name, n, names, inverse, None, table, None)
-
-    @staticmethod
-    def _from_permutations(name, perms, eager_table=None):
+    def _from_permutations(name, perms):
         """Internal: wrap a full, closed list of permutations (identity first)."""
         n = len(perms)
         index = {p.images: i for i, p in enumerate(perms)}
@@ -74,10 +60,8 @@ class Group:
         inverse = tuple(index[p.inverse().images] for p in perms)
         names = [str(p) for p in perms]
         g = Group(name, n, names, inverse, perms, None, index)
-        if eager_table is None:
-            eager_table = n <= EAGER_TABLE_LIMIT
-        if eager_table:
-            g._table = [[index[(p * q).images] for q in perms] for p in perms]
+        if n <= EAGER_TABLE_LIMIT:
+            g.table  # the property builds and keeps the table
         return g
 
     # -- arithmetic ----------------------------------------------------------
@@ -135,16 +119,7 @@ class Group:
     def generating_set(self) -> tuple[int, ...]:
         """A small generating set, found greedily (cached)."""
         if self._generators is None:
-            gens: list[int] = []
-            closed = {0}
-            for g in range(1, self.order):
-                if g in closed:
-                    continue
-                gens.append(g)
-                closed = set(closure_from_generators(self, gens))
-                if len(closed) == self.order:
-                    break
-            self._generators = tuple(gens)
+            self._generators = tuple(_greedy_generators(self.order, self.mul))
         return self._generators
 
     def is_abelian(self) -> bool:
@@ -193,6 +168,31 @@ def closure_from_generators(G: Group, gens) -> list[int]:
     return sorted(seen)
 
 
+def _greedy_generators(order: int, mul):
+    """Yield the greedy generators of a table with identity 0: each is the
+    smallest element outside the closure of the earlier ones under right
+    multiplication, yielded before that closure grows so a caller may check
+    it first."""
+    gens: list[int] = []
+    closed = {0}
+    members = [0]
+    g = 0
+    while len(members) < order:
+        while g in closed:
+            g += 1
+        yield g
+        gens.append(g)
+        head = 0
+        while head < len(members):
+            x = members[head]
+            head += 1
+            for s in gens:
+                y = mul(x, s)
+                if y not in closed:
+                    closed.add(y)
+                    members.append(y)
+
+
 # -- validation ----------------------------------------------------------------
 
 def _check_latin(table) -> None:
@@ -207,33 +207,36 @@ def _check_latin(table) -> None:
         if set(row) != full:
             dup = next(x for x in row if row.count(x) > 1)
             raise NotClosed(f"row {i} repeats {dup}")
-    for j in range(n):
-        col = [table[i][j] for i in range(n)]
+    for j, col in enumerate(zip(*table)):
         if set(col) != full:
             dup = next(x for x in col if col.count(x) > 1)
             raise NotClosed(f"column {j} repeats {dup}")
-
-
-def _inverse_from_table(table) -> list[int]:
-    n = len(table)
-    inverse = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == 0 and table[j][i] == 0:
-                inverse[i] = j
-                break
-        if inverse[i] < 0:
-            raise NoInverse(f"element {i} has no two-sided inverse")
-    return inverse
 
 
 def validate_cayley_table(table, names=None, name="table-group",
                           order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Validate an n x n index table and wrap it as a Group.
 
-    The identity is relocated to index 0 if it sits elsewhere.  Associativity
-    is checked exhaustively below EXHAUSTIVE_ASSOC_LIMIT elements and by random
-    sampling of 10*n^2 triples (fixed seed) above it.
+    Checks, in order: Latin square (NotClosed), a two-sided identity
+    (NoIdentity; moved to index 0 if it sits elsewhere), associativity
+    (NotAssociative, naming a failing triple in the input's labels) and
+    two-sided inverses (NoInverse).
+
+    Associativity is exact, by Light's test on the greedy generators.  Call
+    a good when (x*a)*y == x*(a*y) for all x, y.  Each generator is checked
+    (n^2 products) before the closure of the checked ones grows.
+
+    - Good elements are closed under the product: for good a and b, both
+      sides of the test for a*b equal x*(a*(b*y)).
+    - So the closure is good, hence associative, cancellative and holds 0:
+      a subgroup H.  Its right cosets partition the table, since h*x = h'*y
+      gives k*x = ((k*h^-1)*h')*y for every k in H (h and h' are good).
+    - The next generator g lies outside H, so the next closure holds H and
+      the disjoint coset Hg: each generator at least doubles the closure.
+      That gives at most log2(n) generators and O(n^2 log n) work at every
+      order, even on a table that is not a group.
+    - Once the closure is all n elements, every element is good: the table
+      is associative.  The generators become ``generating_set()``.
     """
     table = [list(row) for row in table]
     n = len(table)
@@ -251,9 +254,9 @@ def validate_cayley_table(table, names=None, name="table-group",
     if identity is None:
         raise NoIdentity("no two-sided identity element")
 
+    relabel = list(range(n))
+    relabel[0], relabel[identity] = identity, 0  # an involution
     if identity != 0:
-        relabel = list(range(n))
-        relabel[0], relabel[identity] = identity, 0  # an involution
         table = [
             [relabel[table[relabel[i]][relabel[j]]] for j in range(n)]
             for i in range(n)
@@ -262,26 +265,28 @@ def validate_cayley_table(table, names=None, name="table-group",
             names = list(names)
             names[0], names[identity] = names[identity], names[0]
 
-    if n <= EXHAUSTIVE_ASSOC_LIMIT:
-        triples = (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        )
-    else:
-        rng = random.Random(0x5EED)
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(10 * n * n)
-        )
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    gens = []
+    for a in _greedy_generators(n, lambda x, y: table[x][y]):
+        row_a = table[a]
+        for x, row_x in enumerate(table):
+            row_xa = table[row_x[a]]
+            if [row_x[v] for v in row_a] != row_xa:
+                y = next(y for y in range(n) if row_x[row_a[y]] != row_xa[y])
+                x, a, y = relabel[x], relabel[a], relabel[y]  # input labels
+                raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+        gens.append(a)
 
-    inverse = _inverse_from_table(table)
+    inverse = [row.index(0) for row in table]  # the right inverses
+    for i, j in enumerate(inverse):
+        if table[j][i] != 0:
+            raise NoInverse(f"element {i} has no two-sided inverse")
     if names is None:
         names = [f"g{i}" for i in range(n)]
     elif len(names) != n:
         raise NotClosed(f"{len(names)} names for {n} elements")
-    return Group(name, n, list(names), inverse, None, table, None)
+    group = Group(name, n, list(names), inverse, None, table, None)
+    group._generators = tuple(gens)
+    return group
 
 
 def from_permutation_generators(gens, degree: int, name=None,
@@ -290,11 +295,16 @@ def from_permutation_generators(gens, degree: int, name=None,
 
     Elements are discovered breadth first (identity first, then products with
     the generators in the given order), which fixes the element indexing.
+    With no generators nothing backs ``degree``, so one above ``order_cap``
+    is rejected before a permutation of that degree is built; every group
+    within the cap acts faithfully on at most that many points.
     """
     gens = list(gens)
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatch(f"generator {g} has degree {g.degree}, expected {degree}")
+    if not gens and degree > order_cap:
+        raise DegreeMismatch(f"degree {degree} exceeds the order cap {order_cap}")
     identity = Permutation.identity(degree)
     elements = [identity]
     index = {identity.images: 0}
@@ -325,7 +335,8 @@ def cyclic(n: int) -> Group:
     if n < 1:
         raise UnknownDescriptor(f"cyclic order must be positive, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return Group._from_table(f"cyclic:{n}", table, [str(i) for i in range(n)])
+    names = [str(i) for i in range(n)]
+    return validate_cayley_table(table, names, f"cyclic:{n}", order_cap=n)
 
 
 def klein4() -> Group:
@@ -349,7 +360,7 @@ def dihedral(n: int) -> Group:
     table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
     names = [f"r{i}" for i in range(n)] + [f"sr{i}" for i in range(n)]
     names[0] = "e"
-    return Group._from_table(f"dihedral:{n}", table, names)
+    return validate_cayley_table(table, names, f"dihedral:{n}", order_cap=2 * n)
 
 
 _QUNITS = ("1", "i", "j", "k")
@@ -375,7 +386,7 @@ def quaternion8() -> Group:
     names = []
     for u in _QUNITS:
         names.extend([u, f"-{u}"])
-    return Group._from_table("quaternion8", table, names)
+    return validate_cayley_table(table, names, "quaternion8", order_cap=8)
 
 
 def symmetric(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
@@ -417,7 +428,8 @@ def elementary_abelian(p: int, k: int) -> Group:
         for ta in tuples
     ]
     names = [f"({','.join(str(c) for c in t)})" for t in tuples]
-    return Group._from_table(f"elementary_abelian:{p}:{k}", table, names)
+    return validate_cayley_table(table, names, f"elementary_abelian:{p}:{k}",
+                                 order_cap=len(table))
 
 
 def heisenberg27() -> Group:
@@ -447,7 +459,8 @@ def heisenberg27() -> Group:
                 parts.append(f"{sym}^2")
         return " ".join(parts) or "e"
 
-    return Group._from_table("heisenberg27", table, [fmt(u) for u in range(27)])
+    names = [fmt(u) for u in range(27)]
+    return validate_cayley_table(table, names, "heisenberg27", order_cap=27)
 
 
 def direct_product(a: Group, b: Group) -> Group:
@@ -459,11 +472,8 @@ def direct_product(a: Group, b: Group) -> Group:
         for j1 in range(nb)
     ]
     names = [f"({na},{nbn})" for na in a.names for nbn in b.names]
-    return Group._from_table(f"product:{a.name}:{b.name}", table, names)
-
-
-def trivial_group() -> Group:
-    return cyclic(1)
+    return validate_cayley_table(table, names, f"product:{a.name}:{b.name}",
+                                 order_cap=len(table))
 
 
 _CATALOG_ARITIES = {
@@ -612,7 +622,8 @@ def subgroup_as_group(G: Group, members) -> tuple[Group, list[int]]:
     except KeyError:
         raise ValueError("member set is not closed under the product") from None
     names = [G.names[g] for g in members]
-    sub = Group._from_table(f"{G.name}|sub{len(members)}", table, names)
+    sub = validate_cayley_table(table, names, f"{G.name}|sub{len(members)}",
+                                order_cap=len(members))
     return sub, members
 
 
@@ -641,7 +652,8 @@ def quotient_group(G: Group, normal_members) -> tuple[Group, list[int]]:
         [coset_of[G.mul(a, b)] for b in reps] for a in reps
     ]
     names = [f"[{G.names[r]}]" for r in reps]
-    quotient = Group._from_table(f"{G.name}/N{len(nset)}", table, names)
+    quotient = validate_cayley_table(table, names, f"{G.name}/N{len(nset)}",
+                                     order_cap=len(reps))
     return quotient, coset_of
 
 
@@ -661,7 +673,8 @@ def relabeled_copy(G: Group, relabel) -> Group:
         for i in range(n)
     ]
     names = [G.names[inverse[i]] for i in range(n)]
-    return validate_cayley_table(table, names=names, name=f"{G.name}~relabeled")
+    return validate_cayley_table(table, names=names, name=f"{G.name}~relabeled",
+                                 order_cap=n)
 
 
 def are_isomorphic(G1: Group, G2: Group) -> bool:

@@ -309,29 +309,24 @@ def _derived_members(G: Group, members) -> tuple[int, ...]:
 
 def is_nilpotent(G: Group, L: SubgroupLattice) -> bool:
     """Nilpotent iff each Sylow subgroup is unique (hence normal)."""
-    n = G.order
-    factors = _prime_factors(n)
-    for p in factors:
-        pk = 1
-        while n % (pk * p) == 0:
-            pk *= p
-        sylows = [s for s in L.subgroups if s.order == pk]
+    for p, e in prime_factorization(G.order).items():
+        sylows = [s for s in L.subgroups if s.order == p ** e]
         if len(sylows) != 1:
             return False
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
+def prime_factorization(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p^e, primes ascending, by trial division."""
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
     if n > 1:
-        out.append(n)
+        out[n] = 1
     return out
 
 

@@ -101,6 +101,11 @@ def orbit_decomposition(cs: CosetSpace, G: Group, phi: int) -> list[Orbit]:
     return orbits
 
 
+def _coset_spaces(G: Group, L: SubgroupLattice) -> list[CosetSpace]:
+    """Every coset space H\\G, indexed by subgroup id."""
+    return [right_cosets(G, L, s.id) for s in L.subgroups]
+
+
 def ust_component(G: Group, L: SubgroupLattice, d: Division,
                   representative: int | None = None) -> USTComponent:
     """One splitting-type component: clusters of D-orbits plus labeled arcs.
@@ -112,11 +117,15 @@ def ust_component(G: Group, L: SubgroupLattice, d: Division,
     phi = d.representative if representative is None else representative
     if phi not in d.members:
         raise ValueError(f"element {phi} is not in division [{d.representative}]")
+    return _component(G, L, _coset_spaces(G, L), phi)
 
-    spaces = {s.id: right_cosets(G, L, s.id) for s in L.subgroups}
+
+def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
+               phi: int) -> USTComponent:
+    """The component of <phi> acting on the given coset spaces."""
     clusters: dict[int, tuple[Orbit, ...]] = {}
     orbit_of_coset: dict[int, list[int]] = {}
-    for sid, cs in spaces.items():
+    for sid, cs in enumerate(spaces):
         orbits = orbit_decomposition(cs, G, phi)
         clusters[sid] = tuple(orbits)
         lookup = [-1] * len(cs.cosets)
@@ -163,13 +172,18 @@ def ust_component(G: Group, L: SubgroupLattice, d: Division,
 
 def division_graph(G: Group, L: SubgroupLattice | None = None,
                    divs: list[Division] | None = None) -> DivisionGraph:
-    """One component per division, ordered by division representative."""
+    """One component per division, ordered by division representative.
+
+    The coset spaces are built once and shared by every component.
+    """
     if L is None:
         L = all_subgroups(G)
     if divs is None:
         divs = divisions(G)
+    spaces = _coset_spaces(G, L)
     components = tuple(
-        (d, ust_component(G, L, d)) for d in sorted(divs, key=lambda d: d.representative)
+        (d, _component(G, L, spaces, d.representative))
+        for d in sorted(divs, key=lambda d: d.representative)
     )
     return DivisionGraph(G.name, components)
 
@@ -202,7 +216,7 @@ def verify_lagarias(G: Group, L: SubgroupLattice | None = None,
     if divs is None:
         divs = divisions(G)
 
-    spaces = [right_cosets(G, L, s.id) for s in L.subgroups]
+    spaces = _coset_spaces(G, L)
     signature = {}
     for g in G.elements():
         signature[g] = tuple(

@@ -225,6 +225,19 @@ def test_bad_generator_json_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_huge_degree_without_generators_exits_1(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"name": "x", "degree": 100000000, "generators": []}')
+    code, out, err = invoke(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exceeds the order cap" in err
+    path.write_text('{"name": "x", "degree": 3, "generators": []}')
+    code, out, _ = invoke(capsys, "validate", str(path))
+    assert code == 0 and json.loads(out)["order"] == 1
+
+
 def test_compare_budget_exhaustion_exits_2(capsys):
     code, _, err = invoke(capsys, "compare", "symmetric:4", "symmetric:4",
                           "--budget", "2")

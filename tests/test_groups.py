@@ -1,5 +1,8 @@
+import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +78,100 @@ def test_order_cap():
         dv.validate_cayley_table([[0, 1], [1, 0]], order_cap=1)
 
 
+def _loops(n):
+    """Every n x n Latin square whose row 0 and column 0 are the identity."""
+    table = [[i if j == 0 else j if i == 0 else None for j in range(n)]
+             for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in table]
+            return
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                table[i][j] = v
+                yield from fill(k + 1)
+        table[i][j] = None
+
+    return fill(0)
+
+
+def _bad_triples(table):
+    n = len(table)
+    return [
+        (a, b, c) for a in range(n) for b in range(n) for c in range(n)
+        if table[table[a][b]][c] != table[a][table[b][c]]
+    ]
+
+
+def _named_triple(exc):
+    a, b, c = map(int, re.fullmatch(
+        r"\((\d+)\*(\d+)\)\*(\d+) != \1\*\(\2\*\3\)", str(exc)).groups())
+    return a, b, c
+
+
+def test_associativity_matches_brute_force_on_all_loops_up_to_order_6():
+    counts = {}
+    for n in range(1, 7):
+        for table in _loops(n):
+            counts[n] = counts.get(n, 0) + 1
+            bad = _bad_triples(table)
+            if bad:
+                with pytest.raises(NotAssociative) as info:
+                    dv.validate_cayley_table(table)
+                assert _named_triple(info.value) in bad
+            else:
+                G = dv.validate_cayley_table(table)
+                assert len(closure_from_generators(G, G.generating_set())) == n
+    # the numbers of reduced Latin squares of orders 1..6
+    assert counts == {1: 1, 2: 1, 3: 1, 4: 4, 5: 56, 6: 9408}
+
+
+def test_associativity_named_triple_uses_input_labels():
+    table = [  # a loop of order 5 with its identity at index 1
+        [1, 0, 3, 4, 2],
+        [0, 1, 2, 3, 4],
+        [3, 2, 4, 1, 0],
+        [4, 3, 0, 2, 1],
+        [2, 4, 1, 0, 3],
+    ]
+    with pytest.raises(NotAssociative) as info:
+        dv.validate_cayley_table(table)
+    assert _named_triple(info.value) in _bad_triples(table)
+
+
+def test_associativity_exact_above_order_512():
+    G = dv.direct_product(dv.cyclic(2), dv.cyclic(257))  # Z2 x Z257, order 514
+    table = [row[:] for row in G.table]
+    assert dv.validate_cayley_table(table).generating_set() == (1, 257)
+    # swap the intercalate on rows r, r*t and columns c, c*t, where t = (1, 0)
+    # has order 2 and r, c avoid 0 and t: still a Latin square with identity 0
+    t, r, c = 257, 1, 2
+    rt, ct = table[r][t], table[c][t]
+    table[r][c], table[r][ct] = table[r][ct], table[r][c]
+    table[rt][c], table[rt][ct] = table[rt][ct], table[rt][c]
+    with pytest.raises(NotAssociative) as info:
+        dv.validate_cayley_table(table)
+    a, b, c = _named_triple(info.value)
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_generating_sets_unchanged_on_standard_groups():
+    """Greedy generating sets recorded before the validator computed them."""
+    expected = json.loads(
+        (Path(__file__).parent / "goldens" / "generating_sets_48.json").read_text())
+    found = {}
+    for G in dv.standard_groups(48):
+        relabel = list(range(G.order))
+        random.Random(G.name).shuffle(relabel)
+        copy = dv.relabeled_copy(G, relabel)
+        found[G.name] = [list(G.generating_set()), list(copy.generating_set())]
+    assert found == expected
+
+
 # -- from_permutation_generators ----------------------------------------------
 
 
@@ -115,6 +212,12 @@ def test_transposition_and_four_cycle_generate_s4():
 def test_degree_mismatch_in_generators():
     with pytest.raises(DegreeMismatch):
         dv.from_permutation_generators([Permutation.identity(3)], 4)
+
+
+def test_degree_above_order_cap_rejected_before_building():
+    with pytest.raises(DegreeMismatch, match="exceeds the order cap"):
+        dv.from_permutation_generators([], 10, order_cap=9)
+    assert dv.from_permutation_generators([], 9, order_cap=9).order == 1
 
 
 def test_generator_closure_cap():

@@ -12,6 +12,7 @@ from divgraph.lattice import (
     is_solvable,
     minimal_generator_count,
     normal_subgroup_ids,
+    prime_factorization,
 )
 
 
@@ -264,6 +265,18 @@ def test_normal_and_cyclic_id_helpers(s3):
     L = all_subgroups(s3)
     assert set(normal_subgroup_ids(L)) == {0, 4, 5}
     assert set(cyclic_subgroup_ids(L)) == {0, 1, 2, 3, 4}
+
+
+def test_prime_factorization():
+    for n in range(1, 2000):
+        factors = prime_factorization(n)
+        assert list(factors) == sorted(factors)
+        assert all(p > 1 and all(p % d for d in range(2, p)) for p in factors)
+        product = 1
+        for p, e in factors.items():
+            assert e >= 1
+            product *= p ** e
+        assert product == n
 
 
 # -- exports ------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import divgraph as dv
+from divgraph import ust
 from divgraph.analysis import abstract_component, component_encoding
 from divgraph.lattice import all_subgroups, is_normal
 from divgraph.ust import (
@@ -245,6 +246,22 @@ def test_component_count_equals_division_count(q8, s3):
     for G in (q8, s3, dv.klein4(), dv.cyclic(4)):
         dg = division_graph(G)
         assert len(dg.components) == len(dv.divisions(G))
+
+
+def test_division_graph_builds_each_coset_space_once(monkeypatch):
+    G = dv.elementary_abelian(2, 3)
+    L = all_subgroups(G)
+    built = []
+
+    def counting(G, L, subgroup_id):
+        built.append(subgroup_id)
+        return right_cosets(G, L, subgroup_id)
+
+    monkeypatch.setattr(ust, "right_cosets", counting)
+    dg = division_graph(G, L)
+    assert sorted(built) == list(range(len(L)))
+    assert len(dg.components) == 8
+    assert all(comp == ust_component(G, L, d) for d, comp in dg.components)
 
 
 # -- Lagarias equivalence ------------------------------------------------------------
