@@ -22,6 +22,7 @@ from .divisions import (
 from .errors import (
     DivgraphError,
     InternalInvariantError,
+    OrderCapExceeded,
     ResourceCapExceeded,
     ValidationError,
 )
@@ -173,6 +174,10 @@ def _cmd_an_divisions(args) -> int:
 
 
 def _cmd_conjecture_scan(args) -> int:
+    if args.max_order > args.order_cap:  # the scan holds cyclic:max_order
+        raise OrderCapExceeded(
+            f"max order {args.max_order} exceeds the order cap {args.order_cap}"
+        )
     candidates = groups.standard_groups(args.max_order)
     report = analysis.conjecture_scan(candidates, budget=args.budget,
                                       lattice_cap=args.lattice_cap)
@@ -188,57 +193,61 @@ def _cmd_conjecture_scan(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one-line invalid input (exit 1); 2 is for caps."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="divgraph",
         description="Finite-group divisions, splitting types, and graph invariants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group_arg=True):
-        if group_arg:
+    def command(name, func, help, group=True, lattice_cap=True, budget=False):
+        """A subcommand with only the options its function reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if group:
             p.add_argument("group", nargs="?", default=None,
                            help="catalog descriptor or JSON file path")
             p.add_argument("--catalog", help="catalog descriptor, e.g. symmetric:4")
             p.add_argument("--input", help="path to a JSON group file")
         p.add_argument("--order-cap", type=int, default=groups.DEFAULT_ORDER_CAP)
-        p.add_argument("--lattice-cap", type=int, default=lattice.DEFAULT_ORDER_LIMIT)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        if lattice_cap:
+            p.add_argument("--lattice-cap", type=int, default=lattice.DEFAULT_ORDER_LIMIT)
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--out", help="write output to this path instead of stdout")
+        return p
 
-    p = sub.add_parser("validate", help="validate a group table or generators")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
+    command("validate", _cmd_validate, "validate a group table or generators",
+            lattice_cap=False)
 
-    p = sub.add_parser("subgroups", help="emit the subgroup lattice")
-    common(p)
+    p = command("subgroups", _cmd_subgroups, "emit the subgroup lattice")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=_cmd_subgroups)
 
-    p = sub.add_parser("divisions", help="emit the divisions")
-    common(p)
+    p = command("divisions", _cmd_divisions, "emit the divisions", lattice_cap=False)
     p.add_argument("--format", choices=("json",), default="json")
-    p.set_defaults(func=_cmd_divisions)
 
-    p = sub.add_parser("division-graph", help="emit the full division graph")
-    common(p)
+    p = command("division-graph", _cmd_division_graph, "emit the full division graph")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--division", help="restrict output to one division, by element name")
-    p.set_defaults(func=_cmd_division_graph)
 
-    p = sub.add_parser("analyze", help="recover properties from the graph and cross-check")
-    common(p)
-    p.set_defaults(func=_cmd_analyze)
+    command("analyze", _cmd_analyze,
+            "recover properties from the graph and cross-check")
 
-    p = sub.add_parser("compare", help="compare two groups by canonical certificates")
+    p = command("compare", _cmd_compare,
+                "compare two groups by canonical certificates",
+                group=False, budget=True)
     p.add_argument("left", help="catalog descriptor or JSON file path")
     p.add_argument("right", help="catalog descriptor or JSON file path")
-    common(p, group_arg=False)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("verify-lagarias", help="check divisions against splitting types")
-    common(p)
-    p.set_defaults(func=_cmd_verify_lagarias)
+    command("verify-lagarias", _cmd_verify_lagarias,
+            "check divisions against splitting types")
 
     p = sub.add_parser("an-divisions", help="alternating-group divisions by cycle type")
     p.add_argument("--n", type=int, required=True)
@@ -246,19 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_an_divisions)
 
-    p = sub.add_parser("conjecture-scan",
-                       help="scan the catalog for certificate collisions")
+    p = command("conjecture-scan", _cmd_conjecture_scan,
+                "scan the catalog for certificate collisions",
+                group=False, budget=True)
     p.add_argument("--max-order", type=int, default=15)
-    common(p, group_arg=False)
-    p.set_defaults(func=_cmd_conjecture_scan)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InternalInvariantError as exc:
         print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InternalInvariantError, NotEvenClass, NotSplitClass, TypeMismatch
+from .errors import (InternalInvariantError, NotEvenClass, NotSplitClass,
+                     ResourceCapExceeded, TypeMismatch, ValidationError)
 from .groups import Group
 from .perms import Permutation, parity_of_type
 
@@ -285,9 +286,9 @@ def alternating_divisions_by_type(n: int, cap: int = 20) -> dict[tuple[int, ...]
     rather than looked up.
     """
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise ValidationError(f"need n >= 2, got {n}")
     if n > cap:
-        raise ValueError(f"degree {n} exceeds cap {cap}")
+        raise ResourceCapExceeded(f"degree {n} exceeds cap {cap}")
     out: dict[tuple[int, ...], int] = {}
     for t in _even_partitions(n):
         out[t] = _divisions_within_type(t, n)

@@ -7,7 +7,7 @@ Groups are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from math import factorial
-from itertools import permutations as _itertools_permutations
+from itertools import islice, repeat, permutations as _itertools_permutations
 
 from .errors import (
     DegreeMismatch,
@@ -106,11 +106,8 @@ class Group:
     def table(self) -> list[list[int]]:
         """The full n x n Cayley table (materialized on first access)."""
         if self._table is None:
-            perms = self.perm_images
-            index = self._perm_index
-            self._table = [
-                [index[(p * q).images] for q in perms] for p in perms
-            ]
+            n = self.order
+            self._table = [[self.mul(a, b) for b in range(n)] for a in range(n)]
         return self._table
 
     def elements(self) -> range:
@@ -119,7 +116,7 @@ class Group:
     def generating_set(self) -> tuple[int, ...]:
         """A small generating set, found greedily (cached)."""
         if self._generators is None:
-            self._generators = tuple(_greedy_generators(self.order, self.mul))
+            self._generators = tuple(_greedy_generators(self))
         return self._generators
 
     def is_abelian(self) -> bool:
@@ -151,46 +148,60 @@ def power(G: Group, g: int, k: int) -> int:
     return G.power(g, k)
 
 
-def closure_from_generators(G: Group, gens) -> list[int]:
-    """Subgroup generated by ``gens`` via BFS right-multiplication."""
-    seen = {0}
-    order = [0]
-    head = 0
-    gens = [g for g in gens if g != 0]
-    while head < len(order):
-        x = order[head]
-        head += 1
+def extend_subgroup(G: Group, members, mask: int, gens) -> tuple[list[int], int]:
+    """The subgroup <gens>, grown coset by coset from a subgroup H of it
+    (Dimino's method).
+
+    ``members`` lists H and ``mask`` is its bitmask; H must lie in <gens>,
+    for instance because ``gens`` holds a generating set of H.  Returns the
+    members (H first, then each new right coset in the order found) and
+    their mask.
+
+    The elements found so far form a union U of right cosets of H, one per
+    representative.  For a representative r and a generator s, the coset
+    H(r*s) lies in U exactly when r*s does, so each pair costs one product
+    and one bit test, and a new coset costs |H| products.  Once no r*s
+    leaves U, U holds the identity and is closed under right multiplication
+    by every generator, so (G being finite) it is <gens>.
+    """
+    found = list(members)
+    reps = [0]
+    for r in reps:
         for s in gens:
-            y = G.mul(x, s)
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-    return sorted(seen)
+            x = G.mul(r, s)
+            if not mask >> x & 1:
+                reps.append(x)
+                for h in members:
+                    y = G.mul(h, x)
+                    found.append(y)
+                    mask |= 1 << y
+    return found, mask
 
 
-def _greedy_generators(order: int, mul):
+def closure_from_generators(G: Group, gens) -> list[int]:
+    """Sorted members of the subgroup generated by ``gens``, extended by one
+    generator at a time; a generator already inside costs one bit test."""
+    members, mask, kept = [0], 1, []
+    for g in gens:
+        if not mask >> g & 1:
+            kept.append(g)
+            members, mask = extend_subgroup(G, members, mask, kept)
+    return sorted(members)
+
+
+def _greedy_generators(G: Group):
     """Yield the greedy generators of a table with identity 0: each is the
     smallest element outside the closure of the earlier ones under right
     multiplication, yielded before that closure grows so a caller may check
     it first."""
-    gens: list[int] = []
-    closed = {0}
-    members = [0]
+    members, mask, gens = [0], 1, []
     g = 0
-    while len(members) < order:
-        while g in closed:
+    while len(members) < G.order:
+        while mask >> g & 1:
             g += 1
         yield g
         gens.append(g)
-        head = 0
-        while head < len(members):
-            x = members[head]
-            head += 1
-            for s in gens:
-                y = mul(x, s)
-                if y not in closed:
-                    closed.add(y)
-                    members.append(y)
+        members, mask = extend_subgroup(G, members, mask, gens)
 
 
 # -- validation ----------------------------------------------------------------
@@ -237,6 +248,9 @@ def validate_cayley_table(table, names=None, name="table-group",
       order, even on a table that is not a group.
     - Once the closure is all n elements, every element is good: the table
       is associative.  The generators become ``generating_set()``.
+
+    The closure grows by :func:`extend_subgroup`; its argument holds here,
+    as it multiplies only good elements and H's right cosets partition the table.
     """
     table = [list(row) for row in table]
     n = len(table)
@@ -265,8 +279,9 @@ def validate_cayley_table(table, names=None, name="table-group",
             names = list(names)
             names[0], names[identity] = names[identity], names[0]
 
+    group = Group(name, n, (), (), None, table, None)  # inverse, names below
     gens = []
-    for a in _greedy_generators(n, lambda x, y: table[x][y]):
+    for a in _greedy_generators(group):
         row_a = table[a]
         for x, row_x in enumerate(table):
             row_xa = table[row_x[a]]
@@ -284,7 +299,7 @@ def validate_cayley_table(table, names=None, name="table-group",
         names = [f"g{i}" for i in range(n)]
     elif len(names) != n:
         raise NotClosed(f"{len(names)} names for {n} elements")
-    group = Group(name, n, list(names), inverse, None, table, None)
+    group.names, group.inverse = list(names), tuple(inverse)
     group._generators = tuple(gens)
     return group
 
@@ -389,22 +404,18 @@ def quaternion8() -> Group:
     return validate_cayley_table(table, names, "quaternion8", order_cap=8)
 
 
-def symmetric(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
+def symmetric(n: int) -> Group:
     """Symmetric group S_n with elements in lexicographic image order."""
     if n < 1:
         raise UnknownDescriptor(f"symmetric degree must be positive, got {n}")
-    if factorial(n) > order_cap:
-        raise OrderCapExceeded(f"|S_{n}| = {factorial(n)} exceeds cap {order_cap}")
     perms = [Permutation(images) for images in _itertools_permutations(range(n))]
     return Group._from_permutations(f"symmetric:{n}", perms)
 
 
-def alternating(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
+def alternating(n: int) -> Group:
     """Alternating group A_n with elements in lexicographic image order."""
     if n < 1:
         raise UnknownDescriptor(f"alternating degree must be positive, got {n}")
-    if n > 1 and factorial(n) // 2 > order_cap:
-        raise OrderCapExceeded(f"|A_{n}| exceeds cap {order_cap}")
     perms = [
         p
         for images in _itertools_permutations(range(n))
@@ -476,15 +487,18 @@ def direct_product(a: Group, b: Group) -> Group:
                                  order_cap=len(table))
 
 
-_CATALOG_ARITIES = {
-    "cyclic": 1,
-    "klein4": 0,
-    "dihedral": 1,
-    "quaternion8": 0,
-    "symmetric": 1,
-    "alternating": 1,
-    "elementary_abelian": 2,
-    "heisenberg27": 0,
+#: The order of each catalog family as a product of factors, from the
+#: descriptor's integer arguments, so the cap is checked before anything is
+#: built; the family's constructor is the function of the same name.
+_FAMILY_ORDERS = {
+    "cyclic": lambda n: (n,),
+    "klein4": lambda: (4,),
+    "dihedral": lambda n: (2, n),
+    "quaternion8": lambda: (8,),
+    "symmetric": lambda n: range(2, n + 1),
+    "alternating": lambda n: range(3, n + 1),
+    "elementary_abelian": lambda p, k: repeat(p, k),
+    "heisenberg27": lambda: (27,),
 }
 
 
@@ -495,10 +509,13 @@ def _parse_descriptor(tokens: list[str], order_cap: int):
     if head in ("product", "direct_product"):
         left, rest = _parse_descriptor(rest, order_cap)
         right, rest = _parse_descriptor(rest, order_cap)
+        _check_order(f"product:{left.name}:{right.name}",
+                     (left.order, right.order), order_cap)
         return direct_product(left, right), rest
-    if head not in _CATALOG_ARITIES:
+    if head not in _FAMILY_ORDERS:
         raise UnknownDescriptor(f"unknown catalog name {head!r}")
-    arity = _CATALOG_ARITIES[head]
+    order = _FAMILY_ORDERS[head]
+    arity = order.__code__.co_argcount
     if len(rest) < arity:
         raise UnknownDescriptor(f"{head} expects {arity} argument(s)")
     args = []
@@ -507,26 +524,20 @@ def _parse_descriptor(tokens: list[str], order_cap: int):
             args.append(int(tok))
         except ValueError:
             raise UnknownDescriptor(f"non-integer argument {tok!r} for {head}") from None
-    rest = rest[arity:]
-    if head == "cyclic":
-        g = cyclic(*args)
-    elif head == "klein4":
-        g = klein4()
-    elif head == "dihedral":
-        g = dihedral(*args)
-    elif head == "quaternion8":
-        g = quaternion8()
-    elif head == "symmetric":
-        g = symmetric(args[0], order_cap)
-    elif head == "alternating":
-        g = alternating(args[0], order_cap)
-    elif head == "elementary_abelian":
-        g = elementary_abelian(*args)
-    else:
-        g = heisenberg27()
-    if g.order > order_cap:
-        raise OrderCapExceeded(f"{g.name} has order {g.order} > cap {order_cap}")
-    return g, rest
+    _check_order(":".join([head, *rest[:arity]]), order(*args), order_cap)
+    return globals()[head](*args), rest[arity:]
+
+
+def _check_order(name: str, factors, order_cap: int) -> None:
+    """Refuse ``name`` if the product of its order's factors passes the cap.
+    Only the first bit_length(cap) + 1 factors are multiplied, so a huge
+    argument costs nothing: every factor of a valid family with more than
+    two is at least 2, so that many already pass the cap."""
+    order = 1
+    for f in islice(factors, order_cap.bit_length() + 1):
+        order *= f
+    if order > order_cap:
+        raise OrderCapExceeded(f"{name} has order above the cap {order_cap}")
 
 
 def catalog(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
@@ -536,8 +547,6 @@ def catalog(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     group, rest = _parse_descriptor(tokens, order_cap)
     if rest:
         raise UnknownDescriptor(f"trailing tokens {rest!r} in {descriptor!r}")
-    if group.order > order_cap:
-        raise OrderCapExceeded(f"{group.name} has order {group.order} > cap {order_cap}")
     return group
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LatticeCapExceeded
-from .groups import Group, closure_from_generators
+from .groups import Group, closure_from_generators, extend_subgroup
 
 DEFAULT_ORDER_LIMIT = 384
 DEFAULT_COUNT_LIMIT = 20000
@@ -40,15 +40,9 @@ def _mask_of(members) -> int:
     return mask
 
 
-def _members_of(mask: int) -> tuple[int, ...]:
-    out = []
-    g = 0
-    while mask:
-        if mask & 1:
-            out.append(g)
-        mask >>= 1
-        g += 1
-    return tuple(out)
+def _conjugate_mask(G: Group, members, s: int) -> int:
+    """Mask of s^-1 H s for the subgroup H with these members."""
+    return sum(1 << G.conjugate(g, s) for g in members)
 
 
 class SubgroupLattice:
@@ -88,12 +82,8 @@ class SubgroupLattice:
 
     def conjugate_subgroup(self, h_id: int, s: int) -> int:
         """Id of s^-1 H s."""
-        G = self.group
-        mask = 0
-        s_inv = G.inverse[s]
-        for g in self.subgroups[h_id].members:
-            mask |= 1 << G.mul(G.mul(s_inv, g), s)
-        return self._id_by_mask[mask]
+        members = self.subgroups[h_id].members
+        return self._id_by_mask[_conjugate_mask(self.group, members, s)]
 
     def conjugacy_class_of_subgroup(self, h_id: int) -> tuple[int, ...]:
         """Sorted ids of all conjugates of subgroup h_id."""
@@ -114,46 +104,53 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
     Seeds with the cyclic subgroups and closes under join-with-a-cyclic;
     every subgroup is a join of cyclic subgroups, so the fixed point is
     complete without scanning the power set.
+
+    Each join J = <H, g> is grown from H coset by coset
+    (:func:`~divgraph.groups.extend_subgroup`), and J keeps H's generator
+    tuple plus g, unminimized.  A join is formed only when g lies outside H,
+    so J holds H and the disjoint coset Hg: |J| >= 2|H|.  A tuple thus grows
+    by one only when the order at least doubles, so none is longer than
+    log2 |G| (the doubling argument of Light's test in
+    :func:`~divgraph.groups.validate_cayley_table`).
     """
     n = G.order
     if n > order_limit:
         raise LatticeCapExceeded(f"order {n} exceeds lattice cap {order_limit}")
 
-    cyclic_masks: dict[int, int] = {}
+    members_by_mask: dict[int, list[int]] = {}
+    gens_by_mask: dict[int, tuple[int, ...]] = {}
     for g in range(n):
-        members = tuple(_cyclic_members(G, g))
-        cyclic_masks.setdefault(_mask_of(members), g)
+        members = _cyclic_members(G, g)
+        mask = _mask_of(members)
+        if mask not in gens_by_mask:
+            members_by_mask[mask] = members
+            gens_by_mask[mask] = (g,) if g else ()
 
-    gens_by_mask: dict[int, tuple[int, ...]] = {
-        mask: ((g,) if g else ()) for mask, g in cyclic_masks.items()
-    }
-
-    seeds = sorted(cyclic_masks)
-    known = set(seeds)
-    frontier = list(seeds)
+    seeds = sorted((mask, gens[0]) for mask, gens in gens_by_mask.items() if gens)
+    frontier = sorted(gens_by_mask)
     while frontier:
         mask = frontier.pop()
-        for seed in seeds:
+        for seed, g in seeds:
             if seed & ~mask == 0 or mask & ~seed == 0:
                 continue  # one contains the other; join is the bigger one
-            gens = gens_by_mask[mask] + gens_by_mask[seed]
-            new_members = closure_from_generators(G, gens)
-            new_mask = _mask_of(new_members)
-            if new_mask not in known:
-                if len(known) >= count_limit:
+            gens = gens_by_mask[mask] + (g,)
+            new_members, new_mask = extend_subgroup(
+                G, members_by_mask[mask], mask, gens)
+            if new_mask not in gens_by_mask:
+                if len(gens_by_mask) >= count_limit:
                     raise LatticeCapExceeded(
                         f"subgroup count exceeds lattice cap {count_limit}"
                     )
-                known.add(new_mask)
-                gens_by_mask[new_mask] = _minimized_gens(G, gens, new_members)
+                members_by_mask[new_mask] = new_members
+                gens_by_mask[new_mask] = gens
                 frontier.append(new_mask)
 
     ordered = sorted(
-        (_members_of(mask) for mask in known),
-        key=lambda members: (len(members), members),
+        (len(members), tuple(sorted(members)), mask)
+        for mask, members in members_by_mask.items()
     )
     subgroups = [
-        Subgroup(members, _mask_of(members), i) for i, members in enumerate(ordered)
+        Subgroup(members, mask, i) for i, (_, members, mask) in enumerate(ordered)
     ]
     covers = _hasse_covers(subgroups)
     return SubgroupLattice(G, subgroups, covers)
@@ -166,20 +163,6 @@ def _cyclic_members(G: Group, g: int) -> list[int]:
         members.append(x)
         x = G.mul(x, g)
     return sorted(members)
-
-
-def _minimized_gens(G: Group, gens, members) -> tuple[int, ...]:
-    """Drop redundant generators so later joins stay cheap."""
-    kept: list[int] = []
-    target = len(members)
-    for g in gens:
-        if g not in kept:
-            kept.append(g)
-    for g in list(kept):
-        trial = [x for x in kept if x != g]
-        if trial and len(closure_from_generators(G, trial)) == target:
-            kept = trial
-    return tuple(kept)
 
 
 def _hasse_covers(subgroups: list[Subgroup]) -> list[tuple[int, int, int]]:
@@ -213,27 +196,20 @@ def _hasse_covers(subgroups: list[Subgroup]) -> list[tuple[int, int, int]]:
 # -- queries ---------------------------------------------------------------------
 
 def is_normal(L: SubgroupLattice, H: Subgroup | int) -> bool:
+    """H is normal iff the generators of G conjugate it onto itself:
+    conjugation by a product composes, and in a finite group every element
+    is a product of generators."""
     h = L.subgroups[H] if isinstance(H, int) else H
     G = L.group
-    for s in G.elements():
-        s_inv = G.inverse[s]
-        for g in h.members:
-            if not h.mask >> G.mul(G.mul(s_inv, g), s) & 1:
-                return False
-    return True
+    return all(_conjugate_mask(G, h.members, s) == h.mask
+               for s in G.generating_set())
 
 
 def normalizer(L: SubgroupLattice, H: Subgroup | int) -> Subgroup:
     h = L.subgroups[H] if isinstance(H, int) else H
     G = L.group
-    members = []
-    for s in G.elements():
-        s_inv = G.inverse[s]
-        mask = 0
-        for g in h.members:
-            mask |= 1 << G.mul(G.mul(s_inv, g), s)
-        if mask == h.mask:
-            members.append(s)
+    members = [s for s in G.elements()
+               if _conjugate_mask(G, h.members, s) == h.mask]
     return L.subgroups[L.id_of(members)]
 
 

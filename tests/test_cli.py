@@ -1,10 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from divgraph.cli import run
+from divgraph import groups
+from divgraph.cli import build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -113,6 +115,108 @@ def test_lattice_cap_honoured_by_every_command(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("cap exceeded:") and err.count("\n") == 1
+
+
+def one_line(err):
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("--n", "30"), 2, "cap exceeded: degree 30 exceeds cap 20\n"),
+    (("--n", "7", "--cap", "6"), 2, "cap exceeded: degree 7 exceeds cap 6\n"),
+    (("--n", "1"), 1, "error: need n >= 2, got 1\n"),
+    (("--n", "-4"), 1, "error: need n >= 2, got -4\n"),
+])
+def test_an_divisions_bad_degree(capsys, argv, code, message):
+    assert invoke(capsys, "an-divisions", *argv) == (code, "", message)
+
+
+@pytest.mark.parametrize("descriptor, constructor", [
+    ("cyclic:100000", "cyclic"),
+    ("elementary_abelian:2:13", "elementary_abelian"),
+    ("symmetric:2000", "symmetric"),
+    ("product:cyclic:100:cyclic:100", "direct_product"),
+])
+def test_order_cap_exits_2_before_building(capsys, monkeypatch, descriptor, constructor):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{constructor}{args} was built")
+
+    monkeypatch.setattr(groups, constructor, refuse)
+    code, out, err = invoke(capsys, "validate", "--catalog", descriptor)
+    assert (code, out) == (2, "")
+    assert err == f"cap exceeded: {descriptor} has order above the cap 5040\n"
+
+
+def test_conjecture_scan_max_order_above_order_cap_exits_2(capsys, monkeypatch):
+    def refuse(max_order):
+        raise AssertionError("the scan built its groups")
+
+    monkeypatch.setattr(groups, "standard_groups", refuse)
+    for argv in (("--max-order", "6000"), ("--max-order", "12", "--order-cap", "11")):
+        code, out, err = invoke(capsys, "conjecture-scan", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("cap exceeded: max order") and one_line(err)
+
+
+#: Every subcommand's options; each is read by the command that takes it.
+OPTIONS = {
+    "validate": {"--catalog", "--input", "--order-cap", "--out"},
+    "subgroups": {"--catalog", "--input", "--order-cap", "--lattice-cap",
+                  "--out", "--format"},
+    "divisions": {"--catalog", "--input", "--order-cap", "--out", "--format"},
+    "division-graph": {"--catalog", "--input", "--order-cap", "--lattice-cap",
+                       "--out", "--format", "--division"},
+    "analyze": {"--catalog", "--input", "--order-cap", "--lattice-cap", "--out"},
+    "compare": {"--order-cap", "--lattice-cap", "--budget", "--out"},
+    "verify-lagarias": {"--catalog", "--input", "--order-cap", "--lattice-cap",
+                        "--out"},
+    "an-divisions": {"--n", "--cap", "--out"},
+    "conjecture-scan": {"--max-order", "--order-cap", "--lattice-cap",
+                        "--budget", "--out"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert found == OPTIONS
+
+
+@pytest.mark.parametrize("command", sorted(
+    c for c, opts in OPTIONS.items() if "--order-cap" in opts))
+def test_order_cap_acts_in_every_command(capsys, command):
+    argv = {"compare": ("cyclic:3", "cyclic:2"),
+            "conjecture-scan": ("--max-order", "3")}.get(command, ("cyclic:3",))
+    code, out, err = invoke(capsys, command, *argv, "--order-cap", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("cap exceeded:") and one_line(err)
+
+
+def test_budget_acts_in_conjecture_scan(capsys):
+    code, out, err = invoke(capsys, "conjecture-scan", "--max-order", "4",
+                            "--budget", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("cap exceeded:") and one_line(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "cyclic:3", "--budget", "5"),
+    ("divisions", "cyclic:3", "--lattice-cap", "5"),
+    ("subgroups", "cyclic:3", "--budget", "5"),
+    ("an-divisions", "--n", "x"),
+    ("an-divisions",),
+    ("frobnicate",),
+    (),
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_usage_error_exits_1_with_one_line(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and one_line(err)
 
 
 def test_unknown_descriptor_exits_1(capsys):

@@ -284,6 +284,35 @@ def test_catalog_descriptor_errors():
         dv.catalog("elementary_abelian:4:2")
 
 
+@pytest.mark.parametrize("descriptor, constructor", [
+    ("cyclic:100000", "cyclic"),
+    ("dihedral:2521", "dihedral"),
+    ("symmetric:8", "symmetric"),
+    ("alternating:8", "alternating"),
+    ("elementary_abelian:2:13", "elementary_abelian"),
+    ("elementary_abelian:2:10000000000", "elementary_abelian"),
+    ("symmetric:1000000", "symmetric"),
+    ("product:cyclic:100:cyclic:100", "direct_product"),
+])
+def test_catalog_checks_order_before_building(monkeypatch, descriptor, constructor):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{constructor}{args} was built")
+
+    monkeypatch.setattr(dv.groups, constructor, refuse)
+    with pytest.raises(OrderCapExceeded, match=r"has order above the cap 5040$"):
+        dv.catalog(descriptor)
+
+
+def test_catalog_orders_at_the_cap():
+    for descriptor, order in [("cyclic:7", 7), ("dihedral:5", 10),
+                              ("symmetric:4", 24), ("alternating:1", 1),
+                              ("alternating:4", 12), ("elementary_abelian:3:2", 9),
+                              ("product:symmetric:3:cyclic:4", 24)]:
+        assert dv.catalog(descriptor, order_cap=order).order == order
+        with pytest.raises(OrderCapExceeded):
+            dv.catalog(descriptor, order_cap=order - 1)
+
+
 def test_catalog_symmetric_and_alternating_sizes():
     assert dv.symmetric(4).order == 24
     assert dv.alternating(4).order == 12

@@ -1,4 +1,8 @@
+import hashlib
+import json
+import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +14,34 @@ from divgraph.lattice import (
     cyclic_subgroup_ids,
     is_nilpotent,
     is_solvable,
+    lattice_to_json,
     minimal_generator_count,
     normal_subgroup_ids,
     prime_factorization,
 )
 
+#: The groups of the bench ``structure`` and ``compare`` workloads that
+#: ``standard_groups(48)`` does not already hold.
+BENCH_GROUPS = ("symmetric:5", "alternating:5", "dihedral:32",
+                "product:symmetric:4:cyclic:2",
+                "product:elementary_abelian:2:3:cyclic:4")
+
 
 # -- oracles --------------------------------------------------------------------
+
+
+def bfs_closure(G, gens):
+    """Reference closure: breadth-first search under right multiplication
+    by every generator, from the identity."""
+    seen = {0}
+    queue = [0]
+    for x in queue:
+        for s in gens:
+            y = G.mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return sorted(seen)
 
 
 def grow_by_one_enumeration(G):
@@ -29,7 +54,7 @@ def grow_by_one_enumeration(G):
         for g in range(1, G.order):
             if g in members:
                 continue
-            grown = frozenset(closure_from_generators(G, sorted(members | {g})))
+            grown = frozenset(bfs_closure(G, sorted(members | {g})))
             if grown not in seen:
                 seen.add(grown)
                 frontier.append(grown)
@@ -117,6 +142,42 @@ def test_grow_by_one_oracle_matches_everywhere_up_to_48():
         assert len(L) == len(oracle), G.name
 
 
+def test_lattices_unchanged_on_standard_and_bench_groups():
+    """sha256 of every lattice's JSON, recorded before the coset-wise closure:
+    each group of ``standard_groups(48)`` and ``BENCH_GROUPS`` plus a seeded
+    relabelled copy of each."""
+    expected = json.loads(
+        (Path(__file__).parent / "goldens" / "lattices_48.json").read_text())
+    found = {}
+    for G in dv.standard_groups(48) + [dv.catalog(d) for d in BENCH_GROUPS]:
+        relabel = list(range(G.order))
+        random.Random(G.name).shuffle(relabel)
+        for H in (G, dv.relabeled_copy(G, relabel)):
+            text = json.dumps(lattice_to_json(all_subgroups(H)), sort_keys=True)
+            found[H.name] = hashlib.sha256(text.encode()).hexdigest()
+    assert found == expected
+
+
+@pytest.mark.parametrize("descriptor", ["symmetric:5", "dihedral:32"])
+def test_closure_matches_bfs_on_random_generators(descriptor):
+    G = dv.catalog(descriptor)
+    rng = random.Random(descriptor)
+    for _ in range(200):
+        gens = [rng.randrange(G.order) for _ in range(rng.randint(0, 4))]
+        assert closure_from_generators(G, gens) == bfs_closure(G, gens), gens
+
+
+def test_extend_subgroup_from_every_subgroup(s4):
+    """Growing any subgroup H by any element g gives the closure of H and g."""
+    L = all_subgroups(s4)
+    for h in L.subgroups:
+        gens = list(h.members)
+        for g in s4.elements():
+            members, mask = dv.groups.extend_subgroup(s4, h.members, h.mask, gens + [g])
+            assert sorted(members) == bfs_closure(s4, gens + [g])
+            assert mask == sum(1 << x for x in members)
+
+
 # -- covers -------------------------------------------------------------------------
 
 
@@ -185,6 +246,24 @@ def test_normalizer_of_normal_is_whole_group(q8):
     L = all_subgroups(q8)
     for s in L.subgroups:
         assert dv.normalizer(L, s).order == 8  # every subgroup of Q8 is normal
+
+
+def test_conjugation_queries_match_brute_force():
+    """is_normal checks only the generators; compare it, the normalizer and
+    every conjugate with a scan over all elements."""
+    for G in (dv.symmetric(4), dv.dihedral(6), dv.quaternion8(),
+              dv.catalog("product:symmetric:3:cyclic:2")):
+        L = all_subgroups(G)
+        for h in L.subgroups:
+            conjugates = {
+                s: frozenset(G.mul(G.mul(G.inv(s), g), s) for g in h.members)
+                for s in G.elements()
+            }
+            stabilizer = tuple(s for s, c in conjugates.items() if c == set(h.members))
+            assert dv.is_normal(L, h) == (len(stabilizer) == G.order)
+            assert dv.normalizer(L, h).members == stabilizer
+            for s, c in conjugates.items():
+                assert L.subgroups[L.conjugate_subgroup(h.id, s)].members == tuple(sorted(c))
 
 
 def test_normalizer_of_transposition_subgroup(s3):
