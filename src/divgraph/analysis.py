@@ -34,6 +34,7 @@ from .lattice import (
     is_solvable,
     minimal_generator_count,
     normal_subgroup_ids,
+    normalizer,
     prime_factorization,
 )
 from .ust import DivisionGraph, USTComponent, division_graph
@@ -494,7 +495,8 @@ def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> Certificate:
     component and one per color; orbit vertices point at both, so any
     automorphism permutes components wholesale and renames colors
     consistently across the whole graph.  Service arcs carry label 0,
-    which no structural arc uses.
+    which no structural arc uses.  Graphs from ``division_graph`` seed the
+    search with automorphisms their group gives (``_group_seeds``).
     """
     colors = sorted({c for _, comp in dg.components for c in comp.clusters})
     comp_count = len(dg.components)
@@ -534,8 +536,40 @@ def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> Certificate:
         + [color_cells[fp] for fp in sorted(color_cells)]
         + [length_cells[length] for length in sorted(length_cells)]
     )
-    result = canonical_form(next_id, arcs, init_cells, budget=budget)
+    seeds = () if dg.group is None else _group_seeds(dg, vertex_id, color_node, next_id)
+    result = canonical_form(next_id, arcs, init_cells, budget=budget, known=seeds)
     return Certificate(b"divgraph-cert/1;" + result.encoding)
+
+
+def _group_seeds(dg: DivisionGraph, vertex_id, color_node, n: int) -> list[list[list[int]]]:
+    """Generators of automorphism groups of the certificate graph: left
+    multiplication by s in G sends the orbit Hx<phi> to (sHs^-1)(sx)<phi> in
+    every component, commuting with <phi> and with the projections Hx -> Kx;
+    inside one component, right multiplication by m in N_G(<phi>) sends
+    Hx<phi> to Hxm<phi>."""
+    G, L, spaces, comps = dg.group, dg.lattice, dg.spaces, [c for _, c in dg.components]
+    vertex_at = {(ci, sid, c): v for (ci, sid, oi), v in vertex_id.items()
+                 for c in comps[ci].clusters[sid][oi].cosets}  # coset -> its orbit vertex
+
+    def seed(cis, image):  # image(sid, x) -> (sid', x') on coset representatives
+        out = list(range(n))
+        for (ci, sid, oi), v in vertex_id.items():
+            if ci in cis:
+                t, y = image(sid, spaces[sid].cosets[comps[ci].clusters[sid][oi].cosets[0]][0])
+                out[v] = vertex_at[(ci, t, spaces[t].coset_of[y])]
+                out[color_node[sid]] = color_node[t]
+        return out
+
+    families = [[]]
+    for s in G.generating_set():
+        conj = [L.conjugate_subgroup(sid, G.inv(s)) for sid in range(len(L))]
+        families[0].append(seed(range(len(comps)), lambda sid, x: (conj[sid], G.mul(s, x))))
+    for ci, comp in enumerate(comps):
+        cyc = L.id_of(_cyclic_members(G, comp.division_rep))
+        N, members = subgroup_as_group(G, normalizer(L, cyc).members)
+        families.append([seed([ci], lambda sid, x: (sid, G.mul(x, members[m])))
+                         for m in N.generating_set()])
+    return families
 
 
 @dataclass(frozen=True)

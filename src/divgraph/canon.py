@@ -3,11 +3,11 @@
 The canonicalizer is an individualization-refinement search: refine the
 ordered partition until equitable, branch on the vertices of the first
 non-singleton cell, and take the lexicographically minimal leaf encoding.
-Automorphisms discovered between equal leaves prune sibling branches, so
-highly symmetric graphs stay tractable.  A leaf encoding carries the full
-labeled adjacency, so two graphs receive equal encodings if and only if
-they are isomorphic respecting initial cell classes, arc directions, and
-arc labels.
+Automorphisms discovered between equal leaves, or seeded by the caller,
+prune sibling branches, so highly symmetric graphs stay tractable.  A leaf
+encoding carries the full labeled adjacency, so two graphs receive equal
+encodings if and only if they are isomorphic respecting initial cell
+classes, arc directions, and arc labels.
 
 The ordered partition is position-indexed: ``cell_of[v]`` is the start
 position of v's cell and ``cell_at[s]`` the members of the cell starting at
@@ -18,42 +18,45 @@ lists, and the search runs on an explicit stack, not Python's recursion.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
+from typing import NamedTuple
 
-from .errors import CanonicalizationBudgetExceeded
+from .errors import CanonicalizationBudgetExceeded, InternalInvariantError
 
 DEFAULT_BUDGET = 500_000
 
 
-class CanonicalResult:
-    __slots__ = ("encoding", "order", "automorphisms", "nodes", "leaves", "rounds")
+class CanonicalResult(NamedTuple):
+    encoding: bytes
+    order: list[int]                      # canonical position -> vertex id
+    automorphisms: list[tuple[int, ...]]  # generator vertex maps found
+    seeds: list[array]                    # known automorphisms pruned with
+    nodes: int                            # search nodes visited
+    leaves: int                           # leaves reached
+    rounds: int                           # refinement rounds run
+    max_depth: int                        # deepest search node
 
-    def __init__(self, encoding, order, automorphisms, nodes, leaves, rounds):
-        self.encoding = encoding            # bytes
-        self.order = order                  # canonical position -> vertex id
-        self.automorphisms = automorphisms  # generator vertex maps found
-        self.nodes = nodes                  # search nodes visited
-        self.leaves = leaves                # leaves reached
-        self.rounds = rounds                # refinement rounds run
 
-
-def canonical_form(n: int, arcs, init_cells,
-                   budget: int = DEFAULT_BUDGET) -> CanonicalResult:
+def canonical_form(n: int, arcs, init_cells, budget: int = DEFAULT_BUDGET,
+                   known=()) -> CanonicalResult:
     """Canonicalize a digraph on the vertices 0..n-1.
 
     ``arcs`` is an iterable of (u, v, label) with integer labels and at most
     one arc per ordered pair.  ``init_cells`` is an ordered partition of the
     vertices; its cell order encodes invariant vertex classes, and only maps
-    preserving each class are considered.
+    preserving each class are considered.  ``known`` lists generating sets
+    (vertex maps) of small automorphism groups to prune with from the start.
     """
-    return _Searcher(n, arcs, init_cells, budget).run()
+    return _Searcher(n, arcs, init_cells, budget, known).run()
 
 
 class _Searcher:
-    def __init__(self, n, arcs, init_cells, budget):
+    def __init__(self, n, arcs, init_cells, budget, known=()):
         self.n = n
         self.budget = budget
-        self.nodes = self.leaves = self.rounds = 0
+        self.nodes = self.leaves = self.rounds = self.max_depth = 0
+        arcs = list(arcs)
         out = [[] for _ in range(n)]
         in_ = [[] for _ in range(n)]
         for u, v, label in arcs:
@@ -78,6 +81,31 @@ class _Searcher:
         self.generators: list[tuple[int, ...]] = []
         self._gen_set: set[tuple[int, ...]] = set()
         self._bounce: int | None = None
+        self.seeds = self._seed(known, arcs) if known else []
+
+    def _seed(self, known, arcs):
+        """Check every given map, then prune with every element of the group
+        each set generates: that only skips images of explored branches."""
+        identity, arc_set = tuple(range(self.n)), set(arcs)
+        tails, heads, labels = zip(*arcs) if arcs else ((), (), ())
+        for gens in known:
+            for g in gens:
+                if (sorted(g) != list(identity)
+                        or list(map(self.init_class.__getitem__, g)) != self.init_class
+                        or not arc_set.issuperset(zip(map(g.__getitem__, tails),
+                                                      map(g.__getitem__, heads), labels))):
+                    raise InternalInvariantError(
+                        f"a seed is not an automorphism of the graph on {self.n} vertices"
+                    )
+            group, seen = [identity], {identity}
+            for a in group:
+                for c in (tuple(map(a.__getitem__, b)) for b in gens):
+                    if c not in seen:
+                        seen.add(c)
+                        group.append(c)
+            # int arrays take half the memory of tuples while the search runs
+            self.generators += [array("i", c) for c in group[1:]]
+        return list(self.generators)
 
     # -- refinement ---------------------------------------------------------
 
@@ -155,30 +183,28 @@ class _Searcher:
             else:
                 stack.append(self._search(*child))
         return CanonicalResult(
-            self._encode_bytes(self.best_key),
-            self.best_order,
-            list(self.generators),
-            self.nodes,
-            self.leaves,
-            self.rounds,
+            self._encode_bytes(self.best_key), self.best_order,
+            self.generators[len(self.seeds):], self.seeds,
+            self.nodes, self.leaves, self.rounds, self.max_depth,
         )
 
     def _search(self, cell_at, cell_of, prefix):
         """One search node, yielding its children's arguments in visiting
         order; ``run`` finishes each child's subtree before resuming it."""
         self.nodes += 1
+        depth = len(prefix)
+        self.max_depth = max(self.max_depth, depth)
         if self.nodes > self.budget:
             raise CanonicalizationBudgetExceeded(
                 f"canonical search exceeded {self.budget} nodes (at depth "
-                f"{len(prefix)}; {self.leaves} leaves and "
-                f"{len(self.generators)} automorphisms found)"
+                f"{depth}; {self.leaves} leaves and {len(self.generators) - len(self.seeds)}"
+                f" automorphisms found, {len(self.seeds)} seeded)"
             )
 
         # node-invariant pruning: the canonical leaf minimizes the sequence
         # of cell-size tuples along its path before the leaf key is compared
         cells = list(filter(None, cell_at))
         inv = tuple(map(len, cells))
-        depth = len(prefix)
         if self.best_key is not None and depth < len(self.best_path):
             best_inv = self.best_path[depth]
             if inv > best_inv:
@@ -253,22 +279,29 @@ class _Searcher:
         return orbit_of
 
     def _handle_leaf(self, cells, prefix):
+        """Build the leaf key vertex by vertex, storing none of it while it
+        equals the best key and stopping at the first entry above it."""
         order = [cell[0] for cell in cells]
         position = [0] * self.n
         for pos, v in enumerate(order):
             position[v] = pos
-        key = tuple(
-            (
-                self.init_class[v],
-                tuple(sorted((lab, position[w]) for lab, w in self.out[v])),
-            )
-            for v in order
-        )
-        if self.best_key is None or key < self.best_key:
-            self.best_key = key
+        best = self.best_key
+        key = [] if best is None else None
+        for i, v in enumerate(order):
+            entry = (self.init_class[v],
+                     tuple(sorted((lab, position[w]) for lab, w in self.out[v])))
+            if key is None:
+                if entry == best[i]:
+                    continue
+                if entry > best[i]:
+                    return
+                key = list(best[:i])
+            key.append(entry)
+        if key is not None:  # the first leaf, or a smaller key
+            self.best_key = tuple(key)
             self.best_order = order
             self.best_prefix = prefix
-        elif key == self.best_key:
+        else:
             mapping = [0] * self.n
             for pos in range(self.n):
                 mapping[self.best_order[pos]] = order[pos]

@@ -320,26 +320,23 @@ def from_permutation_generators(gens, degree: int, name=None,
             raise DegreeMismatch(f"generator {g} has degree {g.degree}, expected {degree}")
     if not gens and degree > order_cap:
         raise DegreeMismatch(f"degree {degree} exceeds the order cap {order_cap}")
-    identity = Permutation.identity(degree)
-    elements = [identity]
-    index = {identity.images: 0}
-    head = 0
-    while head < len(elements):
-        p = elements[head]
-        head += 1
+    elements = [tuple(range(degree))]  # image tuples, composed as Group.mul does
+    index = {elements[0]: 0}
+    for p in elements:  # grows while it is walked: breadth first
         for g in gens:
-            q = p * g
-            if q.images not in index:
+            qi = g.images
+            q = tuple(qi[i] for i in p)
+            if q not in index:
                 if len(elements) >= order_cap:
                     raise OrderCapExceeded(
                         f"closure exceeds order cap {order_cap}"
                     )
-                index[q.images] = len(elements)
+                index[q] = len(elements)
                 elements.append(q)
     if name is None:
         gen_names = ", ".join(str(g) for g in gens) or "()"
         name = f"<{gen_names}>"
-    group = Group._from_permutations(name, elements)
+    group = Group._from_permutations(name, [Permutation(q) for q in elements])
     group._generators = tuple(sorted({index[g.images] for g in gens} - {0}))
     return group
 

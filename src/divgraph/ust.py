@@ -10,13 +10,13 @@ The disjoint union over all divisions is the group's division graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .divisions import Division, divisions
 from .errors import InternalInvariantError
 from .groups import Group
-from .lattice import SubgroupLattice, all_subgroups
+from .lattice import SubgroupLattice, _cyclic_members, all_subgroups
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,9 @@ class USTComponent:
 class DivisionGraph:
     group_name: str
     components: tuple[tuple[Division, USTComponent], ...]
+    group: Group | None = field(default=None, compare=False, repr=False)
+    lattice: SubgroupLattice | None = field(default=None, compare=False, repr=False)
+    spaces: tuple[CosetSpace, ...] | None = field(default=None, compare=False, repr=False)
 
 
 def right_cosets(G: Group, L: SubgroupLattice, subgroup_id: int) -> CosetSpace:
@@ -174,7 +177,7 @@ def division_graph(G: Group, L: SubgroupLattice | None = None,
                    divs: list[Division] | None = None) -> DivisionGraph:
     """One component per division, ordered by division representative.
 
-    The coset spaces are built once and shared by every component.
+    The coset spaces are built once, shared by every component and kept.
     """
     if L is None:
         L = all_subgroups(G)
@@ -185,7 +188,7 @@ def division_graph(G: Group, L: SubgroupLattice | None = None,
         (d, _component(G, L, spaces, d.representative))
         for d in sorted(divs, key=lambda d: d.representative)
     )
-    return DivisionGraph(G.name, components)
+    return DivisionGraph(G.name, components, G, L, tuple(spaces))
 
 
 # -- Lagarias equivalence check ---------------------------------------------------
@@ -207,9 +210,9 @@ def verify_lagarias(G: Group, L: SubgroupLattice | None = None,
                     divs: list[Division] | None = None) -> LagariasReport:
     """Check: same division <=> same orbit-length multisets on every H\\G.
 
-    Each element gets a signature listing, per subgroup, the sorted orbit
-    lengths of its cyclic group acting on the right cosets; the signature
-    partition must match the division partition exactly.
+    Each cyclic subgroup, and each element generating it, gets a signature
+    listing per subgroup the sorted orbit lengths of its action on the right
+    cosets; the signature partition must match the division partition exactly.
     """
     if L is None:
         L = all_subgroups(G)
@@ -217,12 +220,15 @@ def verify_lagarias(G: Group, L: SubgroupLattice | None = None,
         divs = divisions(G)
 
     spaces = _coset_spaces(G, L)
-    signature = {}
+    signature, by_cyclic = {}, {}
     for g in G.elements():
-        signature[g] = tuple(
-            tuple(sorted(o.length for o in orbit_decomposition(cs, G, g)))
-            for cs in spaces
-        )
+        cyclic = L.id_of(_cyclic_members(G, g))
+        if cyclic not in by_cyclic:
+            by_cyclic[cyclic] = tuple(
+                tuple(sorted(o.length for o in orbit_decomposition(cs, G, g)))
+                for cs in spaces
+            )
+        signature[g] = by_cyclic[cyclic]
 
     division_id = {}
     for idx, d in enumerate(divs):

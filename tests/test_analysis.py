@@ -25,7 +25,8 @@ from divgraph.analysis import (
     abstract_component,
 )
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, normal_subgroup_ids
-from divgraph.ust import division_graph
+from divgraph.canon import canonical_form
+from divgraph.ust import DivisionGraph, division_graph
 
 
 # -- recovery operations -------------------------------------------------------
@@ -176,6 +177,25 @@ def test_certificate_hex_renders(q8):
     cert = certificate(division_graph(q8))
     assert cert.hex() == cert.data.hex()
     assert set(cert.hex()) <= set("0123456789abcdef")
+
+
+@pytest.mark.parametrize("G", dv.standard_groups(16) + [dv.heisenberg27()],
+                         ids=lambda G: G.name)
+def test_group_seeds_pass_the_check_and_keep_the_certificate(G, monkeypatch):
+    calls = []
+
+    def recording(n, arcs, cells, budget, known):
+        calls.append((n, arcs, cells, canonical_form(n, arcs, cells, budget, known)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(analysis, "canonical_form", recording)
+    dg = division_graph(G)
+    certificate(dg)
+    n, arcs, cells, seeded = calls.pop()
+    assert seeded.encoding == canonical_form(n, arcs, cells, known=()).encoding
+    assert len(seeded.seeds) >= G.order - 1
+    # the group the graph keeps is no part of its value
+    assert dg == DivisionGraph(dg.group_name, dg.components) and dg.group is G
 
 
 def test_conjecture_scan_small():

@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from divgraph import analysis
 from divgraph.canon import _Searcher, canonical_form
-from divgraph.errors import CanonicalizationBudgetExceeded, ResourceCapExceeded
+from divgraph.errors import (
+    CanonicalizationBudgetExceeded,
+    InternalInvariantError,
+    ResourceCapExceeded,
+)
 from divgraph.groups import catalog, relabeled_copy
 from divgraph.ust import division_graph
 
@@ -103,7 +107,7 @@ def test_budget_exhaustion():
         canonical_form(10, arcs, [list(range(10))], budget=3)
     assert str(info.value) == (
         "canonical search exceeded 3 nodes "
-        "(at depth 3; 0 leaves and 0 automorphisms found)"
+        "(at depth 3; 0 leaves and 0 automorphisms found, 0 seeded)"
     )
 
 
@@ -351,6 +355,21 @@ def test_incremental_refinement_matches_reference(graph):
     assert new.automorphisms == ref.generators
 
 
+def test_smaller_leaf_after_an_equal_prefix_matches_reference(monkeypatch):
+    # the certificate graph of alternating:4 meets a leaf whose key first
+    # falls below the best key after an equal prefix, which the random
+    # graphs above do not
+    calls = []
+    monkeypatch.setattr(analysis, "canonical_form",
+                        lambda *args, **kwargs: calls.append(args) or canonical_form(*args))
+    analysis.certificate(division_graph(catalog("alternating:4")))
+    n, arcs, cells = calls[0]
+    ref = _ReferenceSearcher(n, arcs, cells, budget=10**6).run()
+    new = canonical_form(n, arcs, cells)
+    assert (new.encoding, new.order, new.nodes) == (
+        ref._encode_bytes(ref.best_key), ref.best_order, ref.nodes)
+
+
 def _classes(n, cells):
     cls = [0] * n
     for c, cell in enumerate(cells):
@@ -394,3 +413,61 @@ def test_encodings_agree_with_brute_force_isomorphism(graph, data):
         assert _maps_onto(g, n, arcs, cls_a, arcs, cls_a)
     for g in result_b.automorphisms:
         assert _maps_onto(g, n, arcs_b, cls_b, arcs_b, cls_b)
+
+
+# -- seeds: known automorphisms to prune with from the start ----------------------
+
+def _automorphisms(n, arcs, cells):
+    cls = _classes(n, cells)
+    return [p for p in permutations(range(n)) if _maps_onto(p, n, arcs, cls, arcs, cls)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_digraphs(max_n=6), st.data())
+def test_oracle_automorphisms_as_seeds_keep_the_encoding(graph, data):
+    n, arcs, cells = graph
+    autos = _automorphisms(n, arcs, cells)
+    families = data.draw(st.lists(st.lists(st.sampled_from(autos), max_size=3), max_size=3))
+    plain = canonical_form(n, arcs, cells)
+    seeded = canonical_form(n, arcs, cells, known=families)
+    assert seeded.encoding == plain.encoding
+    assert set(map(tuple, seeded.seeds)) <= set(autos) - {tuple(range(n))}
+    assert 0 <= seeded.max_depth <= n
+    whole = canonical_form(n, arcs, cells, known=[autos])
+    assert whole.encoding == plain.encoding
+    assert set(map(tuple, whole.seeds)) == set(autos) - {tuple(range(n))}
+
+
+# two 2-cycles, labels 1 and 2; cells {0, 2} and {1, 3}
+_TWO_CYCLES = [(0, 1, 1), (1, 0, 1), (2, 3, 2), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("seed", [
+    (2, 3, 0, 1),  # keeps the cells, swaps the label-1 and label-2 cycles
+    (1, 0, 2, 3),  # maps arcs onto arcs, moves 0 into the other cell
+    (0, 0, 2, 3),  # not a bijection
+    (0, 1, 2),     # not a map of all four vertices
+])
+def test_non_automorphism_seed_raises(seed):
+    with pytest.raises(InternalInvariantError, match="not an automorphism"):
+        canonical_form(4, _TWO_CYCLES, [[0, 2], [1, 3]], known=[[(0, 1, 2, 3), seed]])
+
+
+def test_seeds_are_the_group_they_generate():
+    # the 6-cycle: one rotation generates all five non-identity rotations
+    arcs = [(i, (i + 1) % 6, 1) for i in range(6)]
+    rotation = tuple((i + 1) % 6 for i in range(6))
+    result = canonical_form(6, arcs, [list(range(6))], known=[[rotation]])
+    assert len(result.seeds) == 5 and result.automorphisms == []
+    assert result.encoding == canonical_form(6, arcs, [list(range(6))]).encoding
+
+
+def test_budget_error_names_the_seed_count():
+    arcs = [(i, 5 + j, 1) for i in range(5) for j in range(5)]
+    swap = (1, 0) + tuple(range(2, 10))
+    with pytest.raises(CanonicalizationBudgetExceeded) as info:
+        canonical_form(10, arcs, [list(range(10))], budget=3, known=[[swap]])
+    assert str(info.value) == (
+        "canonical search exceeded 3 nodes "
+        "(at depth 3; 0 leaves and 0 automorphisms found, 1 seeded)"
+    )

@@ -226,6 +226,24 @@ def test_generator_closure_cap():
         dv.from_permutation_generators(gens, 5, order_cap=3)
 
 
+def test_closure_composes_image_tuples_breadth_first(monkeypatch):
+    gens = [
+        Permutation.from_cycles([(1, 2)], 4),
+        Permutation.from_cycles([(1, 2, 3, 4)], 4),
+    ]
+    order = [Permutation.identity(4)]
+    for p in order:
+        for s in gens:
+            if p * s not in order:
+                order.append(p * s)
+
+    def fail(*args):
+        raise AssertionError("a product went through Permutation.__mul__")
+
+    monkeypatch.setattr(Permutation, "__mul__", fail)
+    assert list(dv.from_permutation_generators(gens, 4).perm_images) == order
+
+
 def test_perm_group_roundtrips_through_validate():
     gens = [
         Permutation.from_cycles([(1, 2)], 4),

@@ -1,7 +1,7 @@
 import divgraph as dv
 from divgraph import ust
 from divgraph.analysis import abstract_component, component_encoding
-from divgraph.lattice import all_subgroups, is_normal
+from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, is_normal
 from divgraph.ust import (
     division_graph,
     orbit_decomposition,
@@ -271,6 +271,20 @@ def test_lagarias_s4(s4):
     report = verify_lagarias(s4)
     assert report.passed
     assert report.elements == 24 and report.subgroups == 30
+
+
+def test_lagarias_decomposes_each_cyclic_subgroup_once(monkeypatch, s4):
+    L = all_subgroups(s4)
+    calls = []
+
+    def counting(cs, G, phi):
+        calls.append(phi)
+        return orbit_decomposition(cs, G, phi)
+
+    monkeypatch.setattr(ust, "orbit_decomposition", counting)
+    assert verify_lagarias(s4, L).passed
+    # 17 cyclic subgroups of S4 (not its 24 elements) on each of 30 coset spaces
+    assert len(calls) == len(cyclic_subgroup_ids(L)) * len(L) == 17 * 30
 
 
 def test_lagarias_q8(q8):
