@@ -30,18 +30,15 @@ from .groups import (
     alternating,
     are_isomorphic,
     catalog,
-    conjugate,
     cyclic,
     dihedral,
     direct_product,
-    element_order,
     elementary_abelian,
     from_permutation_generators,
     group_from_json,
     group_to_json,
     heisenberg27,
     klein4,
-    power,
     quaternion8,
     quotient_group,
     relabeled_copy,

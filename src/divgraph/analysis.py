@@ -68,25 +68,11 @@ class LatticeSketch:
     colors: tuple[int, ...]
     covers: tuple[tuple[int, int, int], ...]  # (lower color, upper color, index)
     order_of: dict[int, int]
+    below: dict[int, int]  # color -> what it contains, bit i for colors[i]
 
     def contains(self, outer: int, inner: int) -> bool:
         """inner <= outer as subgroups (outer is the larger one)."""
-        return inner in self._reachable()[outer]
-
-    def _reachable(self) -> dict[int, frozenset]:
-        cache = getattr(self, "_reach_cache", None)
-        if cache is None:
-            succ: dict[int, list[int]] = {c: [] for c in self.colors}
-            for low, up, _ in self.covers:
-                succ[low].append(up)
-            cache = {}
-            for c in sorted(self.colors, key=lambda c: self.order_of[c]):
-                reach = {c}
-                for nxt in succ[c]:
-                    reach |= cache[nxt]
-                cache[c] = frozenset(reach)
-            object.__setattr__(self, "_reach_cache", cache)
-        return cache
+        return self.below[inner] & ~self.below[outer] == 0
 
     @property
     def full_color(self) -> int:
@@ -98,17 +84,16 @@ class LatticeSketch:
 
     def join(self, chosen) -> int:
         """Smallest color containing every color in ``chosen``."""
-        reach = self._reachable()
-        above = [
-            c for c in self.colors
-            if all(inner in reach[c] for inner in chosen)
-        ]
+        need = 0
+        for c in chosen:
+            need |= self.below[c]
+        above = [c for c in self.colors if need & ~self.below[c] == 0]
         return min(above, key=lambda c: self.order_of[c])
 
     def meet(self, a: int, b: int) -> int:
-        reach = self._reachable()
-        below = [c for c in self.colors if c in reach[a] and c in reach[b]]
-        return max(below, key=lambda c: self.order_of[c])
+        """The color containing exactly what both a and b contain."""
+        common = self.below[a] & self.below[b]
+        return next(c for c in self.colors if self.below[c] == common)
 
 
 def recover_lattice(dg: DivisionGraph) -> LatticeSketch:
@@ -156,7 +141,10 @@ def recover_lattice(dg: DivisionGraph) -> LatticeSketch:
     covers = tuple(sorted(
         (low, up, idx) for (low, up), idx in index_of_pair.items()
     ))
-    return LatticeSketch(colors, covers, order_of)
+    below = {c: 1 << i for i, c in enumerate(colors)}
+    for low, up, _ in sorted(covers, key=lambda cover: order_of[cover[0]]):
+        below[low] |= below[up]  # up is smaller than low, so already complete
+    return LatticeSketch(colors, covers, order_of, below)
 
 
 def recover_normal_colors(dg: DivisionGraph) -> frozenset[int]:
@@ -294,10 +282,7 @@ def _min_generators_from_sketch(sketch: LatticeSketch, cyclic_colors) -> int:
         return 0
     maximal = [
         c for c in cyclic_colors
-        if not any(
-            d != c and d in cyclic_colors and sketch.contains(d, c)
-            for d in sketch.colors
-        )
+        if not any(d != c and sketch.contains(d, c) for d in cyclic_colors)
     ]
     maximal.sort(key=lambda c: -sketch.order_of[c])
     if full in maximal:
@@ -368,13 +353,11 @@ def _jsonable(value):
     return value
 
 
-def analyze(G: Group, L: SubgroupLattice | None = None,
-            dg: DivisionGraph | None = None) -> AnalysisReport:
+def analyze(G: Group, L: SubgroupLattice | None = None) -> AnalysisReport:
     """Full report: graph-side recoveries checked against direct computation."""
     if L is None:
         L = all_subgroups(G)
-    if dg is None:
-        dg = division_graph(G, L)
+    dg = division_graph(G, L)
 
     sketch = recover_lattice(dg)
     normal_colors = recover_normal_colors(dg)
@@ -464,12 +447,6 @@ class Certificate:
 
     def hex(self) -> str:
         return self.data.hex()
-
-    def __eq__(self, other):
-        return isinstance(other, Certificate) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
 
 
 def _component_fingerprint(comp: USTComponent) -> tuple:
@@ -758,12 +735,10 @@ def restricted_components(dg: DivisionGraph, h_color: int,
     return out
 
 
-def quotient_components(dg: DivisionGraph, h_color: int,
-                        sketch: LatticeSketch | None = None) -> list[AbstractComponent]:
+def quotient_components(dg: DivisionGraph, h_color: int) -> list[AbstractComponent]:
     """Splitting patterns that stop at color ``h_color``; after deduplication
     these are the components of the quotient's division graph."""
-    if sketch is None:
-        sketch = recover_lattice(dg)
+    sketch = recover_lattice(dg)
     over_colors = {c for c in sketch.colors if sketch.contains(c, h_color)}
     out = []
     for _, comp in dg.components:
@@ -787,6 +762,23 @@ def dedup_components(components, color_key, budget: int = DEFAULT_BUDGET) -> dic
     return out
 
 
+def _paired_with_direct(L: SubgroupLattice, extracted, K: Group, image):
+    """Deduplicate components extracted from D(G) and pair them with the
+    deduplicated components of D(K), as parallel dicts of canonical encodings.
+    ``image[g]`` is the element of K that g in G maps to; it translates each
+    extracted color to the id of its image in K's lattice."""
+    K_lattice = all_subgroups(K)
+
+    def color_key(color: int) -> int:
+        return K_lattice.id_of({image[g] for g in L.subgroups[color].members})
+
+    extracted = dedup_components(extracted, color_key)
+    direct = division_graph(K, K_lattice)
+    return extracted, dedup_components(
+        (abstract_component(comp) for _, comp in direct.components), lambda c: c
+    )
+
+
 def division_graph_of_subgroup(G: Group, L: SubgroupLattice, dg: DivisionGraph,
                                h_id: int):
     """Extract D(H) from D(G) and pair it with the directly computed D(H).
@@ -797,36 +789,12 @@ def division_graph_of_subgroup(G: Group, L: SubgroupLattice, dg: DivisionGraph,
     the encodings are directly comparable.
     """
     sub, members = subgroup_as_group(G, L.subgroups[h_id].members)
-    sub_lattice = all_subgroups(sub)
     to_local = {g: i for i, g in enumerate(members)}
-
-    def sub_lattice_id(g_color: int) -> int:
-        local_members = tuple(sorted(to_local[g] for g in L.subgroups[g_color].members))
-        return sub_lattice.id_of(local_members)
-
-    extracted = dedup_components(restricted_components(dg, h_id), sub_lattice_id)
-    direct_graph = division_graph(sub, sub_lattice)
-    direct = dedup_components(
-        (abstract_component(comp) for _, comp in direct_graph.components),
-        lambda c: c,
-    )
-    return extracted, direct
+    return _paired_with_direct(L, restricted_components(dg, h_id), sub, to_local)
 
 
 def division_graph_of_quotient(G: Group, L: SubgroupLattice, dg: DivisionGraph,
                                h_id: int):
     """Extract D(G/H) from D(G) alongside the directly computed D(G/H)."""
     quotient, coset_of = quotient_group(G, L.subgroups[h_id].members)
-    q_lattice = all_subgroups(quotient)
-
-    def q_lattice_id(g_color: int) -> int:
-        cosets = tuple(sorted({coset_of[g] for g in L.subgroups[g_color].members}))
-        return q_lattice.id_of(cosets)
-
-    extracted = dedup_components(quotient_components(dg, h_id), q_lattice_id)
-    direct_graph = division_graph(quotient, q_lattice)
-    direct = dedup_components(
-        (abstract_component(comp) for _, comp in direct_graph.components),
-        lambda c: c,
-    )
-    return extracted, direct
+    return _paired_with_direct(L, quotient_components(dg, h_id), quotient, coset_of)

@@ -273,7 +273,7 @@ def run(argv=None) -> int:
     except ResourceCapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, json.JSONDecodeError, OSError) as exc:
+    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivgraphError as exc:

@@ -134,20 +134,6 @@ class Group:
         return f"<Group {self.name!r} of order {self.order}>"
 
 
-# -- free functions mirroring the Group methods -------------------------------
-
-def element_order(G: Group, g: int) -> int:
-    return G.element_order(g)
-
-
-def conjugate(G: Group, g: int, s: int) -> int:
-    return G.conjugate(g, s)
-
-
-def power(G: Group, g: int, k: int) -> int:
-    return G.power(g, k)
-
-
 def extend_subgroup(G: Group, members, mask: int, gens) -> tuple[list[int], int]:
     """The subgroup <gens>, grown coset by coset from a subgroup H of it
     (Dimino's method).
@@ -213,7 +199,7 @@ def _check_latin(table) -> None:
         if len(row) != n:
             raise NotClosed(f"row {i} has length {len(row)}, expected {n}")
         for j, entry in enumerate(row):
-            if not isinstance(entry, int) or entry < 0 or entry >= n:
+            if type(entry) is not int or entry < 0 or entry >= n:  # a bool is no index
                 raise NotClosed(f"cell ({i},{j}) holds {entry!r}, not an index in 0..{n - 1}")
         if set(row) != full:
             dup = next(x for x in row if row.count(x) > 1)
@@ -633,6 +619,21 @@ def subgroup_as_group(G: Group, members) -> tuple[Group, list[int]]:
     return sub, members
 
 
+def right_coset_partition(G: Group, members) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Right cosets Hg of the subgroup with these members, as sorted tuples
+    indexed by minimal element (coset 0 is H), and the coset index of each g."""
+    coset_of = [-1] * G.order
+    cosets = []
+    for g in range(G.order):
+        if coset_of[g] >= 0:
+            continue
+        coset = sorted(G.mul(h, g) for h in members)
+        for x in coset:
+            coset_of[x] = len(cosets)
+        cosets.append(tuple(coset))
+    return cosets, coset_of
+
+
 def quotient_group(G: Group, normal_members) -> tuple[Group, list[int]]:
     """G/N for a normal subgroup N given by its member set.
 
@@ -641,15 +642,8 @@ def quotient_group(G: Group, normal_members) -> tuple[Group, list[int]]:
     putting the identity coset at index 0.
     """
     nset = frozenset(normal_members)
-    coset_of = [-1] * G.order
-    reps: list[int] = []
-    for g in range(G.order):
-        if coset_of[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for h in nset:
-            coset_of[G.mul(h, g)] = idx
+    cosets, coset_of = right_coset_partition(G, nset)
+    reps = [coset[0] for coset in cosets]
     for g in range(G.order):
         for h in nset:
             if coset_of[G.mul(h, g)] != coset_of[G.mul(g, h)]:
@@ -742,6 +736,8 @@ def group_from_json(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
 
     Either {"name", "order", "table"} with a full Cayley table, or
     {"name", "degree", "generators"} with 1-based permutation image lists.
+    Indices, orders and degrees must be JSON integers (not floats, strings
+    or booleans; ``type(x) is int`` excludes bool, which subclasses int).
     """
     if not isinstance(data, dict):
         raise NotClosed("group JSON must be an object")
@@ -757,19 +753,23 @@ def group_from_json(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
             isinstance(names, list) and all(isinstance(x, str) for x in names)
         ):
             raise NotClosed("'names' must be a list of strings")
-        if "order" in data and data["order"] != len(table):
-            raise NotClosed(
-                f"declared order {data['order']} but table has {len(table)} rows"
-            )
+        order = data.get("order", len(table))
+        if type(order) is not int or order != len(table):
+            raise NotClosed(f"declared order {order!r} but table has {len(table)} rows")
         return validate_cayley_table(table, names=names, name=name,
                                      order_cap=order_cap)
     if "generators" in data:
         degree = data.get("degree")
-        if not isinstance(degree, int) or degree < 1:
+        if type(degree) is not int or degree < 1:
             raise DegreeMismatch(f"bad degree {degree!r}")
+        images = data["generators"]
+        if not isinstance(images, list) or not all(
+            isinstance(g, list) and all(type(x) is int for x in g) for g in images
+        ):
+            raise NotClosed("'generators' must be a list of image lists of integers")
         try:
-            gens = [Permutation.from_one_based(images) for images in data["generators"]]
-        except (ValueError, TypeError) as exc:
+            gens = [Permutation.from_one_based(g) for g in images]
+        except ValueError as exc:
             raise NotClosed(f"bad generator image list: {exc}") from None
         return from_permutation_generators(gens, degree, name=name,
                                            order_cap=order_cap)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .divisions import Division, divisions
 from .errors import InternalInvariantError
-from .groups import Group
+from .groups import Group, right_coset_partition
 from .lattice import SubgroupLattice, _cyclic_members, all_subgroups
 
 
@@ -71,17 +71,7 @@ class DivisionGraph:
 
 def right_cosets(G: Group, L: SubgroupLattice, subgroup_id: int) -> CosetSpace:
     """Right cosets Hg, ordered by minimal element (so coset 0 contains 0)."""
-    members = L.subgroups[subgroup_id].members
-    coset_of = [-1] * G.order
-    cosets = []
-    for g in range(G.order):
-        if coset_of[g] >= 0:
-            continue
-        idx = len(cosets)
-        coset = sorted(G.mul(h, g) for h in members)
-        for x in coset:
-            coset_of[x] = idx
-        cosets.append(tuple(coset))
+    cosets, coset_of = right_coset_partition(G, L.subgroups[subgroup_id].members)
     return CosetSpace(subgroup_id, tuple(cosets), tuple(coset_of))
 
 
@@ -173,20 +163,16 @@ def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
     return USTComponent(phi, clusters, tuple(sorted(arcs)))
 
 
-def division_graph(G: Group, L: SubgroupLattice | None = None,
-                   divs: list[Division] | None = None) -> DivisionGraph:
+def division_graph(G: Group, L: SubgroupLattice | None = None) -> DivisionGraph:
     """One component per division, ordered by division representative.
 
     The coset spaces are built once, shared by every component and kept.
     """
     if L is None:
         L = all_subgroups(G)
-    if divs is None:
-        divs = divisions(G)
     spaces = _coset_spaces(G, L)
     components = tuple(
-        (d, _component(G, L, spaces, d.representative))
-        for d in sorted(divs, key=lambda d: d.representative)
+        (d, _component(G, L, spaces, d.representative)) for d in divisions(G)
     )
     return DivisionGraph(G.name, components, G, L, tuple(spaces))
 
@@ -206,8 +192,7 @@ class LagariasReport:
         return not self.violations
 
 
-def verify_lagarias(G: Group, L: SubgroupLattice | None = None,
-                    divs: list[Division] | None = None) -> LagariasReport:
+def verify_lagarias(G: Group, L: SubgroupLattice | None = None) -> LagariasReport:
     """Check: same division <=> same orbit-length multisets on every H\\G.
 
     Each cyclic subgroup, and each element generating it, gets a signature
@@ -216,8 +201,7 @@ def verify_lagarias(G: Group, L: SubgroupLattice | None = None,
     """
     if L is None:
         L = all_subgroups(G)
-    if divs is None:
-        divs = divisions(G)
+    divs = divisions(G)
 
     spaces = _coset_spaces(G, L)
     signature, by_cyclic = {}, {}

@@ -5,7 +5,7 @@ from itertools import combinations, count
 import pytest
 
 import divgraph as dv
-from divgraph import analysis
+from divgraph import analysis, lattice
 from divgraph.analysis import (
     Certificate,
     analyze,
@@ -58,6 +58,28 @@ def test_recover_everything(descriptor):
             members.append(x)
             x = G.mul(x, d.representative)
         assert family == L.conjugacy_class_of_subgroup(L.id_of(sorted(members)))
+
+
+@pytest.mark.parametrize("descriptor", RECOVERY_GROUPS + ["symmetric:5"])
+def test_sketch_answers_like_the_lattice(descriptor):
+    """Containment, join and meet of the recovered sketch equal the direct
+    lattice's on every pair, also after the colors are renamed to ids from
+    1000 up in a shuffled order, so the masks cannot read ids as positions."""
+    G = dv.catalog(descriptor)
+    L = all_subgroups(G)
+    dg = division_graph(G, L)
+    sketch = recover_lattice(dg)
+    shuffled, color_map = _shuffled_graph_copy_and_color_map(dg, random.Random(descriptor))
+    renamed = recover_lattice(shuffled)
+    for a in range(len(L)):
+        for b in range(len(L)):
+            join_id, meet_id = lattice.join(L, a, b).id, lattice.meet(L, a, b).id
+            assert sketch.contains(a, b) == L.contains(a, b)
+            assert sketch.join([a, b]) == join_id and sketch.meet(a, b) == meet_id
+            ra, rb = color_map[a], color_map[b]
+            assert renamed.contains(ra, rb) == L.contains(a, b)
+            assert renamed.join([ra, rb]) == color_map[join_id]
+            assert renamed.meet(ra, rb) == color_map[meet_id]
 
 
 def test_recover_order_q8_and_s3(q8, s3):
@@ -365,6 +387,10 @@ def test_subgroup_restriction_from_s5():
 def _shuffled_graph_copy(dg, rng):
     """Permute components, apply a global color bijection, and shuffle orbit
     order within clusters: the announced certificate equivalence."""
+    return _shuffled_graph_copy_and_color_map(dg, rng)[0]
+
+
+def _shuffled_graph_copy_and_color_map(dg, rng):
     from divgraph.ust import DivisionGraph, USTComponent, Arc
 
     colors = sorted({c for _, comp in dg.components for c in comp.clusters})
@@ -390,7 +416,7 @@ def _shuffled_graph_copy(dg, rng):
         ))
         components.append((d, USTComponent(comp.division_rep, clusters, arcs)))
     rng.shuffle(components)
-    return DivisionGraph(dg.group_name, tuple(components))
+    return DivisionGraph(dg.group_name, tuple(components)), color_map
 
 
 def test_certificate_invariant_under_representation_shuffle(q8, s3):

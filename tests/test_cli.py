@@ -322,6 +322,26 @@ def test_malformed_table_json_exits_1(tmp_path, capsys, data):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"\xff\xfe", "can't decode byte 0xff"),
+    (b'{"table": [[true, false], [false, true]]}', "holds True, not an index"),
+    (b'{"degree": 2, "generators": [[2.9, 1]]}', "image lists of integers"),
+    (b'{"degree": 2, "generators": [["2", "1"]]}', "image lists of integers"),
+    (b'{"degree": true, "generators": []}', "bad degree True"),
+    (b'{"table": [[0, 1], [1, 0]], "order": "2"}', "declared order '2'"),
+    (b'{"table": [[0]], "order": true}', "declared order True"),
+], ids=["not-utf8", "bool-entries", "float-image", "string-images", "bool-degree",
+        "string-order", "bool-order"])
+def test_json_input_takes_integers_only(tmp_path, capsys, raw, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    code, out, err = invoke(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
 def test_bad_generator_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad_gens.json"
     bad.write_text('{"name": "x", "degree": 3, "generators": [[1, 1, 2]]}')

@@ -51,6 +51,15 @@ def test_cosets_partition_and_identity_first(s4):
         assert 0 in cs.cosets[0]
 
 
+def test_quotient_shares_the_right_coset_partition():
+    for G in dv.standard_groups(16):
+        L = all_subgroups(G)
+        for N in L.subgroups:
+            if is_normal(L, N):
+                _, coset_of = dv.quotient_group(G, N.members)
+                assert coset_of == list(right_cosets(G, L, N.id).coset_of), (G.name, N.id)
+
+
 # -- orbit decomposition ---------------------------------------------------------
 
 
