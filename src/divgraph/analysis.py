@@ -25,7 +25,6 @@ from .groups import (
 from .lattice import (
     DEFAULT_ORDER_LIMIT,
     SubgroupLattice,
-    _cyclic_members,
     all_subgroups,
     center,
     commutator_subgroup,
@@ -385,9 +384,7 @@ def analyze(G: Group, L: SubgroupLattice | None = None) -> AnalysisReport:
     )
 
     families_direct = tuple(
-        L.conjugacy_class_of_subgroup(
-            L.id_of(_cyclic_members(G, d.representative))
-        )
+        L.conjugacy_class_of_subgroup(L.cyclic_of[d.representative])
         for d, _ in dg.components
     )
     checks["decomposition_families"] = OracleCheck(
@@ -542,7 +539,7 @@ def _group_seeds(dg: DivisionGraph, vertex_id, color_node, n: int) -> list[list[
         conj = [L.conjugate_subgroup(sid, G.inv(s)) for sid in range(len(L))]
         families[0].append(seed(range(len(comps)), lambda sid, x: (conj[sid], G.mul(s, x))))
     for ci, comp in enumerate(comps):
-        cyc = L.id_of(_cyclic_members(G, comp.division_rep))
+        cyc = L.cyclic_of[comp.division_rep]
         N, members = subgroup_as_group(G, normalizer(L, cyc).members)
         families.append([seed([ci], lambda sid, x: (sid, G.mul(x, members[m])))
                          for m in N.generating_set()])

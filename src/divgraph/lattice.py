@@ -4,6 +4,7 @@ Member sets are kept both as sorted tuples and as integer bitmasks; the
 mask makes containment and intersection one machine operation each.
 Subgroup ids come from the canonical ordering (size ascending, then
 lexicographic member list) so every downstream artifact is reproducible.
+The enumeration's joins yield the Hasse covers; ``cyclic_of`` maps g to <g>.
 """
 
 from __future__ import annotations
@@ -51,14 +52,16 @@ class SubgroupLattice:
     ``covers`` holds triples (lower_id, upper_id, label) where lower is the
     *larger* group, upper the smaller one covering it from above in the
     drawing convention (arrows point toward smaller groups), and the label
-    is the relative index |lower| / |upper|.
+    is the relative index |lower| / |upper|, read off the enumeration's
+    joins.  ``cyclic_of[g]`` is the id of the cyclic subgroup <g>.
     """
 
     def __init__(self, group: Group, subgroups: list[Subgroup],
-                 covers: list[tuple[int, int, int]]):
+                 covers: list[tuple[int, int, int]], cyclic_of: tuple[int, ...]):
         self.group = group
         self.subgroups = subgroups
         self.covers = covers
+        self.cyclic_of = cyclic_of
         self._id_by_mask = {s.mask: s.id for s in subgroups}
 
     def __len__(self) -> int:
@@ -91,11 +94,6 @@ class SubgroupLattice:
             self.conjugate_subgroup(h_id, s) for s in self.group.elements()
         }))
 
-    def is_cyclic_subgroup(self, h_id: int) -> bool:
-        sub = self.subgroups[h_id]
-        G = self.group
-        return any(G.element_order(g) == sub.order for g in sub.members)
-
 
 def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
                   count_limit: int = DEFAULT_COUNT_LIMIT) -> SubgroupLattice:
@@ -112,6 +110,13 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
     by one only when the order at least doubles, so none is longer than
     log2 |G| (the doubling argument of Light's test in
     :func:`~divgraph.groups.validate_cayley_table`).
+
+    The covers come from the same pass.  Processing H forms the join
+    <H, g> with each seed <g> not inside H.  A cover K of H is <H, g> for
+    every g in K - H, so it is among these joins; and a minimal join is a
+    cover, since any M strictly between would hold a smaller one, <H, g>
+    for g in M - H.  Kept by ascending order, the covers of H are the joins
+    holding no join kept before.
     """
     n = G.order
     if n > order_limit:
@@ -119,23 +124,28 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
 
     members_by_mask: dict[int, list[int]] = {}
     gens_by_mask: dict[int, tuple[int, ...]] = {}
+    cyclic_masks = []
     for g in range(n):
         members = _cyclic_members(G, g)
         mask = _mask_of(members)
+        cyclic_masks.append(mask)
         if mask not in gens_by_mask:
             members_by_mask[mask] = members
             gens_by_mask[mask] = (g,) if g else ()
 
     seeds = sorted((mask, gens[0]) for mask, gens in gens_by_mask.items() if gens)
     frontier = sorted(gens_by_mask)
+    cover_pairs = []
     while frontier:
         mask = frontier.pop()
+        joins = set()
         for seed, g in seeds:
-            if seed & ~mask == 0 or mask & ~seed == 0:
-                continue  # one contains the other; join is the bigger one
+            if seed & ~mask == 0:
+                continue  # g lies in H
             gens = gens_by_mask[mask] + (g,)
             new_members, new_mask = extend_subgroup(
                 G, members_by_mask[mask], mask, gens)
+            joins.add(new_mask)
             if new_mask not in gens_by_mask:
                 if len(gens_by_mask) >= count_limit:
                     raise LatticeCapExceeded(
@@ -144,6 +154,11 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
                 members_by_mask[new_mask] = new_members
                 gens_by_mask[new_mask] = gens
                 frontier.append(new_mask)
+        kept = []
+        for K in sorted(joins, key=int.bit_count):
+            if all(k & ~K for k in kept):
+                kept.append(K)
+        cover_pairs += [(K, mask) for K in kept]
 
     ordered = sorted(
         (len(members), tuple(sorted(members)), mask)
@@ -152,8 +167,11 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
     subgroups = [
         Subgroup(members, mask, i) for i, (_, members, mask) in enumerate(ordered)
     ]
-    covers = _hasse_covers(subgroups)
-    return SubgroupLattice(G, subgroups, covers)
+    id_of = {s.mask: s.id for s in subgroups}
+    covers = sorted((id_of[K], id_of[H], K.bit_count() // H.bit_count())
+                    for K, H in cover_pairs)
+    cyclic_of = tuple(id_of[mask] for mask in cyclic_masks)
+    return SubgroupLattice(G, subgroups, covers, cyclic_of)
 
 
 def _cyclic_members(G: Group, g: int) -> list[int]:
@@ -163,34 +181,6 @@ def _cyclic_members(G: Group, g: int) -> list[int]:
         members.append(x)
         x = G.mul(x, g)
     return sorted(members)
-
-
-def _hasse_covers(subgroups: list[Subgroup]) -> list[tuple[int, int, int]]:
-    by_size: dict[int, list[Subgroup]] = {}
-    for s in subgroups:
-        by_size.setdefault(s.order, []).append(s)
-    sizes = sorted(by_size)
-    covers = []
-    for upper in subgroups:  # upper = the smaller group in the pair
-        above = upper.mask
-        candidates = [
-            low
-            for size in sizes
-            if size > upper.order and size % upper.order == 0
-            for low in by_size[size]
-            if above & ~low.mask == 0
-        ]
-        for low in candidates:
-            if any(
-                mid.order < low.order
-                and above & ~mid.mask == 0
-                and mid.mask & ~low.mask == 0
-                for mid in candidates
-            ):
-                continue
-            covers.append((low.id, upper.id, low.order // upper.order))
-    covers.sort()
-    return covers
 
 
 # -- queries ---------------------------------------------------------------------
@@ -226,7 +216,7 @@ def centralizer(G: Group, elems, L: SubgroupLattice | None = None) -> Subgroup:
 
 
 def center(G: Group, L: SubgroupLattice | None = None) -> Subgroup:
-    return centralizer(G, G.elements(), L)
+    return centralizer(G, G.generating_set(), L)
 
 
 def commutator_subgroup(G: Group, L: SubgroupLattice | None = None) -> Subgroup:
@@ -238,14 +228,11 @@ def commutator_subgroup(G: Group, L: SubgroupLattice | None = None) -> Subgroup:
 
 
 def join(L: SubgroupLattice, A: Subgroup | int, B: Subgroup | int) -> Subgroup:
+    """Ids ascend by order, so the join is the first subgroup holding both."""
     a = L.subgroups[A] if isinstance(A, int) else A
     b = L.subgroups[B] if isinstance(B, int) else B
-    if a.mask & ~b.mask == 0:
-        return b
-    if b.mask & ~a.mask == 0:
-        return a
-    members = closure_from_generators(L.group, a.members + b.members)
-    return L.subgroups[L.id_of(members)]
+    both = a.mask | b.mask
+    return next(s for s in L.subgroups if both & ~s.mask == 0)
 
 
 def meet(L: SubgroupLattice, A: Subgroup | int, B: Subgroup | int) -> Subgroup:
@@ -261,7 +248,7 @@ def normal_subgroup_ids(L: SubgroupLattice) -> tuple[int, ...]:
 
 
 def cyclic_subgroup_ids(L: SubgroupLattice) -> tuple[int, ...]:
-    return tuple(s.id for s in L.subgroups if L.is_cyclic_subgroup(s.id))
+    return tuple(sorted(set(L.cyclic_of)))
 
 
 def is_solvable(G: Group) -> bool:

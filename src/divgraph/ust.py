@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .divisions import Division, divisions
 from .errors import InternalInvariantError
 from .groups import Group, right_coset_partition
-from .lattice import SubgroupLattice, _cyclic_members, all_subgroups
+from .lattice import SubgroupLattice, all_subgroups
 
 
 @dataclass(frozen=True)
@@ -204,15 +204,14 @@ def verify_lagarias(G: Group, L: SubgroupLattice | None = None) -> LagariasRepor
     divs = divisions(G)
 
     spaces = _coset_spaces(G, L)
-    signature, by_cyclic = {}, {}
-    for g in G.elements():
-        cyclic = L.id_of(_cyclic_members(G, g))
+    by_cyclic = {}
+    for g, cyclic in enumerate(L.cyclic_of):
         if cyclic not in by_cyclic:
             by_cyclic[cyclic] = tuple(
                 tuple(sorted(o.length for o in orbit_decomposition(cs, G, g)))
                 for cs in spaces
             )
-        signature[g] = by_cyclic[cyclic]
+    signature = [by_cyclic[cyclic] for cyclic in L.cyclic_of]
 
     division_id = {}
     for idx, d in enumerate(divs):

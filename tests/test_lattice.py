@@ -61,6 +61,27 @@ def grow_by_one_enumeration(G):
     return seen
 
 
+def hasse_pairs(L):
+    """Reference covers, by definition: every pair H < K with no subgroup
+    strictly between them, as (K, H, |K| / |H|)."""
+    pairs = []
+    for h in L.subgroups:
+        above = [k for k in L.subgroups if k.id != h.id and h.mask & ~k.mask == 0]
+        for k in above:
+            if not any(m.id != k.id and m.mask & ~k.mask == 0 for m in above):
+                pairs.append((k.id, h.id, k.order // h.order))
+    return sorted(pairs)
+
+
+def powers(G, g):
+    """Sorted members of <g>: the powers of g up to the identity."""
+    members, x = [0], g
+    while x != 0:
+        members.append(x)
+        x = G.mul(x, g)
+    return tuple(sorted(members))
+
+
 def gaussian_binomial(n, k, q):
     num = den = 1
     for i in range(k):
@@ -197,6 +218,16 @@ def test_no_intermediate_subgroup_between_covers(s4):
             assert not (L.contains(low, mid.id) and L.contains(mid.id, up))
 
 
+@pytest.mark.parametrize("descriptor", [
+    "dihedral:64", "elementary_abelian:2:5", "product:symmetric:4:cyclic:4",
+])
+def test_covers_are_exactly_the_hasse_pairs(descriptor):
+    """The covers read off the enumeration's joins are every pair with no
+    subgroup strictly between, and nothing else."""
+    L = all_subgroups(dv.catalog(descriptor))
+    assert L.covers == hasse_pairs(L)
+
+
 def test_chain_products_equal_group_order():
     for G in [dv.quaternion8(), dv.symmetric(4), dv.cyclic(24)]:
         L = all_subgroups(G)
@@ -310,6 +341,25 @@ def test_meet_is_intersection_join_is_generated(s4):
         assert joined.order * met.order >= a.order * b.order
 
 
+@pytest.mark.parametrize("descriptor", ["symmetric:4", "quaternion8"])
+def test_join_is_the_generated_subgroup(descriptor):
+    G = dv.catalog(descriptor)
+    L = all_subgroups(G)
+    for a, b in combinations(L.subgroups, 2):
+        expected = tuple(closure_from_generators(G, a.members + b.members))
+        assert dv.join(L, a, b).members == expected
+        assert dv.join(L, b.id, a.id).members == expected
+
+
+def test_center_matches_brute_force():
+    """The center is computed from a generating set; compare it with a scan
+    over all pairs of elements."""
+    for G in dv.standard_groups(24):
+        brute = tuple(z for z in G.elements()
+                      if all(G.mul(z, g) == G.mul(g, z) for g in G.elements()))
+        assert dv.center(G).members == brute, G.name
+
+
 def test_centralizer_resolves_in_lattice(q8):
     L = all_subgroups(q8)
     c = dv.centralizer(q8, [2], L)  # centralizer of i
@@ -344,6 +394,19 @@ def test_normal_and_cyclic_id_helpers(s3):
     L = all_subgroups(s3)
     assert set(normal_subgroup_ids(L)) == {0, 4, 5}
     assert set(cyclic_subgroup_ids(L)) == {0, 1, 2, 3, 4}
+
+
+def test_cyclic_of_is_the_powers_of_each_element():
+    """``cyclic_of[g]`` is the id of <g>, and the cyclic subgroups are those
+    holding an element of their own order."""
+    for G in dv.standard_groups(48) + [dv.catalog(d) for d in BENCH_GROUPS]:
+        L = all_subgroups(G)
+        for g in G.elements():
+            assert L.subgroups[L.cyclic_of[g]].members == powers(G, g), (G.name, g)
+        assert cyclic_subgroup_ids(L) == tuple(
+            s.id for s in L.subgroups
+            if any(G.element_order(x) == s.order for x in s.members)
+        ), G.name
 
 
 def test_prime_factorization():
