@@ -384,7 +384,7 @@ def analyze(G: Group, L: SubgroupLattice | None = None) -> AnalysisReport:
     )
 
     families_direct = tuple(
-        L.conjugacy_class_of_subgroup(L.cyclic_of[d.representative])
+        L.classes[L.cyclic_of[d.representative]]
         for d, _ in dg.components
     )
     checks["decomposition_families"] = OracleCheck(

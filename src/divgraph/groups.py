@@ -21,6 +21,7 @@ from .errors import (
 from .perms import Permutation
 
 DEFAULT_ORDER_CAP = 5040  # 7!
+PRODUCT_ORDER_CAP = 1024  # products are validated tables: order 1024 builds in about 1 s
 EAGER_TABLE_LIMIT = 512  # permutation groups above this keep a lazy table
 
 
@@ -492,8 +493,9 @@ def _parse_descriptor(tokens: list[str], order_cap: int):
     if head in ("product", "direct_product"):
         left, rest = _parse_descriptor(rest, order_cap)
         right, rest = _parse_descriptor(rest, order_cap)
-        _check_order(f"product:{left.name}:{right.name}",
-                     (left.order, right.order), order_cap)
+        for cap in (order_cap, PRODUCT_ORDER_CAP):
+            _check_order(f"product:{left.name}:{right.name}",
+                         (left.order, right.order), cap)
         return direct_product(left, right), rest
     if head not in _FAMILY_ORDERS:
         raise UnknownDescriptor(f"unknown catalog name {head!r}")

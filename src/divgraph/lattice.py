@@ -53,15 +53,18 @@ class SubgroupLattice:
     *larger* group, upper the smaller one covering it from above in the
     drawing convention (arrows point toward smaller groups), and the label
     is the relative index |lower| / |upper|, read off the enumeration's
-    joins.  ``cyclic_of[g]`` is the id of the cyclic subgroup <g>.
+    joins.  ``cyclic_of[g]`` is the id of the cyclic subgroup <g>, and
+    ``classes[h]`` the sorted ids of the conjugates of subgroup h.
     """
 
     def __init__(self, group: Group, subgroups: list[Subgroup],
-                 covers: list[tuple[int, int, int]], cyclic_of: tuple[int, ...]):
+                 covers: list[tuple[int, int, int]], cyclic_of: tuple[int, ...],
+                 classes: list[tuple[int, ...]]):
         self.group = group
         self.subgroups = subgroups
         self.covers = covers
         self.cyclic_of = cyclic_of
+        self.classes = classes
         self._id_by_mask = {s.mask: s.id for s in subgroups}
 
     def __len__(self) -> int:
@@ -88,77 +91,80 @@ class SubgroupLattice:
         members = self.subgroups[h_id].members
         return self._id_by_mask[_conjugate_mask(self.group, members, s)]
 
-    def conjugacy_class_of_subgroup(self, h_id: int) -> tuple[int, ...]:
-        """Sorted ids of all conjugates of subgroup h_id."""
-        return tuple(sorted({
-            self.conjugate_subgroup(h_id, s) for s in self.group.elements()
-        }))
-
 
 def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
                   count_limit: int = DEFAULT_COUNT_LIMIT) -> SubgroupLattice:
-    """Enumerate every subgroup and the Hasse covers between them.
+    """Enumerate every subgroup, its conjugacy class and the Hasse covers.
 
     Seeds with the cyclic subgroups and closes under join-with-a-cyclic;
     every subgroup is a join of cyclic subgroups, so the fixed point is
-    complete without scanning the power set.
+    complete without scanning the power set.  Subgroups come one conjugacy
+    class at a time (Neubüser's cyclic extension method): conjugating a new
+    subgroup R by the generators of G, breadth first, gives each K in its
+    class with a t such that K = t^-1 R t, and only R forms joins.  The
+    seeds are closed under conjugation and <t^-1 R t, g> = t^-1 <R, tgt^-1> t,
+    so the joins of a conjugate are conjugates of R's joins, whose classes
+    are recorded: closing the representatives closes everything.
 
-    Each join J = <H, g> is grown from H coset by coset
-    (:func:`~divgraph.groups.extend_subgroup`), and J keeps H's generator
-    tuple plus g, unminimized.  A join is formed only when g lies outside H,
-    so J holds H and the disjoint coset Hg: |J| >= 2|H|.  A tuple thus grows
-    by one only when the order at least doubles, so none is longer than
-    log2 |G| (the doubling argument of Light's test in
+    Each join J = <R, g> is grown from R coset by coset
+    (:func:`~divgraph.groups.extend_subgroup`) and keeps R's generator tuple
+    plus g, unminimized.  As g lies outside R, |J| >= 2|R|, so no tuple is
+    longer than log2 |G| (the doubling argument of Light's test in
     :func:`~divgraph.groups.validate_cayley_table`).
 
-    The covers come from the same pass.  Processing H forms the join
-    <H, g> with each seed <g> not inside H.  A cover K of H is <H, g> for
-    every g in K - H, so it is among these joins; and a minimal join is a
-    cover, since any M strictly between would hold a smaller one, <H, g>
-    for g in M - H.  Kept by ascending order, the covers of H are the joins
-    holding no join kept before.
+    The covers of R are its minimal joins: a cover K is <R, g> for every g
+    in K - R, and any M strictly between R and a join would hold a smaller
+    join <R, g>, g in M - R.  Kept by ascending order, they are the joins
+    holding no join kept before.  Conjugation by t is a lattice
+    automorphism, so the covers of t^-1 R t are the t^-1 K t, same index.
     """
     n = G.order
     if n > order_limit:
         raise LatticeCapExceeded(f"order {n} exceeds lattice cap {order_limit}")
 
+    moving = () if G.is_abelian() else G.generating_set()
     members_by_mask: dict[int, list[int]] = {}
-    gens_by_mask: dict[int, tuple[int, ...]] = {}
+    rep_of: dict[int, tuple[int, int]] = {}  # K -> (R, t) with K = t^-1 R t
+    frontier = []
+
+    def add_class(members, R, gens):
+        queue = [(members, R, 0)]
+        for members_K, K, t in queue:
+            if K in rep_of:
+                continue
+            rep_of[K] = (R, t)
+            members_by_mask[K] = members_K
+            for s in moving:
+                conj = [G.conjugate(g, s) for g in members_K]
+                queue.append((conj, _mask_of(conj), G.mul(t, s)))
+        if len(rep_of) > count_limit:
+            raise LatticeCapExceeded(f"subgroup count exceeds lattice cap {count_limit}")
+        frontier.append((R, gens))
+
     cyclic_masks = []
     for g in range(n):
         members = _cyclic_members(G, g)
-        mask = _mask_of(members)
-        cyclic_masks.append(mask)
-        if mask not in gens_by_mask:
-            members_by_mask[mask] = members
-            gens_by_mask[mask] = (g,) if g else ()
+        cyclic_masks.append(_mask_of(members))
+        if cyclic_masks[g] not in rep_of:
+            add_class(members, cyclic_masks[g], (g,) if g else ())
 
-    seeds = sorted((mask, gens[0]) for mask, gens in gens_by_mask.items() if gens)
-    frontier = sorted(gens_by_mask)
-    cover_pairs = []
+    seeds = sorted({mask: g for g, mask in enumerate(cyclic_masks) if g}.items())
+    covers_of = {}
     while frontier:
-        mask = frontier.pop()
+        R, gens = frontier.pop()
         joins = set()
         for seed, g in seeds:
-            if seed & ~mask == 0:
-                continue  # g lies in H
-            gens = gens_by_mask[mask] + (g,)
+            if seed & ~R == 0:
+                continue  # g lies in R
             new_members, new_mask = extend_subgroup(
-                G, members_by_mask[mask], mask, gens)
+                G, members_by_mask[R], R, gens + (g,))
             joins.add(new_mask)
-            if new_mask not in gens_by_mask:
-                if len(gens_by_mask) >= count_limit:
-                    raise LatticeCapExceeded(
-                        f"subgroup count exceeds lattice cap {count_limit}"
-                    )
-                members_by_mask[new_mask] = new_members
-                gens_by_mask[new_mask] = gens
-                frontier.append(new_mask)
-        kept = []
+            if new_mask not in rep_of:
+                add_class(new_members, new_mask, gens + (g,))
+        kept = covers_of[R] = []
         for K in sorted(joins, key=int.bit_count):
             if all(k & ~K for k in kept):
                 kept.append(K)
-        cover_pairs += [(K, mask) for K in kept]
 
     ordered = sorted(
         (len(members), tuple(sorted(members)), mask)
@@ -168,10 +174,16 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
         Subgroup(members, mask, i) for i, (_, members, mask) in enumerate(ordered)
     ]
     id_of = {s.mask: s.id for s in subgroups}
-    covers = sorted((id_of[K], id_of[H], K.bit_count() // H.bit_count())
-                    for K, H in cover_pairs)
+    covers = sorted(
+        (id_of[_conjugate_mask(G, members_by_mask[K], t) if t else K], id_of[H],
+         K.bit_count() // R.bit_count())
+        for H, (R, t) in rep_of.items() for K in covers_of[R])
+    class_ids: dict[int, list[int]] = {}
+    for s in subgroups:
+        class_ids.setdefault(rep_of[s.mask][0], []).append(s.id)
+    classes = [tuple(class_ids[rep_of[s.mask][0]]) for s in subgroups]
     cyclic_of = tuple(id_of[mask] for mask in cyclic_masks)
-    return SubgroupLattice(G, subgroups, covers, cyclic_of)
+    return SubgroupLattice(G, subgroups, covers, cyclic_of, classes)
 
 
 def _cyclic_members(G: Group, g: int) -> list[int]:
@@ -186,13 +198,9 @@ def _cyclic_members(G: Group, g: int) -> list[int]:
 # -- queries ---------------------------------------------------------------------
 
 def is_normal(L: SubgroupLattice, H: Subgroup | int) -> bool:
-    """H is normal iff the generators of G conjugate it onto itself:
-    conjugation by a product composes, and in a finite group every element
-    is a product of generators."""
-    h = L.subgroups[H] if isinstance(H, int) else H
-    G = L.group
-    return all(_conjugate_mask(G, h.members, s) == h.mask
-               for s in G.generating_set())
+    """H is normal iff its conjugacy class is H alone."""
+    h_id = H if isinstance(H, int) else L.id_of(H.mask)
+    return len(L.classes[h_id]) == 1
 
 
 def normalizer(L: SubgroupLattice, H: Subgroup | int) -> Subgroup:

@@ -244,7 +244,7 @@ def test_acceptance_7_theorem_extraction():
             while x != 0:
                 members.append(x)
                 x = G.mul(x, d.representative)
-            expected = L.conjugacy_class_of_subgroup(L.id_of(sorted(members)))
+            expected = L.classes[L.id_of(sorted(members))]
             assert family == expected, (G.name, d.representative)
     _report(7, started, 120.0)
 

@@ -147,6 +147,22 @@ def test_order_cap_exits_2_before_building(capsys, monkeypatch, descriptor, cons
     assert err == f"cap exceeded: {descriptor} has order above the cap 5040\n"
 
 
+def test_product_above_table_cap_exits_2_before_building(capsys, monkeypatch):
+    """Products are built as validated Cayley tables, which would take
+    minutes at order 5040; the product cap refuses them first."""
+    def refuse(*args):
+        raise AssertionError("the product table was built")
+
+    monkeypatch.setattr(groups, "direct_product", refuse)
+    code, out, err = invoke(capsys, "validate", "--catalog", "product:symmetric:7:cyclic:1")
+    assert (code, out) == (2, "")
+    assert err == ("cap exceeded: product:symmetric:7:cyclic:1 has order above "
+                   f"the cap {groups.PRODUCT_ORDER_CAP}\n")
+    monkeypatch.undo()
+    code, out, _ = invoke(capsys, "validate", "--catalog", "product:symmetric:5:cyclic:2")
+    assert code == 0 and json.loads(out)["order"] == 240
+
+
 def test_conjecture_scan_max_order_above_order_cap_exits_2(capsys, monkeypatch):
     def refuse(max_order):
         raise AssertionError("the scan built its groups")

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import divgraph as dv
+import divgraph.lattice
 from divgraph.errors import LatticeCapExceeded
-from divgraph.groups import closure_from_generators
+from divgraph.groups import closure_from_generators, extend_subgroup
 from divgraph.lattice import (
     all_subgroups,
     cyclic_subgroup_ids,
@@ -131,6 +132,32 @@ def test_lattice_cap():
         all_subgroups(dv.cyclic(12), order_limit=8)
     with pytest.raises(LatticeCapExceeded):
         all_subgroups(dv.elementary_abelian(2, 4), count_limit=10)
+
+
+def test_count_cap_is_exact_when_whole_classes_are_added():
+    """S4 has 30 subgroups in 11 conjugacy classes, added a class at a time."""
+    assert len(all_subgroups(dv.symmetric(4), count_limit=30)) == 30
+    with pytest.raises(LatticeCapExceeded,
+                       match=r"^subgroup count exceeds lattice cap 29$"):
+        all_subgroups(dv.symmetric(4), count_limit=29)
+
+
+@pytest.mark.parametrize("descriptor, most", [
+    ("symmetric:5", 1200), ("product:elementary_abelian:2:3:cyclic:4", 2141),
+])
+def test_joins_formed_for_class_representatives_only(monkeypatch, descriptor, most):
+    """Only a representative of each conjugacy class forms joins: symmetric:5
+    has 156 subgroups in 19 classes (9,561 joins when every subgroup formed
+    its own); an abelian group has singleton classes and gains nothing."""
+    joins = []
+
+    def counting(*args):
+        joins.append(1)
+        return extend_subgroup(*args)
+
+    monkeypatch.setattr(divgraph.lattice, "extend_subgroup", counting)
+    all_subgroups(dv.catalog(descriptor))
+    assert 0 < len(joins) <= most
 
 
 def test_canonical_ordering(s4):
@@ -295,6 +322,25 @@ def test_conjugation_queries_match_brute_force():
             assert dv.normalizer(L, h).members == stabilizer
             for s, c in conjugates.items():
                 assert L.subgroups[L.conjugate_subgroup(h.id, s)].members == tuple(sorted(c))
+
+
+@pytest.mark.parametrize("descriptor", [
+    "symmetric:4", "symmetric:5", "dihedral:32", "alternating:5",
+    "product:symmetric:4:cyclic:2",
+])
+def test_conjugacy_classes_match_element_scan(descriptor):
+    """The class map the enumeration keeps is {s^-1 H s : s in G}, computed
+    here by a scan over every element, on the group and a relabelled copy."""
+    G = dv.catalog(descriptor)
+    relabel = list(range(G.order))
+    random.Random(descriptor).shuffle(relabel)
+    for H in (G, dv.relabeled_copy(G, relabel)):
+        L = all_subgroups(H)
+        for h in L.subgroups:
+            scan = {L.id_of([H.mul(H.mul(H.inv(s), g), s) for g in h.members])
+                    for s in H.elements()}
+            assert L.classes[h.id] == tuple(sorted(scan)), h.id
+            assert dv.is_normal(L, h) == (len(scan) == 1)
 
 
 def test_normalizer_of_transposition_subgroup(s3):

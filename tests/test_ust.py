@@ -199,7 +199,7 @@ def test_decomposition_group_detection(q8):
             while x != 0:
                 phi_members.append(x)
                 x = G.mul(x, d.representative)
-            expected = set(L.conjugacy_class_of_subgroup(L.id_of(sorted(phi_members))))
+            expected = set(L.classes[L.id_of(sorted(phi_members))])
             assert minimal == expected
 
             # twin property: maximal colors holding a vertex with exactly one
