@@ -21,7 +21,7 @@ from .errors import (
 from .perms import Permutation
 
 DEFAULT_ORDER_CAP = 5040  # 7!
-PRODUCT_ORDER_CAP = 1024  # products are validated tables: order 1024 builds in about 1 s
+TABLE_ORDER_CAP = 1024  # table-built groups: a validated table of order 1024 takes about 1 s
 EAGER_TABLE_LIMIT = 512  # permutation groups above this keep a lazy table
 
 
@@ -484,6 +484,7 @@ _FAMILY_ORDERS = {
     "elementary_abelian": lambda p, k: repeat(p, k),
     "heisenberg27": lambda: (27,),
 }
+_TABLE_FAMILIES = ("cyclic", "dihedral", "elementary_abelian")  # of any order, as tables
 
 
 def _parse_descriptor(tokens: list[str], order_cap: int):
@@ -493,9 +494,8 @@ def _parse_descriptor(tokens: list[str], order_cap: int):
     if head in ("product", "direct_product"):
         left, rest = _parse_descriptor(rest, order_cap)
         right, rest = _parse_descriptor(rest, order_cap)
-        for cap in (order_cap, PRODUCT_ORDER_CAP):
-            _check_order(f"product:{left.name}:{right.name}",
-                         (left.order, right.order), cap)
+        _check_order(f"product:{left.name}:{right.name}",
+                     (left.order, right.order), (order_cap, TABLE_ORDER_CAP))
         return direct_product(left, right), rest
     if head not in _FAMILY_ORDERS:
         raise UnknownDescriptor(f"unknown catalog name {head!r}")
@@ -509,20 +509,22 @@ def _parse_descriptor(tokens: list[str], order_cap: int):
             args.append(int(tok))
         except ValueError:
             raise UnknownDescriptor(f"non-integer argument {tok!r} for {head}") from None
-    _check_order(":".join([head, *rest[:arity]]), order(*args), order_cap)
+    caps = (order_cap, TABLE_ORDER_CAP) if head in _TABLE_FAMILIES else (order_cap,)
+    _check_order(":".join([head, *rest[:arity]]), order(*args), caps)
     return globals()[head](*args), rest[arity:]
 
 
-def _check_order(name: str, factors, order_cap: int) -> None:
-    """Refuse ``name`` if the product of its order's factors passes the cap.
-    Only the first bit_length(cap) + 1 factors are multiplied, so a huge
-    argument costs nothing: every factor of a valid family with more than
-    two is at least 2, so that many already pass the cap."""
+def _check_order(name: str, factors, caps: tuple[int, ...]) -> None:
+    """Refuse ``name`` at the first cap that the product of its order's
+    factors passes.  Only the first bit_length(max(caps)) + 1 factors are
+    multiplied, so a huge argument costs nothing: every factor of a valid
+    family with more than two is at least 2, so that many pass every cap."""
     order = 1
-    for f in islice(factors, order_cap.bit_length() + 1):
+    for f in islice(factors, max(caps).bit_length() + 1):
         order *= f
-    if order > order_cap:
-        raise OrderCapExceeded(f"{name} has order above the cap {order_cap}")
+    for cap in caps:
+        if order > cap:
+            raise OrderCapExceeded(f"{name} has order above the cap {cap}")
 
 
 def catalog(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:

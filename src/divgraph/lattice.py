@@ -153,11 +153,13 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
     while frontier:
         R, gens = frontier.pop()
         joins = set()
-        for seed, g in seeds:
-            if seed & ~R == 0:
-                continue  # g lies in R
+        done = R  # R and each coset Rg joined: <R, rg> = <R, g>
+        for _, g in seeds:
+            if done >> g & 1:
+                continue
             new_members, new_mask = extend_subgroup(
                 G, members_by_mask[R], R, gens + (g,))
+            done |= _mask_of(G.mul(h, g) for h in members_by_mask[R])
             joins.add(new_mask)
             if new_mask not in rep_of:
                 add_class(new_members, new_mask, gens + (g,))

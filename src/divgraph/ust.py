@@ -11,6 +11,7 @@ The disjoint union over all divisions is the group's division graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .divisions import Division, divisions
@@ -77,26 +78,38 @@ def right_cosets(G: Group, L: SubgroupLattice, subgroup_id: int) -> CosetSpace:
 
 def orbit_decomposition(cs: CosetSpace, G: Group, phi: int) -> list[Orbit]:
     """Orbits of the right action (Hg) . phi = H(g phi), by minimal coset index."""
-    act = [cs.coset_of[G.mul(coset[0], phi)] for coset in cs.cosets]
-    seen = [False] * len(cs.cosets)
-    orbits = []
-    for start in range(len(cs.cosets)):
-        if seen[start]:
+    right = [G.mul(g, phi) for g in G.elements()]
+    return [Orbit(tuple(sorted(c)), len(c)) for c in _cycles(cs, right)[0]]
+
+
+def _cycles(cs: CosetSpace, right: list[int]) -> tuple[list[list[int]], list[int]]:
+    """The cycles of Hg -> H(g phi), given right[g] = g phi, each from its
+    minimal coset and in the order of that coset, and the cycle of each coset."""
+    coset_of = cs.coset_of
+    act = [coset_of[right[coset[0]]] for coset in cs.cosets]
+    cycle_of = [-1] * len(act)
+    cycles = []
+    for start in range(len(act)):
+        if cycle_of[start] >= 0:
             continue
-        cycle = [start]
-        seen[start] = True
-        c = act[start]
-        while c != start:
+        k, cycle, c = len(cycles), [], start
+        while cycle_of[c] < 0:
+            cycle_of[c] = k
             cycle.append(c)
-            seen[c] = True
             c = act[c]
-        orbits.append(Orbit(tuple(sorted(cycle)), len(cycle)))
-    return orbits
+        cycles.append(cycle)
+    return cycles, cycle_of
 
 
 def _coset_spaces(G: Group, L: SubgroupLattice) -> list[CosetSpace]:
     """Every coset space H\\G, indexed by subgroup id."""
     return [right_cosets(G, L, s.id) for s in L.subgroups]
+
+
+def _projections(L: SubgroupLattice, spaces: list[CosetSpace]) -> list[list[int]]:
+    """Per cover (H, K), the coset Hg of H\\G holding each coset Kg of K\\G."""
+    return [[spaces[low_id].coset_of[coset[0]] for coset in spaces[up_id].cosets]
+            for low_id, up_id, _ in L.covers]
 
 
 def ust_component(G: Group, L: SubgroupLattice, d: Division,
@@ -110,39 +123,33 @@ def ust_component(G: Group, L: SubgroupLattice, d: Division,
     phi = d.representative if representative is None else representative
     if phi not in d.members:
         raise ValueError(f"element {phi} is not in division [{d.representative}]")
-    return _component(G, L, _coset_spaces(G, L), phi)
+    spaces = _coset_spaces(G, L)
+    return _component(G, L, spaces, _projections(L, spaces), phi)
 
 
 def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
-               phi: int) -> USTComponent:
+               projections: list[list[int]], phi: int) -> USTComponent:
     """The component of <phi> acting on the given coset spaces."""
-    clusters: dict[int, tuple[Orbit, ...]] = {}
-    orbit_of_coset: dict[int, list[int]] = {}
-    for sid, cs in enumerate(spaces):
-        orbits = orbit_decomposition(cs, G, phi)
-        clusters[sid] = tuple(orbits)
-        lookup = [-1] * len(cs.cosets)
-        for oidx, orbit in enumerate(orbits):
-            for c in orbit.cosets:
-                lookup[c] = oidx
-        orbit_of_coset[sid] = lookup
+    right = [G.mul(g, phi) for g in G.elements()]
+    cycles, orbit_of_coset = zip(*(_cycles(cs, right) for cs in spaces))
+    clusters = {sid: tuple(Orbit(tuple(sorted(c)), len(c)) for c in cycles[sid])
+                for sid in range(len(spaces))}
 
     arcs = []
-    for low_id, up_id, index in L.covers:
-        cs_low = spaces[low_id]
-        cs_up = spaces[up_id]
+    for (low_id, up_id, index), projection in zip(L.covers, projections):
+        low_of = orbit_of_coset[low_id]
+        projected = [low_of[c] for c in projection]
+        up_orbits = clusters[up_id]
+        targets = [projected[o.cosets[0]] for o in up_orbits]
+        up_of = orbit_of_coset[up_id]
+        if projected != [targets[u] for u in up_of]:
+            up_idx = next(u for u, t in zip(up_of, projected) if t != targets[u])
+            raise InternalInvariantError(
+                f"orbit {up_idx} of H{up_id} projects onto several orbits of H{low_id}"
+            )
         low_orbits = clusters[low_id]
         sums = [0] * len(low_orbits)
-        for up_idx, up_orbit in enumerate(clusters[up_id]):
-            targets = {
-                orbit_of_coset[low_id][cs_low.coset_of[cs_up.cosets[c][0]]]
-                for c in up_orbit.cosets
-            }
-            if len(targets) != 1:
-                raise InternalInvariantError(
-                    f"orbit {up_idx} of H{up_id} projects onto several orbits of H{low_id}"
-                )
-            low_idx = targets.pop()
+        for up_idx, (up_orbit, low_idx) in enumerate(zip(up_orbits, targets)):
             low_len = low_orbits[low_idx].length
             if up_orbit.length % low_len:
                 raise InternalInvariantError(
@@ -160,19 +167,22 @@ def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
     base = clusters[L.full_id]
     if len(base) != 1 or base[0].length != 1:
         raise InternalInvariantError("base cluster must be a single length-1 orbit")
-    return USTComponent(phi, clusters, tuple(sorted(arcs)))
+    # L.covers is sorted, so a stable sort by the lower end orders arcs fully
+    return USTComponent(phi, clusters, tuple(sorted(arcs, key=itemgetter(0))))
 
 
 def division_graph(G: Group, L: SubgroupLattice | None = None) -> DivisionGraph:
     """One component per division, ordered by division representative.
 
-    The coset spaces are built once, shared by every component and kept.
+    Coset spaces and cover projections are built once and shared; spaces are kept.
     """
     if L is None:
         L = all_subgroups(G)
     spaces = _coset_spaces(G, L)
+    projections = _projections(L, spaces)
     components = tuple(
-        (d, _component(G, L, spaces, d.representative)) for d in divisions(G)
+        (d, _component(G, L, spaces, projections, d.representative))
+        for d in divisions(G)
     )
     return DivisionGraph(G.name, components, G, L, tuple(spaces))
 
@@ -207,9 +217,9 @@ def verify_lagarias(G: Group, L: SubgroupLattice | None = None) -> LagariasRepor
     by_cyclic = {}
     for g, cyclic in enumerate(L.cyclic_of):
         if cyclic not in by_cyclic:
+            right = [G.mul(x, g) for x in G.elements()]
             by_cyclic[cyclic] = tuple(
-                tuple(sorted(o.length for o in orbit_decomposition(cs, G, g)))
-                for cs in spaces
+                tuple(sorted(map(len, _cycles(cs, right)[0]))) for cs in spaces
             )
     signature = [by_cyclic[cyclic] for cyclic in L.cyclic_of]
 

@@ -157,10 +157,26 @@ def test_product_above_table_cap_exits_2_before_building(capsys, monkeypatch):
     code, out, err = invoke(capsys, "validate", "--catalog", "product:symmetric:7:cyclic:1")
     assert (code, out) == (2, "")
     assert err == ("cap exceeded: product:symmetric:7:cyclic:1 has order above "
-                   f"the cap {groups.PRODUCT_ORDER_CAP}\n")
+                   f"the cap {groups.TABLE_ORDER_CAP}\n")
     monkeypatch.undo()
     code, out, _ = invoke(capsys, "validate", "--catalog", "product:symmetric:5:cyclic:2")
     assert code == 0 and json.loads(out)["order"] == 240
+
+
+def test_table_family_above_table_cap_exits_2_before_building(capsys, monkeypatch):
+    """cyclic, dihedral and elementary_abelian build validated Cayley tables
+    too, so they share the product cap below --order-cap."""
+    def refuse(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(groups, "elementary_abelian", refuse)
+    code, out, err = invoke(capsys, "validate", "--catalog", "elementary_abelian:2:11")
+    assert (code, out) == (2, "")
+    assert err == ("cap exceeded: elementary_abelian:2:11 has order above "
+                   f"the cap {groups.TABLE_ORDER_CAP}\n")
+    monkeypatch.undo()
+    code, out, _ = invoke(capsys, "validate", "--catalog", "cyclic:1024")
+    assert code == 0 and json.loads(out)["order"] == 1024
 
 
 def test_conjecture_scan_max_order_above_order_cap_exits_2(capsys, monkeypatch):

@@ -160,6 +160,24 @@ def test_joins_formed_for_class_representatives_only(monkeypatch, descriptor, mo
     assert 0 < len(joins) <= most
 
 
+@pytest.mark.parametrize("descriptor, most", [
+    ("elementary_abelian:2:5", 2077), ("symmetric:5", 390),
+])
+def test_joins_skip_elements_of_a_coset_already_joined(monkeypatch, descriptor, most):
+    """<R, g'> = <R, g> for every g' in the coset Rg, so a representative R
+    forms one join per coset it reaches (9,517 and 1,079 joins when every
+    cyclic seed outside R formed its own)."""
+    joins = []
+
+    def counting(*args):
+        joins.append(1)
+        return extend_subgroup(*args)
+
+    monkeypatch.setattr(divgraph.lattice, "extend_subgroup", counting)
+    all_subgroups(dv.catalog(descriptor))
+    assert 0 < len(joins) <= most
+
+
 def test_canonical_ordering(s4):
     L = all_subgroups(s4)
     sizes = [s.order for s in L.subgroups]

@@ -1,6 +1,9 @@
+import pytest
+
 import divgraph as dv
 from divgraph import ust
 from divgraph.analysis import abstract_component, component_encoding
+from divgraph.errors import InternalInvariantError
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, is_normal
 from divgraph.ust import (
     division_graph,
@@ -107,6 +110,43 @@ def test_orbits_ordered_by_minimal_coset(q8):
     orbits = orbit_decomposition(cs, q8, 2)
     firsts = [o.cosets[0] for o in orbits]
     assert firsts == sorted(firsts)
+
+
+def _brute_force_orbits(G, cs, phi):
+    """Orbits of <phi> on H\\G from the powers of phi, sorted, by minimal coset."""
+    powers = [0]
+    while G.mul(powers[-1], phi) != 0:
+        powers.append(G.mul(powers[-1], phi))
+    orbits = {tuple(sorted({cs.coset_of[G.mul(coset[0], p)] for p in powers}))
+              for coset in cs.cosets}
+    return sorted(orbits)
+
+
+@pytest.mark.parametrize("G", dv.standard_groups(24) + [dv.symmetric(5)],
+                         ids=lambda G: G.name)
+def test_lagarias_orbit_lengths_are_the_orbit_decomposition(monkeypatch, G):
+    """verify_lagarias reads only cycle lengths off the shared kernel; each
+    cyclic subgroup on each coset space gives the sorted lengths of the
+    orbits orbit_decomposition returns, and those are the brute-force orbits."""
+    L = all_subgroups(G)
+    signatures = {}
+    cycles = ust._cycles
+
+    def recording(cs, right):
+        out = cycles(cs, right)
+        signatures[cs.subgroup_id, right[0]] = sorted(map(len, out[0]))
+        return out
+
+    monkeypatch.setattr(ust, "_cycles", recording)
+    assert verify_lagarias(G, L).passed
+    monkeypatch.undo()
+    assert {(sid, L.cyclic_of[phi]) for sid, phi in signatures} == {
+        (s.id, c) for s in L.subgroups for c in set(L.cyclic_of)}
+    spaces = [right_cosets(G, L, s.id) for s in L.subgroups]
+    for (sid, phi), lengths in signatures.items():
+        orbits = orbit_decomposition(spaces[sid], G, phi)
+        assert [o.cosets for o in orbits] == _brute_force_orbits(G, spaces[sid], phi)
+        assert lengths == sorted(o.length for o in orbits)
 
 
 # -- component construction --------------------------------------------------------
@@ -273,6 +313,44 @@ def test_division_graph_builds_each_coset_space_once(monkeypatch):
     assert all(comp == ust_component(G, L, d) for d, comp in dg.components)
 
 
+@pytest.mark.parametrize("descriptor", [
+    "symmetric:4", "symmetric:5", "dihedral:8", "product:symmetric:3:cyclic:4",
+])
+def test_division_graph_components_are_the_single_components(descriptor):
+    """The cover projections shared by every component of a division graph
+    give each component as ust_component builds it alone, on groups whose
+    subgroups have conjugates."""
+    G = dv.catalog(descriptor)
+    L = all_subgroups(G)
+    assert any(len(c) > 1 for c in L.classes)
+    dg = division_graph(G, L)
+    assert [comp for _, comp in dg.components] == [
+        ust_component(G, L, d) for d in dv.divisions(G)]
+
+
+def test_tampered_projection_raises(s4):
+    """Two cosets of one orbit projecting into different orbits below is an
+    internal invariant violation, caught coset by coset."""
+    L = all_subgroups(s4)
+    spaces = [right_cosets(s4, L, s.id) for s in L.subgroups]
+    projections = ust._projections(L, spaces)
+    phi = next(g for g in s4.elements() if s4.element_order(g) == 4)
+    comp = ust._component(s4, L, spaces, projections, phi)
+    for i, (low_id, up_id, _) in enumerate(L.covers):
+        low_orbits = comp.clusters[low_id]
+        up_orbit = next((o for o in comp.clusters[up_id] if o.length > 1), None)
+        if len(low_orbits) > 1 and up_orbit is not None:
+            break
+    tampered = [list(p) for p in projections]
+    here = tampered[i][up_orbit.cosets[0]]
+    elsewhere = next(o for o in low_orbits if here not in o.cosets).cosets[0]
+    tampered[i][up_orbit.cosets[-1]] = elsewhere
+    with pytest.raises(InternalInvariantError, match=(
+            f"^orbit {comp.clusters[up_id].index(up_orbit)} of H{up_id} "
+            f"projects onto several orbits of H{low_id}$")):
+        ust._component(s4, L, spaces, tampered, phi)
+
+
 # -- Lagarias equivalence ------------------------------------------------------------
 
 
@@ -285,12 +363,13 @@ def test_lagarias_s4(s4):
 def test_lagarias_decomposes_each_cyclic_subgroup_once(monkeypatch, s4):
     L = all_subgroups(s4)
     calls = []
+    cycles = ust._cycles
 
-    def counting(cs, G, phi):
-        calls.append(phi)
-        return orbit_decomposition(cs, G, phi)
+    def counting(cs, right):
+        calls.append(right[0])  # the identity times phi
+        return cycles(cs, right)
 
-    monkeypatch.setattr(ust, "orbit_decomposition", counting)
+    monkeypatch.setattr(ust, "_cycles", counting)
     assert verify_lagarias(s4, L).passed
     # 17 cyclic subgroups of S4 (not its 24 elements) on each of 30 coset spaces
     assert len(calls) == len(cyclic_subgroup_ids(L)) * len(L) == 17 * 30
