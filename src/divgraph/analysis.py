@@ -19,6 +19,8 @@ from .errors import InternalInvariantError, MalformedGraph
 from .groups import (
     Group,
     are_isomorphic,
+    closure_from_generators,
+    greedy_generators,
     quotient_group,
     subgroup_as_group,
 )
@@ -130,7 +132,7 @@ def recover_lattice(dg: DivisionGraph) -> LatticeSketch:
                 raise MalformedGraph(f"components disagree on the index of {pair}")
 
     identity = _identity_component(dg)
-    total_order = max(len(orbits) for orbits in identity.clusters.values())
+    total_order = recover_order(dg)
     order_of = {}
     for color in colors:
         cosets = len(identity.clusters[color])
@@ -239,39 +241,21 @@ def invariant_factors_from_cyclic_orders(orders) -> tuple[int, ...]:
 
 
 def invariant_factors_direct(G: Group) -> tuple[int, ...] | None:
-    """Invariant factors of an abelian group from element-order counts.
+    """Invariant factors of an abelian group, by splitting off cyclic factors.
 
-    For each prime p, #{g : order(g) divides p^j} = p^(sum_i min(j, l_i))
-    determines the primary type l; the types then recombine into invariant
-    factors.  Independent of the subgroup lattice on purpose.
+    In a finite abelian group an element g of largest order generates a
+    direct factor, so G = <g> x G/<g>; the quotient is split the same way.
+    Independent of the subgroup lattice on purpose.
     """
     if not G.is_abelian():
         return None
-    orders = [G.element_order(g) for g in G.elements()]
-    cyclic_orders: list[int] = []
-    for p, k in prime_factorization(G.order).items():
-        sylow = p ** k
-        exps = []  # exps[j-1] = log_p #{g : order(g) | p^j}
-        j = 1
-        while True:
-            c = sum(1 for o in orders if p ** j % o == 0)
-            e = 0
-            while c > 1:
-                c //= p
-                e += 1
-            exps.append(e)
-            if p ** exps[-1] == sylow:
-                break
-            j += 1
-        parts_ge = []  # parts_ge[j-1] = number of primary parts >= j
-        prev = 0
-        for e in exps:
-            parts_ge.append(e - prev)
-            prev = e
-        for j in range(len(parts_ge) - 1, -1, -1):
-            nxt = parts_ge[j + 1] if j + 1 < len(parts_ge) else 0
-            cyclic_orders.extend([p ** (j + 1)] * (parts_ge[j] - nxt))
-    return invariant_factors_from_cyclic_orders(cyclic_orders)
+    orders = []
+    while G.order > 1:
+        g = max(G.elements(), key=G.element_order)
+        cyclic = closure_from_generators(G, (g,))
+        orders.append(len(cyclic))
+        G, _ = quotient_group(G, cyclic)
+    return invariant_factors_from_cyclic_orders(orders)
 
 
 def _min_generators_from_sketch(sketch: LatticeSketch, cyclic_colors) -> int:
@@ -365,7 +349,7 @@ def analyze(G: Group, L: SubgroupLattice | None = None) -> AnalysisReport:
     checks: dict[str, OracleCheck] = {}
 
     order_direct = G.order
-    order_graph = recover_order(dg)
+    order_graph = sketch.order_of[sketch.full_color]
     checks["order"] = OracleCheck(order_graph, order_direct, order_graph == order_direct)
 
     covers_direct = tuple(sorted(L.covers))
@@ -406,7 +390,7 @@ def analyze(G: Group, L: SubgroupLattice | None = None) -> AnalysisReport:
     )
 
     graph_trivial, graph_full = sketch.trivial_color, sketch.full_color
-    simple_graph = recover_order(dg) > 1 and not any(
+    simple_graph = order_graph > 1 and not any(
         c not in (graph_trivial, graph_full) for c in normal_colors
     )
     simple_direct = G.order > 1 and normal_direct <= {L.trivial_id, L.full_id}
@@ -540,9 +524,8 @@ def _group_seeds(dg: DivisionGraph, vertex_id, color_node, n: int) -> list[list[
         families[0].append(seed(range(len(comps)), lambda sid, x: (conj[sid], G.mul(s, x))))
     for ci, comp in enumerate(comps):
         cyc = L.cyclic_of[comp.division_rep]
-        N, members = subgroup_as_group(G, normalizer(L, cyc).members)
-        families.append([seed([ci], lambda sid, x: (sid, G.mul(x, members[m])))
-                         for m in N.generating_set()])
+        families.append([seed([ci], lambda sid, x: (sid, G.mul(x, m)))
+                         for m in greedy_generators(G, normalizer(L, cyc).members)])
     return families
 
 

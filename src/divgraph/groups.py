@@ -7,7 +7,7 @@ Groups are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from math import factorial
-from itertools import islice, repeat, permutations as _itertools_permutations
+from itertools import islice, product, repeat, permutations as _itertools_permutations
 
 from .errors import (
     DegreeMismatch,
@@ -117,7 +117,7 @@ class Group:
     def generating_set(self) -> tuple[int, ...]:
         """A small generating set, found greedily (cached)."""
         if self._generators is None:
-            self._generators = tuple(_greedy_generators(self))
+            self._generators = tuple(greedy_generators(self))
         return self._generators
 
     def is_abelian(self) -> bool:
@@ -176,19 +176,18 @@ def closure_from_generators(G: Group, gens) -> list[int]:
     return sorted(members)
 
 
-def _greedy_generators(G: Group):
+def greedy_generators(G: Group, candidates=None):
     """Yield the greedy generators of a table with identity 0: each is the
-    smallest element outside the closure of the earlier ones under right
-    multiplication, yielded before that closure grows so a caller may check
-    it first."""
+    first of ``candidates`` (ascending, by default all of G) outside the
+    closure of the earlier ones under right multiplication, yielded before
+    that closure grows so a caller may check it first.  The members of a
+    subgroup H give the generating set of H as its own group would find it."""
     members, mask, gens = [0], 1, []
-    g = 0
-    while len(members) < G.order:
-        while mask >> g & 1:
-            g += 1
-        yield g
-        gens.append(g)
-        members, mask = extend_subgroup(G, members, mask, gens)
+    for g in G.elements() if candidates is None else candidates:
+        if not mask >> g & 1:
+            yield g
+            gens.append(g)
+            members, mask = extend_subgroup(G, members, mask, gens)
 
 
 # -- validation ----------------------------------------------------------------
@@ -268,7 +267,7 @@ def validate_cayley_table(table, names=None, name="table-group",
 
     group = Group(name, n, (), (), None, table, None)  # inverse, names below
     gens = []
-    for a in _greedy_generators(group):
+    for a in greedy_generators(group):
         row_a = table[a]
         for x, row_x in enumerate(table):
             row_xa = table[row_x[a]]
@@ -648,9 +647,9 @@ def quotient_group(G: Group, normal_members) -> tuple[Group, list[int]]:
     nset = frozenset(normal_members)
     cosets, coset_of = right_coset_partition(G, nset)
     reps = [coset[0] for coset in cosets]
-    for g in range(G.order):
+    for s in G.generating_set():  # sN = Ns for each generator s: N is normal
         for h in nset:
-            if coset_of[G.mul(h, g)] != coset_of[G.mul(g, h)]:
+            if coset_of[G.mul(h, s)] != coset_of[G.mul(s, h)]:
                 raise ValueError("subgroup is not normal")
     table = [
         [coset_of[G.mul(a, b)] for b in reps] for a in reps
@@ -684,8 +683,8 @@ def relabeled_copy(G: Group, relabel) -> Group:
 def are_isomorphic(G1: Group, G2: Group) -> bool:
     """Exhaustive table-isomorphism test (meant for small orders).
 
-    Backtracks over images of a generating set of G1, extending each
-    candidate assignment to a full homomorphism by closure and checking
+    Tries the images of a generating set of G1 of matching orders, extending
+    each candidate assignment to a full homomorphism by closure and checking
     bijectivity.
     """
     if G1.order != G2.order:
@@ -693,8 +692,6 @@ def are_isomorphic(G1: Group, G2: Group) -> bool:
     if G1.element_order_histogram() != G2.element_order_histogram():
         return False
     gens = G1.generating_set()
-    if not gens:
-        return True  # both trivial
     orders1 = [G1.element_order(g) for g in gens]
     by_order: dict[int, list[int]] = {}
     for h in G2.elements():
@@ -720,17 +717,8 @@ def are_isomorphic(G1: Group, G2: Group) -> bool:
             return False
         return len(set(mapping.values())) == G1.order
 
-    def backtrack(i: int, assignment: dict[int, int]) -> bool:
-        if i == len(gens):
-            return extend(assignment)
-        for h in by_order.get(orders1[i], ()):
-            assignment[gens[i]] = h
-            if backtrack(i + 1, assignment):
-                return True
-            del assignment[gens[i]]
-        return False
-
-    return backtrack(0, {})
+    return any(extend(dict(zip(gens, images)))
+               for images in product(*(by_order.get(o, ()) for o in orders1)))
 
 
 # -- JSON interchange ------------------------------------------------------------

@@ -10,6 +10,7 @@ The enumeration's joins yield the Hasse covers; ``cyclic_of`` maps g to <g>.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import LatticeCapExceeded
 from .groups import Group, closure_from_generators, extend_subgroup
@@ -143,7 +144,7 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
 
     cyclic_masks = []
     for g in range(n):
-        members = _cyclic_members(G, g)
+        members = closure_from_generators(G, (g,))
         cyclic_masks.append(_mask_of(members))
         if cyclic_masks[g] not in rep_of:
             add_class(members, cyclic_masks[g], (g,) if g else ())
@@ -188,15 +189,6 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
     return SubgroupLattice(G, subgroups, covers, cyclic_of, classes)
 
 
-def _cyclic_members(G: Group, g: int) -> list[int]:
-    members = [0]
-    x = g
-    while x != 0:
-        members.append(x)
-        x = G.mul(x, g)
-    return sorted(members)
-
-
 # -- queries ---------------------------------------------------------------------
 
 def is_normal(L: SubgroupLattice, H: Subgroup | int) -> bool:
@@ -231,7 +223,7 @@ def center(G: Group, L: SubgroupLattice | None = None) -> Subgroup:
 
 def commutator_subgroup(G: Group, L: SubgroupLattice | None = None) -> Subgroup:
     """Subgroup generated by all commutators a^-1 b^-1 a b."""
-    members = _derived_members(G, G.elements())
+    members = tuple(_derived(G, G.generating_set())[0])
     if L is not None:
         return L.subgroups[L.id_of(members)]
     return Subgroup(members, _mask_of(members), -1)
@@ -262,22 +254,33 @@ def cyclic_subgroup_ids(L: SubgroupLattice) -> tuple[int, ...]:
 
 
 def is_solvable(G: Group) -> bool:
-    members = tuple(G.elements())
+    """The derived series, walked on generators, reaches the trivial group."""
+    members, gens = G.elements(), G.generating_set()
     while len(members) > 1:
-        derived = _derived_members(G, members)
+        derived, gens = _derived(G, gens)
         if len(derived) == len(members):
             return False
         members = derived
     return True
 
 
-def _derived_members(G: Group, members) -> tuple[int, ...]:
-    comms = set()
-    for a in members:
-        a_inv = G.inverse[a]
-        for b in members:
-            comms.add(G.mul(G.mul(G.inverse[b], a_inv), G.mul(b, a)))
-    return tuple(closure_from_generators(G, sorted(comms)))
+def _derived(G: Group, gens) -> tuple[list[int], list[int]]:
+    """Sorted members and generators of [H, H] for H = <gens>: the normal
+    closure N in H of the commutators a^-1 b^-1 a b of the generators.
+
+    Each kept generator k of N is conjugated by each s in ``gens``; once
+    every s^-1 k s lies in N, so does s^-1 N s, and (G being finite) N is
+    normal in H.  The generators commute modulo N, so N holds [H, H]; it is
+    generated by commutators, so it is no larger."""
+    members, mask, kept = [0], 1, []
+    queue = [G.mul(G.mul(G.inverse[a], G.inverse[b]), G.mul(a, b))
+             for a, b in combinations(gens, 2)]
+    for x in queue:
+        if not mask >> x & 1:
+            kept.append(x)
+            members, mask = extend_subgroup(G, members, mask, kept)
+            queue.extend(G.conjugate(x, s) for s in gens)
+    return sorted(members), kept
 
 
 def is_nilpotent(G: Group, L: SubgroupLattice) -> bool:
@@ -305,17 +308,9 @@ def prime_factorization(n: int) -> dict[int, int]:
 
 def minimal_generator_count(G: Group) -> int:
     """Smallest size of a generating set, by direct search."""
-    n = G.order
-    if n == 1:
-        return 0
-    if max(G.element_order(g) for g in range(n)) == n:
-        return 1
-    upper = len(G.generating_set())
-    from itertools import combinations
-
-    candidates = [g for g in range(1, n)]
-    for r in range(2, upper):
-        for combo in combinations(candidates, r):
+    n, upper = G.order, len(G.generating_set())
+    for r in range(upper):
+        for combo in combinations(range(1, n), r):
             if len(closure_from_generators(G, combo)) == n:
                 return r
     return upper

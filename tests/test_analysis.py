@@ -171,6 +171,44 @@ def test_invariant_factor_helpers():
     assert invariant_factors_direct(dv.symmetric(3)) is None
 
 
+#: Invariant factors read off the construction of every abelian group in
+#: ``standard_groups(48)`` that is not cyclic:n, whose factors are (n,).
+ABELIAN_FACTORS = {
+    "dihedral:2": (2, 2),
+    "klein4": (2, 2),
+    "symmetric:2": (2,),
+    "alternating:3": (3,),
+    "elementary_abelian:2:2": (2, 2),
+    "elementary_abelian:2:3": (2, 2, 2),
+    "elementary_abelian:2:4": (2, 2, 2, 2),
+    "elementary_abelian:3:2": (3, 3),
+    "elementary_abelian:3:3": (3, 3, 3),
+    "elementary_abelian:5:2": (5, 5),
+    "product:cyclic:2:cyclic:4": (2, 4),
+    "product:cyclic:2:cyclic:6": (2, 6),
+    "product:cyclic:2:cyclic:8": (2, 8),
+    "product:cyclic:4:cyclic:4": (4, 4),
+    "product:cyclic:2:cyclic:12": (2, 12),
+    "product:cyclic:3:cyclic:9": (3, 9),
+    "product:cyclic:3:cyclic:12": (3, 12),
+    "product:cyclic:4:cyclic:8": (4, 8),
+    "product:cyclic:6:cyclic:6": (6, 6),
+}
+
+
+def test_invariant_factors_direct_on_the_catalog():
+    seen = set()
+    for G in dv.standard_groups(48):
+        family, _, n = G.name.partition(":")
+        if family == "cyclic":
+            expected = (int(n),) if int(n) > 1 else ()
+        else:
+            expected = ABELIAN_FACTORS.get(G.name)
+            seen.add(G.name)
+        assert invariant_factors_direct(G) == expected, G.name
+    assert seen >= set(ABELIAN_FACTORS)
+
+
 # -- certificates ---------------------------------------------------------------------
 
 

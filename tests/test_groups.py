@@ -16,7 +16,7 @@ from divgraph.errors import (
     OrderCapExceeded,
     UnknownDescriptor,
 )
-from divgraph.groups import closure_from_generators
+from divgraph.groups import closure_from_generators, greedy_generators
 from divgraph.perms import Permutation
 
 
@@ -425,6 +425,28 @@ def test_quotient_requires_normal():
     )
     with pytest.raises(ValueError, match="not normal"):
         dv.quotient_group(s3, [0, transposition])
+
+
+def test_quotient_group_raises_exactly_on_non_normal_subgroups():
+    for G in dv.standard_groups(24):
+        L = dv.all_subgroups(G)
+        for H in L.subgroups:
+            if dv.is_normal(L, H):
+                quotient, _ = dv.quotient_group(G, H.members)
+                assert quotient.order * H.order == G.order
+            else:
+                with pytest.raises(ValueError, match="subgroup is not normal"):
+                    dv.quotient_group(G, H.members)
+
+
+def test_greedy_generators_of_a_subgroup_are_its_own_groups():
+    """Walking the members of H finds the generating set that H, built as
+    its own group, finds for itself (mapped back to G)."""
+    for G in dv.standard_groups(24):
+        for H in dv.all_subgroups(G).subgroups:
+            sub, members = dv.subgroup_as_group(G, H.members)
+            expected = tuple(members[m] for m in sub.generating_set())
+            assert tuple(greedy_generators(G, H.members)) == expected, (G.name, H.id)
 
 
 def test_are_isomorphic_distinguishes_order8():

@@ -445,6 +445,54 @@ def test_solvable_and_nilpotent_flags():
     assert not is_solvable(a5)
 
 
+def all_pairs_derived(G, members):
+    """[H, H] by its definition: the closure of every commutator in H."""
+    comms = {G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
+             for a in members for b in members}
+    return tuple(bfs_closure(G, sorted(comms)))
+
+
+def all_pairs_solvable(G):
+    members = tuple(G.elements())
+    while len(members) > 1:
+        derived = all_pairs_derived(G, members)
+        if derived == members:
+            return False
+        members = derived
+    return True
+
+
+def test_derived_series_matches_all_pairs():
+    rng = random.Random(11)
+    groups = dv.standard_groups(24)
+    for desc in ("symmetric:4", "symmetric:5"):
+        G = dv.catalog(desc)
+        relabel = list(range(G.order))
+        rng.shuffle(relabel)
+        groups.append(dv.relabeled_copy(G, relabel))
+    for G in groups:
+        assert dv.commutator_subgroup(G).members == all_pairs_derived(G, G.elements()), G.name
+        assert is_solvable(G) == all_pairs_solvable(G), G.name
+
+
+def test_derived_series_costs_few_products(monkeypatch):
+    """The derived series works on generators: forming every commutator of
+    symmetric:5 once would already take 43,200 products."""
+    calls = [0]
+    mul = dv.Group.mul
+
+    def counting_mul(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    G = dv.symmetric(5)
+    monkeypatch.setattr(dv.Group, "mul", counting_mul)
+    for derived_fact in (dv.commutator_subgroup, is_solvable):
+        calls[0] = 0
+        derived_fact(G)
+        assert calls[0] <= 1000, (derived_fact.__name__, calls[0])
+
+
 def test_minimal_generator_counts():
     assert minimal_generator_count(dv.cyclic(1)) == 0
     assert minimal_generator_count(dv.cyclic(12)) == 1
