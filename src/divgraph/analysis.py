@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import combinations
 
-from .canon import DEFAULT_BUDGET, canonical_form
+from .canon import DEFAULT_BUDGET, SeedGroup, canonical_form
 from .errors import InternalInvariantError, MalformedGraph
 from .groups import (
     Group,
@@ -499,33 +500,42 @@ def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> Certificate:
     return Certificate(b"divgraph-cert/1;" + result.encoding)
 
 
-def _group_seeds(dg: DivisionGraph, vertex_id, color_node, n: int) -> list[list[list[int]]]:
-    """Generators of automorphism groups of the certificate graph: left
-    multiplication by s in G sends the orbit Hx<phi> to (sHs^-1)(sx)<phi> in
-    every component, commuting with <phi> and with the projections Hx -> Kx;
-    inside one component, right multiplication by m in N_G(<phi>) sends
-    Hx<phi> to Hxm<phi>."""
+def _group_seeds(dg: DivisionGraph, vertex_id, color_node, n: int) -> list[SeedGroup]:
+    """Automorphism groups of the certificate graph, acting on an orbit
+    vertex Hx<phi> through a member x: left multiplication by s in G sends it
+    to (sHs^-1)(sx)<phi> in every component, commuting with <phi> and with
+    the projections Hx -> Kx; right multiplication by m in N_G(<phi>) sends
+    it to Hxm<phi> in its component, as N_G(<phi>)/<phi> (each coset named by
+    its least member).  Both act faithfully on the trivial subgroup's orbits."""
     G, L, spaces, comps = dg.group, dg.lattice, dg.spaces, [c for _, c in dg.components]
-    vertex_at = {(ci, sid, c): v for (ci, sid, oi), v in vertex_id.items()
-                 for c in comps[ci].clusters[sid][oi].cosets}  # coset -> its orbit vertex
+    vertex_at, orbit_at, support = {}, {}, [[] for _ in comps]
+    for (ci, sid, oi), v in vertex_id.items():
+        cosets = comps[ci].clusters[sid][oi].cosets
+        vertex_at.update(((ci, sid, c), v) for c in cosets)  # coset -> its orbit vertex
+        orbit_at[v] = (ci, sid, spaces[sid].cosets[cosets[0]][0])
+        support[ci].append(v)
+    color_sid = {v: sid for sid, v in color_node.items()}
+    conj = cache(lambda sid, s: L.conjugate_subgroup(sid, G.inv(s)))  # sHs^-1
 
-    def seed(cis, image):  # image(sid, x) -> (sid', x') on coset representatives
-        out = list(range(n))
-        for (ci, sid, oi), v in vertex_id.items():
-            if ci in cis:
-                t, y = image(sid, spaces[sid].cosets[comps[ci].clusters[sid][oi].cosets[0]][0])
-                out[v] = vertex_at[(ci, t, spaces[t].coset_of[y])]
-                out[color_node[sid]] = color_node[t]
-        return out
+    def left(s, v):
+        if v in orbit_at:
+            ci, sid, x = orbit_at[v]
+            t = conj(sid, s)
+            return vertex_at[ci, t, spaces[t].coset_of[G.mul(s, x)]]
+        return color_node[conj(color_sid[v], s)] if v in color_sid else v
 
-    families = [[]]
-    for s in G.generating_set():
-        conj = [L.conjugate_subgroup(sid, G.inv(s)) for sid in range(len(L))]
-        families[0].append(seed(range(len(comps)), lambda sid, x: (conj[sid], G.mul(s, x))))
+    def right(ci, m, v):
+        cj, sid, x = orbit_at.get(v, (None, 0, 0))
+        return vertex_at[ci, sid, spaces[sid].coset_of[G.mul(x, m)]] if cj == ci else v
+
+    families = [SeedGroup(0, G.generating_set(), G.mul, left, range(len(comps), n))]
     for ci, comp in enumerate(comps):
-        cyc = L.cyclic_of[comp.division_rep]
-        families.append([seed([ci], lambda sid, x: (sid, G.mul(x, m)))
-                         for m in greedy_generators(G, normalizer(L, cyc).members)])
+        cyc = L.subgroups[L.cyclic_of[comp.division_rep]]
+        N = normalizer(L, cyc).members
+        least = {G.mul(m, c): m for m in reversed(N) for c in cyc.members}  # x -> min x<phi>
+        families.append(SeedGroup(0, [least[m] for m in greedy_generators(G, N)],
+                                  lambda a, b, least=least: least[G.mul(a, b)],
+                                  partial(right, ci), support[ci]))
     return families
 
 

@@ -18,20 +18,37 @@ lists, and the search runs on an explicit stack, not Python's recursion.
 
 from __future__ import annotations
 
-from array import array
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from typing import NamedTuple
 
 from .errors import CanonicalizationBudgetExceeded, InternalInvariantError
 
 DEFAULT_BUDGET = 500_000
+_END = ((float("inf"),),)  # closes a signature list, above every (label, start)
+
+
+# A group with identity ``one``, generators ``gens`` and product ``mul``,
+# acting faithfully by automorphisms: ``act(g, v)`` is the image of vertex v
+# under the element g, and v itself outside ``support``.
+SeedGroup = namedtuple("SeedGroup", "one gens mul act support")
+
+
+class _Image(dict):
+    """The vertex map of one seeded element, evaluated where it is read."""
+
+    def __init__(self, act, element):
+        self.act, self.element = act, element
+
+    def __missing__(self, v):
+        self[v] = image = self.act(self.element, v)
+        return image
 
 
 class CanonicalResult(NamedTuple):
     encoding: bytes
     order: list[int]                      # canonical position -> vertex id
     automorphisms: list[tuple[int, ...]]  # generator vertex maps found
-    seeds: list[array]                    # known automorphisms pruned with
+    seeds: list[dict[int, int]]           # seeded elements, evaluated when read
     nodes: int                            # search nodes visited
     leaves: int                           # leaves reached
     rounds: int                           # refinement rounds run
@@ -45,8 +62,8 @@ def canonical_form(n: int, arcs, init_cells, budget: int = DEFAULT_BUDGET,
     ``arcs`` is an iterable of (u, v, label) with integer labels and at most
     one arc per ordered pair.  ``init_cells`` is an ordered partition of the
     vertices; its cell order encodes invariant vertex classes, and only maps
-    preserving each class are considered.  ``known`` lists generating sets
-    (vertex maps) of small automorphism groups to prune with from the start.
+    preserving each class are considered.  ``known`` lists ``SeedGroup``s
+    to prune with from the start; only their generators' maps are checked.
     """
     return _Searcher(n, arcs, init_cells, budget, known).run()
 
@@ -57,13 +74,11 @@ class _Searcher:
         self.budget = budget
         self.nodes = self.leaves = self.rounds = self.max_depth = 0
         arcs = list(arcs)
-        out = [[] for _ in range(n)]
-        in_ = [[] for _ in range(n)]
+        self.out = [[] for _ in range(n)]
+        self.in_ = [[] for _ in range(n)]
         for u, v, label in arcs:
-            out[u].append((label, v))
-            in_[v].append((label, u))
-        self.out = [tuple(x) for x in out]
-        self.in_ = [tuple(x) for x in in_]
+            self.out[u].append((label, v))
+            self.in_[v].append((label, u))
 
         self.init_class = [-1] * n
         for ci, cell in enumerate(init_cells):
@@ -84,32 +99,33 @@ class _Searcher:
         self.seeds = self._seed(known, arcs) if known else []
 
     def _seed(self, known, arcs):
-        """Check every given map, then prune with every element of the group
-        each set generates: that only skips images of explored branches."""
-        identity, arc_set = tuple(range(self.n)), set(arcs)
-        tails, heads, labels = zip(*arcs) if arcs else ((), (), ())
-        for gens in known:
+        """Check every generator on the arcs at its support, then prune with
+        every other element of the group each family generates: that only
+        skips images of explored branches."""
+        arc_set, cls, seeds = set(arcs), self.init_class, []
+        for one, gens, mul, act, support in known:
+            inside = set(support)
+            near = [(v, w, lab) for v in inside for lab, w in self.out[v]]
+            near += [(u, v, lab) for v in inside for lab, u in self.in_[v] if u not in inside]
             for g in gens:
-                if (sorted(g) != list(identity)
-                        or list(map(self.init_class.__getitem__, g)) != self.init_class
-                        or not arc_set.issuperset(zip(map(g.__getitem__, tails),
-                                                      map(g.__getitem__, heads), labels))):
+                image = [act(g, v) if v in inside else v for v in range(self.n)]
+                if (sorted(image) != list(range(self.n))
+                        or list(map(cls.__getitem__, image)) != cls
+                        or not arc_set.issuperset((image[u], image[w], lab) for u, w, lab in near)):
                     raise InternalInvariantError(
                         f"a seed is not an automorphism of the graph on {self.n} vertices"
                     )
-            group, seen = [identity], {identity}
+            group, seen = [one], {one}
             for a in group:
-                for c in (tuple(map(a.__getitem__, b)) for b in gens):
-                    if c not in seen:
-                        seen.add(c)
-                        group.append(c)
-            # int arrays take half the memory of tuples while the search runs
-            self.generators += [array("i", c) for c in group[1:]]
-        return list(self.generators)
+                group += (new := {mul(a, b) for b in gens} - seen)
+                seen |= new
+            seeds += [_Image(act, g) for g in group[1:]]
+        self.generators += seeds
+        return seeds
 
     # -- refinement ---------------------------------------------------------
 
-    def _refine(self, cell_at, cell_of, changed):
+    def _refine(self, cell_at, cell_of, changed, end=_END):
         """Split cells by neighborhood signatures until equitable, in place.
 
         A round splits each non-singleton cell holding a neighbor of a
@@ -117,18 +133,19 @@ class _Searcher:
         start) lists of out- and in-arcs, and applies all its splits at
         once, so the schedule is invariant under isomorphism.
 
-        Only arcs into changed cells enter the signatures, and they order
-        the members exactly as full signatures would.  Every cell a round
-        can split was uniform with respect to the partition before the
-        previous round (for a child's first round, the parent's equitable
-        partition): its members have the same (label, old cell) counts.  So
-        their arcs into unchanged cells are identical, and per label they
-        have equally many arcs into each split cell, whose parts fill a
-        contiguous block of positions.  Comparing sorted full signatures
-        therefore gives the same result as comparing the sorted arcs into
-        changed cells alone, for equality and order; a dirty cell's members
-        are either all empty or all non-empty.  The first round of the
-        initial partition changes every vertex, so its signatures are full.
+        Only arcs into every part of a split cell but its last (Hopcroft's
+        rule) enter the signatures, into the individualized vertex alone in a
+        child's first round, yet they order the members as full signatures
+        would.  Every cell a round can split was uniform with respect to the
+        partition before the previous round (for a child's first round, the
+        parent's equitable one), so its members' arcs into unchanged cells
+        are identical, and per label their count into a split cell's last
+        part follows from their counts into the parts before it.  Where two
+        sorted full lists first differ, the one with more arcs into a part
+        is smaller, and stays so in the shortened lists if a list that runs
+        out sorts above one that goes on: the ``end`` marker closing each.
+        The initial cells are not uniform: the root's first round compares
+        full signatures of every vertex with no marker (``end=()``).
         """
         out, in_ = self.out, self.in_
         while changed:
@@ -147,19 +164,19 @@ class _Searcher:
             for s in dirty:
                 sigs: dict[tuple, list[int]] = {}
                 for v in cell_at[s]:
-                    sig = (tuple(sorted(out_sig.get(v, ()))),
-                           tuple(sorted(in_sig.get(v, ()))))
+                    sig = (tuple(sorted(out_sig.get(v, ()))) + end,
+                           tuple(sorted(in_sig.get(v, ()))) + end)
                     sigs.setdefault(sig, []).append(v)
                 if len(sigs) > 1:
                     splits.append((s, [sigs[key] for key in sorted(sigs)]))
-            changed = []
+            changed, end = [], _END
             for s, parts in splits:
                 for part in parts:
                     cell_at[s] = part
                     for v in part:
                         cell_of[v] = s
                     s += len(part)
-                    changed += part
+                changed += [v for part in parts[:-1] for v in part]
 
     # -- search -------------------------------------------------------------
 
@@ -174,7 +191,7 @@ class _Searcher:
             for v in by_class[ci]:
                 cell_of[v] = s
             s += len(by_class[ci])
-        self._refine(cell_at, cell_of, range(self.n))
+        self._refine(cell_at, cell_of, range(self.n), ())
         stack = [self._search(cell_at, cell_of, ())]
         while stack:
             child = next(stack[-1], None)
@@ -243,7 +260,7 @@ class _Searcher:
             child_at[start], child_at[start + 1] = [v], rest
             for w in rest:
                 child_of[w] = start + 1
-            self._refine(child_at, child_of, target)
+            self._refine(child_at, child_of, [v])
             yield child_at, child_of, prefix + (v,)
             if self._bounce is not None:
                 if self._bounce < depth:
@@ -302,13 +319,8 @@ class _Searcher:
             self.best_order = order
             self.best_prefix = prefix
         else:
-            mapping = [0] * self.n
-            for pos in range(self.n):
-                mapping[self.best_order[pos]] = order[pos]
-            mapping = tuple(mapping)
-            if mapping not in self._gen_set and any(
-                mapping[i] != i for i in range(self.n)
-            ):
+            mapping = tuple(map(dict(zip(self.best_order, order)).__getitem__, range(self.n)))
+            if mapping not in self._gen_set and mapping != tuple(range(self.n)):
                 self.generators.append(mapping)
                 self._gen_set.add(mapping)
             self._maybe_bounce(mapping, prefix)

@@ -307,8 +307,11 @@ def prime_factorization(n: int) -> dict[int, int]:
 
 
 def minimal_generator_count(G: Group) -> int:
-    """Smallest size of a generating set, by direct search."""
+    """Smallest size of a generating set, by direct search unless G is abelian."""
     n, upper = G.order, len(G.generating_set())
+    if G.is_abelian():  # the largest log_p |G : G^p| with G^p = {g^p}, p | |G|
+        return max((prime_factorization(n // len({G.power(g, p) for g in G.elements()}))[p]
+                    for p in prime_factorization(n)), default=0)
     for r in range(upper):
         for combo in combinations(range(1, n), r):
             if len(closure_from_generators(G, combo)) == n:

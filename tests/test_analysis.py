@@ -258,6 +258,38 @@ def test_group_seeds_pass_the_check_and_keep_the_certificate(G, monkeypatch):
     assert dg == DivisionGraph(dg.group_name, dg.components) and dg.group is G
 
 
+def _shuffled(G, seed):
+    relabel = list(range(G.order))
+    random.Random(seed).shuffle(relabel)
+    return dv.relabeled_copy(G, relabel)
+
+
+@pytest.mark.parametrize("G", dv.standard_groups(12) + [_shuffled(dv.alternating(4), 12)],
+                         ids=lambda G: G.name)
+def test_group_seeds_are_the_maps_their_generators_generate(G, monkeypatch):
+    """Evaluated where they are read, the seeds are exactly the non-identity
+    maps that each family's generator maps generate."""
+    calls = []
+
+    def recording(n, arcs, cells, budget, known):
+        calls.append((n, known, canonical_form(n, arcs, cells, budget, known)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(analysis, "canonical_form", recording)
+    certificate(division_graph(G))
+    n, known, seeded = calls.pop()
+    expected = []
+    for family in known:
+        gens = [tuple(family.act(g, v) for v in range(n)) for g in family.gens]
+        group = [tuple(range(n))]
+        for a in group:
+            for b in gens:
+                if (c := tuple(a[x] for x in b)) not in group:
+                    group.append(c)
+        expected += group[1:]
+    assert sorted(tuple(g[v] for v in range(n)) for g in seeded.seeds) == sorted(expected)
+
+
 def test_conjecture_scan_small():
     groups = [dv.cyclic(8), dv.dihedral(4), dv.quaternion8(),
               dv.catalog("product:cyclic:4:cyclic:2"), dv.elementary_abelian(2, 3)]

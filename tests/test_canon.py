@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divgraph import analysis
-from divgraph.canon import _Searcher, canonical_form
+from divgraph.canon import SeedGroup, _Searcher, canonical_form
 from divgraph.errors import (
     CanonicalizationBudgetExceeded,
     InternalInvariantError,
     ResourceCapExceeded,
 )
-from divgraph.groups import catalog, relabeled_copy
+from divgraph.groups import catalog, relabeled_copy, standard_groups
 from divgraph.ust import division_graph
 
 
@@ -370,6 +370,49 @@ def test_smaller_leaf_after_an_equal_prefix_matches_reference(monkeypatch):
         ref._encode_bytes(ref.best_key), ref.best_order, ref.nodes)
 
 
+def _certificate_search(G, monkeypatch):
+    """The arguments and result of the one search ``certificate`` runs."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, canonical_form(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(analysis, "canonical_form", recording)
+    analysis.certificate(division_graph(G))
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("G", standard_groups(8) + [catalog("dihedral:6")],
+                         ids=lambda G: G.name)
+def test_certificate_graphs_match_reference(G, monkeypatch):
+    """Refinement by all but the last part of each split, with the end
+    marker closing every signature list, searches a real certificate graph
+    exactly as full signatures do.  Skipping the largest part instead of the
+    last, or dropping the end marker, makes this test fail."""
+    (n, arcs, cells, *_), _ = _certificate_search(G, monkeypatch)
+    ref = _ReferenceSearcher(n, arcs, cells, budget=10**6).run()
+    new = canonical_form(n, arcs, cells)
+    assert (new.encoding, new.order, new.nodes, new.automorphisms) == (
+        ref._encode_bytes(ref.best_key), ref.best_order, ref.nodes, ref.generators)
+
+
+@pytest.mark.parametrize("descriptor, counters", [
+    ("product:cyclic:2:cyclic:8", (325, 17, 977, 16)),
+    ("product:cyclic:4:cyclic:4", (362, 16, 1271, 15)),
+    ("cyclic:27", (585, 31, 1004, 30)),
+    ("product:cyclic:3:cyclic:9", (664, 30, 1726, 29)),
+    ("alternating:5", (18, 2, 102, 1)),
+    ("symmetric:4", (12, 1, 63, 0)),
+    ("product:alternating:4:cyclic:2", (47, 5, 248, 1)),
+])
+def test_certificate_search_counters_are_pinned(descriptor, counters, monkeypatch):
+    # (nodes, leaves, rounds, automorphisms found) of the seeded search
+    _, result = _certificate_search(catalog(descriptor), monkeypatch)
+    assert (result.nodes, result.leaves, result.rounds, len(result.automorphisms)) == counters
+
+
 def _classes(n, cells):
     cls = [0] * n
     for c, cell in enumerate(cells):
@@ -422,6 +465,27 @@ def _automorphisms(n, arcs, cells):
     return [p for p in permutations(range(n)) if _maps_onto(p, n, arcs, cls, arcs, cls)]
 
 
+def _maps(n, gens):
+    """The group plain vertex maps generate, multiplied by composition."""
+    return SeedGroup(tuple(range(n)), [tuple(g) for g in gens],
+                     lambda a, b: tuple(a[x] for x in b), lambda g, v: g[v], range(n))
+
+
+def _materialized(n, seeds):
+    return sorted(tuple(g[v] for v in range(n)) for g in seeds)
+
+
+def _generated(n, gens):
+    """The non-identity maps the given maps generate, by closure."""
+    identity = tuple(range(n))
+    group = [identity]
+    for a in group:
+        for b in gens:
+            if (c := tuple(a[x] for x in b)) not in group:
+                group.append(c)
+    return group[1:]
+
+
 @settings(max_examples=200, deadline=None)
 @given(labelled_digraphs(max_n=6), st.data())
 def test_oracle_automorphisms_as_seeds_keep_the_encoding(graph, data):
@@ -429,13 +493,14 @@ def test_oracle_automorphisms_as_seeds_keep_the_encoding(graph, data):
     autos = _automorphisms(n, arcs, cells)
     families = data.draw(st.lists(st.lists(st.sampled_from(autos), max_size=3), max_size=3))
     plain = canonical_form(n, arcs, cells)
-    seeded = canonical_form(n, arcs, cells, known=families)
+    seeded = canonical_form(n, arcs, cells, known=[_maps(n, f) for f in families])
     assert seeded.encoding == plain.encoding
-    assert set(map(tuple, seeded.seeds)) <= set(autos) - {tuple(range(n))}
+    assert _materialized(n, seeded.seeds) == sorted(
+        g for f in families for g in _generated(n, f))
     assert 0 <= seeded.max_depth <= n
-    whole = canonical_form(n, arcs, cells, known=[autos])
+    whole = canonical_form(n, arcs, cells, known=[_maps(n, autos)])
     assert whole.encoding == plain.encoding
-    assert set(map(tuple, whole.seeds)) == set(autos) - {tuple(range(n))}
+    assert _materialized(n, whole.seeds) == sorted(set(autos) - {tuple(range(n))})
 
 
 # two 2-cycles, labels 1 and 2; cells {0, 2} and {1, 3}
@@ -446,19 +511,47 @@ _TWO_CYCLES = [(0, 1, 1), (1, 0, 1), (2, 3, 2), (3, 2, 2)]
     (2, 3, 0, 1),  # keeps the cells, swaps the label-1 and label-2 cycles
     (1, 0, 2, 3),  # maps arcs onto arcs, moves 0 into the other cell
     (0, 0, 2, 3),  # not a bijection
-    (0, 1, 2),     # not a map of all four vertices
+    (0, 1, 2, 4),  # sends a vertex outside the graph
 ])
 def test_non_automorphism_seed_raises(seed):
     with pytest.raises(InternalInvariantError, match="not an automorphism"):
-        canonical_form(4, _TWO_CYCLES, [[0, 2], [1, 3]], known=[[(0, 1, 2, 3), seed]])
+        canonical_form(4, _TWO_CYCLES, [[0, 2], [1, 3]], known=[_maps(4, [(0, 1, 2, 3), seed])])
+
+
+# 500 disjoint arcs 2i -> 2i+1, labelled 1 for even i and 2 for odd i, and
+# the isolated vertices 1000 (in the heads' cell) and 1001 (in the tails')
+_ARCS_1002 = [(2 * i, 2 * i + 1, 1 + i % 2) for i in range(500)]
+_CELLS_1002 = [list(range(0, 1000, 2)) + [1001], list(range(1, 1000, 2)) + [1000]]
+
+
+def _swap(support, image):
+    """The group {0, 1} whose element 1 maps ``support`` onto ``image``."""
+    g = dict(zip(support, image))
+    return SeedGroup(0, [1], lambda a, b: (a + b) % 2,
+                     lambda e, v: g.get(v, v) if e else v, support)
+
+
+@pytest.mark.parametrize("support, image", [
+    ([1, 1000], [1000, 1]),        # breaks the one arc into 1, from outside
+    ([0, 1001], [1001, 0]),        # breaks the one arc out of 0, to outside
+    ([0, 1, 2, 3], [2, 3, 0, 1]),  # sends arcs onto arcs of the other label
+    ([0, 1], [2, 3]),              # moves a vertex onto one outside its support
+])
+def test_seeds_are_checked_on_the_arcs_at_their_support(support, image):
+    swap_arcs = _swap([0, 1, 4, 5], [4, 5, 0, 1])  # swaps two label-1 arcs
+    assert len(_Searcher(1002, _ARCS_1002, _CELLS_1002, 10, [swap_arcs]).seeds) == 1
+    with pytest.raises(InternalInvariantError, match="not an automorphism"):
+        _Searcher(1002, _ARCS_1002, _CELLS_1002, 10, [_swap(support, image)])
 
 
 def test_seeds_are_the_group_they_generate():
     # the 6-cycle: one rotation generates all five non-identity rotations
     arcs = [(i, (i + 1) % 6, 1) for i in range(6)]
     rotation = tuple((i + 1) % 6 for i in range(6))
-    result = canonical_form(6, arcs, [list(range(6))], known=[[rotation]])
-    assert len(result.seeds) == 5 and result.automorphisms == []
+    result = canonical_form(6, arcs, [list(range(6))], known=[_maps(6, [rotation])])
+    assert _materialized(6, result.seeds) == sorted(
+        tuple((i + k) % 6 for i in range(6)) for k in range(1, 6))
+    assert result.automorphisms == []
     assert result.encoding == canonical_form(6, arcs, [list(range(6))]).encoding
 
 
@@ -466,7 +559,7 @@ def test_budget_error_names_the_seed_count():
     arcs = [(i, 5 + j, 1) for i in range(5) for j in range(5)]
     swap = (1, 0) + tuple(range(2, 10))
     with pytest.raises(CanonicalizationBudgetExceeded) as info:
-        canonical_form(10, arcs, [list(range(10))], budget=3, known=[[swap]])
+        canonical_form(10, arcs, [list(range(10))], budget=3, known=[_maps(10, [swap])])
     assert str(info.value) == (
         "canonical search exceeded 3 nodes "
         "(at depth 3; 0 leaves and 0 automorphisms found, 1 seeded)"

@@ -502,6 +502,15 @@ def test_minimal_generator_counts():
     assert minimal_generator_count(dv.heisenberg27()) == 2
 
 
+@pytest.mark.parametrize("G", [G for G in dv.standard_groups(32) if G.is_abelian()],
+                         ids=lambda G: G.name)
+def test_minimal_generator_count_of_abelian_groups_by_brute_force(G):
+    smallest = next(r for r in range(G.order) if any(
+        len(closure_from_generators(G, gens)) == G.order
+        for gens in combinations(range(1, G.order), r)))
+    assert minimal_generator_count(G) == smallest
+
+
 def test_normal_and_cyclic_id_helpers(s3):
     L = all_subgroups(s3)
     assert set(normal_subgroup_ids(L)) == {0, 4, 5}
