@@ -118,19 +118,13 @@ def recover_lattice(dg: DivisionGraph) -> LatticeSketch:
     index_of_pair: dict[tuple[int, int], int] = {}
     for _, comp in dg.components:
         sums: dict[tuple[int, int, int], int] = {}
-        for arc in comp.arcs:
-            (low_color, low_idx), (up_color, _), label = arc
+        for (low_color, low_idx), (up_color, _), label in comp.arcs:
             key = (low_color, up_color, low_idx)
             sums[key] = sums.get(key, 0) + label
-        per_pair: dict[tuple[int, int], set[int]] = {}
         for (low_color, up_color, _), total in sums.items():
-            per_pair.setdefault((low_color, up_color), set()).add(total)
-        for pair, totals in per_pair.items():
-            if len(totals) != 1:
-                raise MalformedGraph(f"inconsistent label sums {totals} for pair {pair}")
-            total = totals.pop()
+            pair = (low_color, up_color)
             if index_of_pair.setdefault(pair, total) != total:
-                raise MalformedGraph(f"components disagree on the index of {pair}")
+                raise MalformedGraph(f"label sums disagree on the index of {pair}")
 
     identity = _identity_component(dg)
     total_order = recover_order(dg)
@@ -151,15 +145,11 @@ def recover_lattice(dg: DivisionGraph) -> LatticeSketch:
 
 def recover_normal_colors(dg: DivisionGraph) -> frozenset[int]:
     """Colors whose orbit lengths are constant within every component."""
-    colors = sorted({c for _, comp in dg.components for c in comp.clusters})
-    normal = []
-    for color in colors:
-        if all(
-            len({o.length for o in comp.clusters[color]}) == 1
-            for _, comp in dg.components
-        ):
-            normal.append(color)
-    return frozenset(normal)
+    colors = {c for _, comp in dg.components for c in comp.clusters}
+    return frozenset(
+        color for color in colors
+        if all(lengths[0] == lengths[-1] for lengths in _color_fingerprint(dg, color))
+    )
 
 
 def recover_cyclic_colors(dg: DivisionGraph,
@@ -349,59 +339,29 @@ def analyze(G: Group, L: SubgroupLattice | None = None) -> AnalysisReport:
 
     checks: dict[str, OracleCheck] = {}
 
-    order_direct = G.order
+    def check(name: str, graph_value, direct_value) -> None:
+        checks[name] = OracleCheck(graph_value, direct_value, graph_value == direct_value)
+
     order_graph = sketch.order_of[sketch.full_color]
-    checks["order"] = OracleCheck(order_graph, order_direct, order_graph == order_direct)
-
-    covers_direct = tuple(sorted(L.covers))
-    checks["lattice_covers"] = OracleCheck(
-        sketch.covers, covers_direct, sketch.covers == covers_direct
-    )
-
+    check("order", order_graph, G.order)
+    check("lattice_covers", sketch.covers, tuple(sorted(L.covers)))
     normal_direct = frozenset(normal_subgroup_ids(L))
-    checks["normal_subgroups"] = OracleCheck(
-        normal_colors, normal_direct, normal_colors == normal_direct
-    )
-
-    cyclic_direct = frozenset(cyclic_subgroup_ids(L))
-    checks["cyclic_subgroups"] = OracleCheck(
-        cyclic_colors, cyclic_direct, cyclic_colors == cyclic_direct
-    )
-
-    families_direct = tuple(
-        L.classes[L.cyclic_of[d.representative]]
-        for d, _ in dg.components
-    )
-    checks["decomposition_families"] = OracleCheck(
-        tuple(families), families_direct, tuple(families) == families_direct
-    )
+    check("normal_subgroups", normal_colors, normal_direct)
+    check("cyclic_subgroups", cyclic_colors, frozenset(cyclic_subgroup_ids(L)))
+    check("decomposition_families", tuple(families), tuple(
+        L.classes[L.cyclic_of[d.representative]] for d, _ in dg.components
+    ))
 
     factors_graph = _abelian_from_sketch(sketch, normal_colors, cyclic_colors)
-    abelian_graph = factors_graph is not None
-    abelian_direct = G.is_abelian()
-    factors_direct = invariant_factors_direct(G)
-    graph_invariants = (
-        invariant_factors_from_cyclic_orders(factors_graph) if abelian_graph else None
-    )
-    checks["abelian"] = OracleCheck(
-        abelian_graph, abelian_direct, abelian_graph == abelian_direct
-    )
-    checks["abelian_invariant_factors"] = OracleCheck(
-        graph_invariants, factors_direct, graph_invariants == factors_direct
-    )
+    check("abelian", factors_graph is not None, G.is_abelian())
+    check("abelian_invariant_factors",
+          None if factors_graph is None else invariant_factors_from_cyclic_orders(factors_graph),
+          invariant_factors_direct(G))
 
-    graph_trivial, graph_full = sketch.trivial_color, sketch.full_color
-    simple_graph = order_graph > 1 and not any(
-        c not in (graph_trivial, graph_full) for c in normal_colors
-    )
-    simple_direct = G.order > 1 and normal_direct <= {L.trivial_id, L.full_id}
-    checks["simple"] = OracleCheck(simple_graph, simple_direct, simple_graph == simple_direct)
-
-    mingen_graph = _min_generators_from_sketch(sketch, cyclic_colors)
-    mingen_direct = minimal_generator_count(G)
-    checks["minimal_generators"] = OracleCheck(
-        mingen_graph, mingen_direct, mingen_graph == mingen_direct
-    )
+    check("simple", order_graph > 1 and normal_colors <= {sketch.trivial_color, sketch.full_color},
+          G.order > 1 and normal_direct <= {L.trivial_id, L.full_id})
+    check("minimal_generators", _min_generators_from_sketch(sketch, cyclic_colors),
+          minimal_generator_count(G))
 
     checks["center_order"] = OracleCheck(None, center(G).order, True)
     checks["commutator_order"] = OracleCheck(None, commutator_subgroup(G).order, True)
@@ -410,7 +370,7 @@ def analyze(G: Group, L: SubgroupLattice | None = None) -> AnalysisReport:
 
     return AnalysisReport(
         group_name=G.name,
-        order=order_direct,
+        order=G.order,
         division_count=len(dg.components),
         lattice_sketch=sketch,
         normal_color_ids=normal_colors,
@@ -458,49 +418,39 @@ def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> Certificate:
     search with automorphisms their group gives (``_group_seeds``).
     """
     colors = sorted({c for _, comp in dg.components for c in comp.clusters})
-    comp_count = len(dg.components)
+    color_node = {color: len(dg.components) + i for i, color in enumerate(colors)}
 
-    comp_cells: dict[tuple, list[int]] = {}
+    # the sorted keys order the cells: components, colors, then orbits by length
+    cells: dict[tuple, list[int]] = {}
     for ci, (_, comp) in enumerate(dg.components):
-        comp_cells.setdefault(_component_fingerprint(comp), []).append(ci)
+        cells.setdefault((0, _component_fingerprint(comp)), []).append(ci)
+    for color, node in color_node.items():
+        cells.setdefault((1, _color_fingerprint(dg, color)), []).append(node)
 
-    color_node: dict[int, int] = {
-        color: comp_count + i for i, color in enumerate(colors)
-    }
-    color_cells: dict[tuple, list[int]] = {}
-    for color in colors:
-        color_cells.setdefault(_color_fingerprint(dg, color), []).append(color_node[color])
-
-    vertex_id: dict[tuple[int, int, int], int] = {}
-    length_cells: dict[int, list[int]] = {}
-    next_id = comp_count + len(colors)
+    # orbit oi of cluster (ci, color) is vertex ids[ci, color][oi], one int
+    # object that every arc and cell shares: canon keys dicts by the vertices
+    # of arcs, and a lookup by the stored key object skips comparing values
+    ids: dict[tuple[int, int], list[int]] = {}
+    n = len(dg.components) + len(colors)
     arcs: list[tuple[int, int, int]] = []
     for ci, (_, comp) in enumerate(dg.components):
         for color in sorted(comp.clusters):
-            for oi, orbit in enumerate(comp.clusters[color]):
-                vid = next_id
-                next_id += 1
-                vertex_id[(ci, color, oi)] = vid
-                length_cells.setdefault(orbit.length, []).append(vid)
-                arcs.append((vid, ci, 0))
-                arcs.append((vid, color_node[color], 0))
-        for arc in comp.arcs:
-            (lc, lo), (uc, uo) = arc.lower, arc.upper
-            arcs.append((
-                vertex_id[(ci, lc, lo)], vertex_id[(ci, uc, uo)], arc.label
-            ))
+            ids[ci, color] = cluster = list(range(n, n + len(comp.clusters[color])))
+            for v, orbit in zip(cluster, comp.clusters[color]):
+                cells.setdefault((2, orbit.length), []).append(v)
+                arcs.append((v, ci, 0))
+                arcs.append((v, color_node[color], 0))
+            n += len(cluster)
+        arcs.extend((ids[ci, lc][lo], ids[ci, uc][uo], label)
+                    for (lc, lo), (uc, uo), label in comp.arcs)
 
-    init_cells = (
-        [comp_cells[fp] for fp in sorted(comp_cells)]
-        + [color_cells[fp] for fp in sorted(color_cells)]
-        + [length_cells[length] for length in sorted(length_cells)]
-    )
-    seeds = () if dg.group is None else _group_seeds(dg, vertex_id, color_node, next_id)
-    result = canonical_form(next_id, arcs, init_cells, budget=budget, known=seeds)
+    seeds = () if dg.group is None else _group_seeds(dg, ids, color_node, n)
+    result = canonical_form(n, arcs, [cells[k] for k in sorted(cells)],
+                            budget=budget, known=seeds)
     return Certificate(b"divgraph-cert/1;" + result.encoding)
 
 
-def _group_seeds(dg: DivisionGraph, vertex_id, color_node, n: int) -> list[SeedGroup]:
+def _group_seeds(dg: DivisionGraph, ids, color_node, n: int) -> list[SeedGroup]:
     """Automorphism groups of the certificate graph, acting on an orbit
     vertex Hx<phi> through a member x: left multiplication by s in G sends it
     to (sHs^-1)(sx)<phi> in every component, commuting with <phi> and with
@@ -509,11 +459,11 @@ def _group_seeds(dg: DivisionGraph, vertex_id, color_node, n: int) -> list[SeedG
     its least member).  Both act faithfully on the trivial subgroup's orbits."""
     G, L, spaces, comps = dg.group, dg.lattice, dg.spaces, [c for _, c in dg.components]
     vertex_at, orbit_at, support = {}, {}, [[] for _ in comps]
-    for (ci, sid, oi), v in vertex_id.items():
-        cosets = comps[ci].clusters[sid][oi].cosets
-        vertex_at.update(((ci, sid, c), v) for c in cosets)  # coset -> its orbit vertex
-        orbit_at[v] = (ci, sid, spaces[sid].cosets[cosets[0]][0])
-        support[ci].append(v)
+    for (ci, sid), cluster in ids.items():
+        for v, orbit in zip(cluster, comps[ci].clusters[sid]):
+            vertex_at.update(((ci, sid, c), v) for c in orbit.cosets)  # coset -> its orbit vertex
+            orbit_at[v] = (ci, sid, spaces[sid].cosets[orbit.cosets[0]][0])
+            support[ci].append(v)
     color_sid = {v: sid for sid, v in color_node.items()}
     conj = cache(lambda sid, s: L.conjugate_subgroup(sid, G.inv(s)))  # sHs^-1
 
@@ -656,28 +606,24 @@ def abstract_component(comp: USTComponent) -> AbstractComponent:
     )
 
 
-def component_encoding(component: AbstractComponent, color_key,
-                       budget: int = DEFAULT_BUDGET) -> bytes:
+def component_encoding(component: AbstractComponent, color_key) -> bytes:
     """Canonical bytes of one component with colors pinned (no renaming).
 
     ``color_key`` maps raw colors to sortable tokens; components from
     different graphs compare equal exactly when a color-respecting,
     length- and label-preserving isomorphism exists.
     """
-    colors = sorted(component.clusters, key=color_key)
-    vid: dict[tuple[int, int], int] = {}
+    ids: dict[int, list[int]] = {}  # slot s of color c is vertex ids[c][s]
     cells: dict[tuple, list[int]] = {}
     n = 0
-    for color in colors:
-        for slot, length in enumerate(component.clusters[color]):
-            vid[(color, slot)] = n
-            cells.setdefault((color_key(color), length), []).append(n)
-            n += 1
-    arcs = [
-        (vid[low], vid[up], label) for low, up, label in component.arcs
-    ]
-    result = canonical_form(n, arcs, [cells[k] for k in sorted(cells)], budget=budget)
-    return result.encoding
+    for color in sorted(component.clusters, key=color_key):
+        ids[color] = cluster = list(range(n, n + len(component.clusters[color])))
+        for v, length in zip(cluster, component.clusters[color]):
+            cells.setdefault((color_key(color), length), []).append(v)
+        n += len(cluster)
+    arcs = [(ids[lc][lo], ids[uc][uo], label)
+            for (lc, lo), (uc, uo), label in component.arcs]
+    return canonical_form(n, arcs, [cells[k] for k in sorted(cells)]).encoding
 
 
 # -- division graphs of subgroups and quotients (extraction procedures) -------------
@@ -744,11 +690,11 @@ def quotient_components(dg: DivisionGraph, h_color: int) -> list[AbstractCompone
     return out
 
 
-def dedup_components(components, color_key, budget: int = DEFAULT_BUDGET) -> dict[bytes, AbstractComponent]:
+def dedup_components(components, color_key) -> dict[bytes, AbstractComponent]:
     """Deduplicate by color-fixed canonical encoding."""
     out: dict[bytes, AbstractComponent] = {}
     for comp in components:
-        out.setdefault(component_encoding(comp, color_key, budget=budget), comp)
+        out.setdefault(component_encoding(comp, color_key), comp)
     return out
 
 

@@ -217,15 +217,13 @@ def centralizer(G: Group, elems, L: SubgroupLattice | None = None) -> Subgroup:
     return Subgroup(members, _mask_of(members), -1)
 
 
-def center(G: Group, L: SubgroupLattice | None = None) -> Subgroup:
-    return centralizer(G, G.generating_set(), L)
+def center(G: Group) -> Subgroup:
+    return centralizer(G, G.generating_set())
 
 
-def commutator_subgroup(G: Group, L: SubgroupLattice | None = None) -> Subgroup:
+def commutator_subgroup(G: Group) -> Subgroup:
     """Subgroup generated by all commutators a^-1 b^-1 a b."""
     members = tuple(_derived(G, G.generating_set())[0])
-    if L is not None:
-        return L.subgroups[L.id_of(members)]
     return Subgroup(members, _mask_of(members), -1)
 
 

@@ -284,20 +284,16 @@ def division_graph_to_dot(dg: DivisionGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def division_graph_to_json(dg: DivisionGraph, group: Group | None = None) -> dict:
-    names = group.names if group is not None else None
+def division_graph_to_json(dg: DivisionGraph, group: Group) -> dict:
+    names = group.names
     components = []
     for division, comp in dg.components:
         components.append({
             "division": {
                 "representative": division.representative,
-                "representative_name": (
-                    names[division.representative] if names else None
-                ),
+                "representative_name": names[division.representative],
                 "members": list(division.members),
-                "member_names": (
-                    [names[g] for g in division.members] if names else None
-                ),
+                "member_names": [names[g] for g in division.members],
                 "united_classes": list(division.classes),
                 "common_order": division.common_order,
             },

@@ -513,3 +513,46 @@ def test_recover_order_rejects_malformed():
     broken = DivisionGraph(dg.group_name, dg.components[1:])
     with pytest.raises(MalformedGraph):
         recover_order(broken)
+
+
+def _with_component(dg, ci, comp):
+    comps = list(dg.components)
+    comps[ci] = (comps[ci][0], comp)
+    return DivisionGraph(dg.group_name, tuple(comps))
+
+
+def test_recover_lattice_rejects_inconsistent_label_sums():
+    """In cyclic:4 the division [2] has two orbits of length 2 on the
+    trivial subgroup's cosets, each over its own length-1 orbit of the
+    order-2 subgroup by an arc of label 2.  Changing one of those labels
+    makes the label sums of that component disagree."""
+    from dataclasses import replace
+    from divgraph.errors import MalformedGraph
+
+    dg = division_graph(dv.cyclic(4))
+    ci = next(i for i, (d, _) in enumerate(dg.components) if d.representative == 2)
+    comp = dg.components[ci][1]
+    k = next(k for k, arc in enumerate(comp.arcs) if arc.label == 2)
+    arcs = list(comp.arcs)
+    arcs[k] = arcs[k]._replace(label=1)
+    with pytest.raises(MalformedGraph):
+        recover_lattice(_with_component(dg, ci, replace(comp, arcs=tuple(arcs))))
+
+
+def test_recover_lattice_rejects_components_that_disagree_on_an_index():
+    """Doubling every label of one cover pair in one component keeps that
+    component's sums consistent but gives it another index than the rest."""
+    from dataclasses import replace
+    from divgraph.errors import MalformedGraph
+
+    dg = division_graph(dv.cyclic(4))
+    ci = next(i for i, (d, _) in enumerate(dg.components) if d.representative == 2)
+    comp = dg.components[ci][1]
+    pair = next((a.lower[0], a.upper[0]) for a in comp.arcs if a.label == 2)
+    arcs = tuple(
+        a._replace(label=2 * a.label) if (a.lower[0], a.upper[0]) == pair else a
+        for a in comp.arcs
+    )
+    broken = _with_component(dg, ci, replace(comp, arcs=arcs))
+    with pytest.raises(MalformedGraph):
+        recover_lattice(broken)

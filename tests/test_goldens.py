@@ -4,7 +4,8 @@ Comparison is structural: per division subgraph, the multiset of vertex
 (color, length) attributes and the multiset of labeled edges, after the
 canonical sort the exporter already applies.  Full byte equality is also
 asserted since the output is deterministic.  The same groups' certificate
-bytes are pinned by sha256.
+bytes are pinned by sha256, and so is the stdout of ``analyze`` and of
+``division-graph --format json`` on them and on symmetric:4.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 import divgraph as dv
 from divgraph.analysis import certificate
+from divgraph.cli import run
 from divgraph.ust import division_graph, division_graph_to_dot
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -74,3 +76,32 @@ def test_certificate_bytes_pinned(descriptor):
     data = certificate(division_graph(dv.catalog(descriptor))).data
     assert data.startswith(b"divgraph-cert/1;")
     assert hashlib.sha256(data).hexdigest() == CERTIFICATE_SHA256[descriptor]
+
+
+#: sha256 of the stdout of ``analyze`` and of ``division-graph --format json``.
+STDOUT_SHA256 = {
+    ("cyclic:2", "analyze"): "2d310a47916bcdca5d92358b2f7f68a3fd0338ea5c2186221714e976c8e268d9",
+    ("cyclic:2", "division-graph"): "d1414fe61e321e64abfec2faf9cd0cca352969afd4a612f917010de3332052fc",
+    ("cyclic:3", "analyze"): "1151bfadc43976d7c3bd9a651cd485583f518461ae8929e0d126495202c4344b",
+    ("cyclic:3", "division-graph"): "603f675d5fb945b037775769e447b358c5443a52de038635593fdbd61ed712a5",
+    ("cyclic:5", "analyze"): "0ca5e59ef03a450b5d9236eaf2ee2a3b853b3ff422e43b5930c8f43ad8188bcd",
+    ("cyclic:5", "division-graph"): "de328d930e77d345f7c4ea7b5040a7b733d7a57709680c2968dfe6cfa8d2e4db",
+    ("cyclic:4", "analyze"): "7444cf108c4757b4417480b7d50a68e19b032ac0ffdd57895ad77ba1b990dbe7",
+    ("cyclic:4", "division-graph"): "e507c6738d226eb96e489d894039941e818a6caadd7d1f19a144ddefcd6935fc",
+    ("klein4", "analyze"): "4cba1632639d7d3ef9b421969063bd8c67b01d0469e17cbddb0b75183c9e2e7f",
+    ("klein4", "division-graph"): "d0dc3054d3478f33d4d8d2f081b21db32f23deeacdca6a5fa16454bc44bbeb09",
+    ("symmetric:3", "analyze"): "019793dd853303c7fa2755c0bcfcc286dc1ff7c476ed360656eabce0951d9583",
+    ("symmetric:3", "division-graph"): "243ffd796aa14671bcafb7a46911c9daf85322de9d35d32f9e4ba08cb190ba36",
+    ("quaternion8", "analyze"): "16001a95b26c0e462e6a47d00369def5be3d6ae5c7871f4e0db8a943b57468c0",
+    ("quaternion8", "division-graph"): "f875ad9ea05e49f101c7b1dc5a063f3de64f62c010a2d06e20f6fc6500bf3a7a",
+    ("symmetric:4", "analyze"): "74d6822c61f38a24a738a0f5fa46dde6207f8ec8351c6366271ccfde972c3dc4",
+    ("symmetric:4", "division-graph"): "e125ba22618af5a617770a4ed630b11010a28fedb0163b28c672addd94b9df5e",
+}
+
+
+@pytest.mark.parametrize("descriptor,command", sorted(STDOUT_SHA256))
+def test_stdout_bytes_pinned(descriptor, command, capsys):
+    extra = ["--format", "json"] if command == "division-graph" else []
+    assert run([command, "--catalog", descriptor, *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[descriptor, command]

@@ -379,6 +379,35 @@ def test_lagarias_q8(q8):
     assert verify_lagarias(q8).passed
 
 
+def test_lagarias_reports_merged_divisions(monkeypatch):
+    """Merging the divisions [1] = {1, 3} and [2] of cyclic:4 puts 2, whose
+    splitting type differs, in the division of 1."""
+    G = dv.cyclic(4)
+    identity, gens, two = dv.divisions(G)
+    merged = dv.Division(gens.representative, (1, 2, 3), gens.classes + two.classes,
+                         gens.common_order)
+    monkeypatch.setattr(ust, "divisions", lambda G: [identity, merged])
+    report = verify_lagarias(G)
+    assert report.violations == (
+        (G.names[1], G.names[2], "same division but different splitting types"),
+    )
+
+
+def test_lagarias_reports_split_divisions(monkeypatch):
+    """Splitting the generators of cyclic:5 into {1, 2} and {3, 4} leaves 3
+    and 4 with the splitting type of 1 but in another division."""
+    G = dv.cyclic(5)
+    identity, gens = dv.divisions(G)
+    halves = [dv.Division(members[0], members, members, gens.common_order)
+              for members in ((1, 2), (3, 4))]
+    monkeypatch.setattr(ust, "divisions", lambda G: [identity, *halves])
+    report = verify_lagarias(G)
+    assert report.violations == tuple(
+        (G.names[1], G.names[g], "same splitting type but different divisions")
+        for g in (3, 4)
+    )
+
+
 def test_lagarias_abelian_up_to_64():
     for G in [dv.cyclic(n) for n in (8, 12, 36, 64)] + [
         dv.elementary_abelian(2, 4),
