@@ -48,7 +48,7 @@ from .ust import DivisionGraph, USTComponent, division_graph
 def _identity_component(dg: DivisionGraph) -> USTComponent:
     all_one = [
         comp for _, comp in dg.components
-        if all(arc.label == 1 for arc in comp.arcs)
+        if comp.arcs.labels.count(1) == len(comp.arcs)
     ]
     if len(all_one) != 1:
         raise MalformedGraph(
@@ -59,8 +59,7 @@ def _identity_component(dg: DivisionGraph) -> USTComponent:
 
 def recover_order(dg: DivisionGraph) -> int:
     """|G|: the size of the top cluster where the base prime splits completely."""
-    comp = _identity_component(dg)
-    return max(len(orbits) for orbits in comp.clusters.values())
+    return max(map(len, _identity_component(dg).clusters.values()))
 
 
 @dataclass(frozen=True)
@@ -117,17 +116,17 @@ def recover_lattice(dg: DivisionGraph) -> LatticeSketch:
 
     index_of_pair: dict[tuple[int, int], int] = {}
     for _, comp in dg.components:
-        sums: dict[tuple[int, int, int], int] = {}
-        for (low_color, low_idx), (up_color, _), label in comp.arcs:
-            key = (low_color, up_color, low_idx)
+        sums: dict[tuple[tuple[int, int], int], int] = {}
+        for low, up, label in zip(comp.arcs.lower, comp.arcs.upper, comp.arcs.labels):
+            key = (low, up[0])
             sums[key] = sums.get(key, 0) + label
-        for (low_color, up_color, _), total in sums.items():
+        for ((low_color, _), up_color), total in sums.items():
             pair = (low_color, up_color)
             if index_of_pair.setdefault(pair, total) != total:
                 raise MalformedGraph(f"label sums disagree on the index of {pair}")
 
     identity = _identity_component(dg)
-    total_order = recover_order(dg)
+    total_order = max(map(len, identity.clusters.values()))  # recover_order(dg)
     order_of = {}
     for color in colors:
         cosets = len(identity.clusters[color])
@@ -395,7 +394,7 @@ def _component_fingerprint(comp: USTComponent) -> tuple:
     cluster_profile = tuple(sorted(
         tuple(sorted(o.length for o in orbits)) for orbits in comp.clusters.values()
     ))
-    labels = tuple(sorted(arc.label for arc in comp.arcs))
+    labels = tuple(sorted(comp.arcs.labels))
     return (cluster_profile, labels)
 
 
@@ -434,15 +433,17 @@ def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> Certificate:
     n = len(dg.components) + len(colors)
     arcs: list[tuple[int, int, int]] = []
     for ci, (_, comp) in enumerate(dg.components):
+        at = {}  # color -> ids[ci, color]
         for color in sorted(comp.clusters):
-            ids[ci, color] = cluster = list(range(n, n + len(comp.clusters[color])))
+            ids[ci, color] = at[color] = cluster = list(range(n, n + len(comp.clusters[color])))
             for v, orbit in zip(cluster, comp.clusters[color]):
                 cells.setdefault((2, orbit.length), []).append(v)
                 arcs.append((v, ci, 0))
                 arcs.append((v, color_node[color], 0))
             n += len(cluster)
-        arcs.extend((ids[ci, lc][lo], ids[ci, uc][uo], label)
-                    for (lc, lo), (uc, uo), label in comp.arcs)
+        table = comp.arcs
+        arcs += zip([at[c][o] for c, o in table.lower], [at[c][o] for c, o in table.upper],
+                    table.labels)
 
     seeds = () if dg.group is None else _group_seeds(dg, ids, color_node, n)
     result = canonical_form(n, arcs, [cells[k] for k in sorted(cells)],

@@ -74,9 +74,13 @@ class _Searcher:
         self.budget = budget
         self.nodes = self.leaves = self.rounds = self.max_depth = 0
         arcs = list(arcs)
+        # one int object per vertex, whatever the caller's arcs hold: _refine
+        # keys dicts by vertex, and a lookup by the stored key skips comparing
+        self.vertices = vertex = list(range(n))
         self.out = [[] for _ in range(n)]
         self.in_ = [[] for _ in range(n)]
         for u, v, label in arcs:
+            u, v = vertex[u], vertex[v]
             self.out[u].append((label, v))
             self.in_[v].append((label, u))
 
@@ -183,7 +187,7 @@ class _Searcher:
     def run(self) -> CanonicalResult:
         cell_at, cell_of = [None] * self.n, [0] * self.n
         by_class: dict[int, list[int]] = {}
-        for v in range(self.n):
+        for v in self.vertices:
             by_class.setdefault(self.init_class[v], []).append(v)
         s = 0
         for ci in sorted(by_class):
@@ -191,8 +195,8 @@ class _Searcher:
             for v in by_class[ci]:
                 cell_of[v] = s
             s += len(by_class[ci])
-        self._refine(cell_at, cell_of, range(self.n), ())
-        stack = [self._search(cell_at, cell_of, ())]
+        self._refine(cell_at, cell_of, self.vertices, ())
+        stack = [self._search(cell_at, cell_of, (), [], 0)]
         while stack:
             child = next(stack[-1], None)
             if child is None:
@@ -205,9 +209,12 @@ class _Searcher:
             self.nodes, self.leaves, self.rounds, self.max_depth,
         )
 
-    def _search(self, cell_at, cell_of, prefix):
+    def _search(self, cell_at, cell_of, prefix, fixed, known):
         """One search node, yielding its children's arguments in visiting
-        order; ``run`` finishes each child's subtree before resuming it."""
+        order; ``run`` finishes each child's subtree before resuming it.
+        ``fixed`` lists the elements among the first ``known`` generators
+        fixing the parent's prefix pointwise: the node keeps those fixing its
+        last vertex, and tests only later generators on the whole prefix."""
         self.nodes += 1
         depth = len(prefix)
         self.max_depth = max(self.max_depth, depth)
@@ -241,15 +248,18 @@ class _Searcher:
             self._handle_leaf(cells, prefix)
             return
 
+        if prefix:
+            fixed = [g for g in fixed if g[prefix[-1]] == prefix[-1]]
         explored: list[int] = []
         orbit_of = None
-        orbit_gen_count = -1
         start = cell_of[target[0]]
         for v in target:
             if explored:
-                if orbit_gen_count != len(self.generators):
-                    orbit_of = self._cell_orbits(target, prefix)
-                    orbit_gen_count = len(self.generators)
+                if orbit_of is None or known < len(self.generators):
+                    fixed += [g for g in self.generators[known:]
+                              if all(g[p] == p for p in prefix)]
+                    known = len(self.generators)
+                    orbit_of = self._cell_orbits(target, fixed)
                 if orbit_of is not None:
                     root = orbit_of[v]
                     if any(orbit_of[u] == root for u in explored):
@@ -261,23 +271,20 @@ class _Searcher:
             for w in rest:
                 child_of[w] = start + 1
             self._refine(child_at, child_of, [v])
-            yield child_at, child_of, prefix + (v,)
+            yield child_at, child_of, prefix + (v,), fixed, known
             if self._bounce is not None:
                 if self._bounce < depth:
                     return  # a discovered automorphism covers this whole subtree
                 self._bounce = None
 
-    def _cell_orbits(self, cell, prefix):
-        """Orbit representative per cell member under the discovered
-        automorphisms fixing the prefix pointwise; None when there are none.
+    def _cell_orbits(self, cell, useful):
+        """Orbit representative per cell member under the automorphisms
+        ``useful``, those fixing the prefix pointwise; None when there are none.
 
         Automorphisms fixing the prefix stabilize every cell of this node's
         partition setwise (the partition is a deterministic function of the
         prefix), so the orbit walk never leaves the cell.
         """
-        useful = [
-            g for g in self.generators if all(g[p] == p for p in prefix)
-        ]
         if not useful:
             return None
         orbit_of: dict[int, int] = {}

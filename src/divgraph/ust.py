@@ -10,8 +10,9 @@ The disjoint union over all divisions is the group's division graph.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
 from .divisions import Division, divisions
@@ -20,7 +21,7 @@ from .groups import Group, right_coset_partition
 from .lattice import SubgroupLattice, all_subgroups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CosetSpace:
     subgroup_id: int
     cosets: tuple[tuple[int, ...], ...]
@@ -30,7 +31,7 @@ class CosetSpace:
         return len(self.cosets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Orbit:
     cosets: tuple[int, ...]
     length: int
@@ -42,20 +43,49 @@ class Arc(NamedTuple):
     label: int
 
 
+class ArcTable(Sequence):
+    """Arcs as three columns: arc i runs from ``lower[i]`` up to ``upper[i]``
+    with label ``labels[i]``.  Iterating or indexing yields ``Arc``s, and a
+    table equals the tuple of its arcs."""
+
+    __slots__ = ("lower", "upper", "labels")
+
+    def __init__(self, lower: tuple = (), upper: tuple = (), labels: tuple[int, ...] = ()):
+        self.lower, self.upper, self.labels = lower, upper, labels
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        return map(Arc, self.lower, self.upper, self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return Arc(self.lower[i], self.upper[i], self.labels[i])
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, ArcTable) else other)
+
+    def __repr__(self) -> str:
+        return f"ArcTable({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class USTComponent:
     division_rep: int
     clusters: dict[int, tuple[Orbit, ...]]
-    arcs: tuple[Arc, ...]
+    arcs: ArcTable  # given any sequence of Arcs, held as its table
+
+    def __post_init__(self):
+        if not isinstance(self.arcs, ArcTable):
+            object.__setattr__(self, "arcs", ArcTable(*zip(*self.arcs)))
 
     def cluster_sizes(self) -> dict[int, int]:
         return {sid: len(orbits) for sid, orbits in self.clusters.items()}
 
     def label_multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for arc in self.arcs:
-            out[arc.label] = out.get(arc.label, 0) + 1
-        return out
+        return dict(Counter(self.arcs.labels))
 
     def vertex_count(self) -> int:
         return sum(len(orbits) for orbits in self.clusters.values())
@@ -134,8 +164,10 @@ def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
     cycles, orbit_of_coset = zip(*(_cycles(cs, right) for cs in spaces))
     clusters = {sid: tuple(Orbit(tuple(sorted(c)), len(c)) for c in cycles[sid])
                 for sid in range(len(spaces))}
-
-    arcs = []
+    # orbit k of H_sid has one end (sid, k), shared by every arc at it; arcs
+    # come in cover order, then by upper orbit, as columns with no object per arc
+    ends = [tuple((sid, k) for k in range(len(c))) for sid, c in enumerate(cycles)]
+    lower, upper, labels = [], [], []
     for (low_id, up_id, index), projection in zip(L.covers, projections):
         low_of = orbit_of_coset[low_id]
         projected = [low_of[c] for c in projection]
@@ -149,26 +181,26 @@ def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
             )
         low_orbits = clusters[low_id]
         sums = [0] * len(low_orbits)
-        for up_idx, (up_orbit, low_idx) in enumerate(zip(up_orbits, targets)):
-            low_len = low_orbits[low_idx].length
-            if up_orbit.length % low_len:
+        for up_orbit, low_idx in zip(up_orbits, targets):
+            label, rest = divmod(up_orbit.length, low_orbits[low_idx].length)
+            if rest:
                 raise InternalInvariantError(
-                    f"non-integer relative degree {up_orbit.length}/{low_len}"
+                    f"non-integer relative degree {up_orbit.length}/{low_orbits[low_idx].length}"
                 )
-            label = up_orbit.length // low_len
             sums[low_idx] += label
-            arcs.append(Arc((low_id, low_idx), (up_id, up_idx), label))
+            labels.append(label)
         if any(s != index for s in sums):
             raise InternalInvariantError(
                 f"arc labels from H{low_id} to H{up_id} sum to {sums}, "
                 f"expected the relative index {index}"
             )
+        lower += map(ends[low_id].__getitem__, targets)
+        upper += ends[up_id]
 
     base = clusters[L.full_id]
     if len(base) != 1 or base[0].length != 1:
         raise InternalInvariantError("base cluster must be a single length-1 orbit")
-    # L.covers is sorted, so a stable sort by the lower end orders arcs fully
-    return USTComponent(phi, clusters, tuple(sorted(arcs, key=itemgetter(0))))
+    return USTComponent(phi, clusters, ArcTable(tuple(lower), tuple(upper), tuple(labels)))
 
 
 def division_graph(G: Group, L: SubgroupLattice | None = None) -> DivisionGraph:

@@ -88,6 +88,17 @@ def test_recover_order_q8_and_s3(q8, s3):
     assert recover_order(division_graph(dv.cyclic(1))) == 1
 
 
+def test_recover_lattice_finds_the_identity_component_once(monkeypatch):
+    found = []
+    original = analysis._identity_component
+    monkeypatch.setattr(analysis, "_identity_component",
+                        lambda dg: found.append(dg) or original(dg))
+    dg = division_graph(dv.symmetric(4))
+    sketch = recover_lattice(dg)
+    assert found == [dg]
+    assert sketch.order_of[sketch.full_color] == 24
+
+
 def test_s3_normal_colors_by_name(s3):
     L = all_subgroups(s3)
     dg = division_graph(s3, L)

@@ -252,7 +252,9 @@ class _ReferenceSearcher(_Searcher):
         for v in cells[target]:
             if explored:
                 if orbit_gen_count != len(self.generators):
-                    orbit_of = self._cell_orbits(cells[target], prefix)
+                    orbit_of = self._cell_orbits(cells[target], [
+                        g for g in self.generators if all(g[p] == p for p in prefix)
+                    ])
                     orbit_gen_count = len(self.generators)
                 if orbit_of is not None:
                     root = orbit_of[v]

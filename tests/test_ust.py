@@ -1,3 +1,7 @@
+import random
+import tracemalloc
+from types import SimpleNamespace
+
 import pytest
 
 import divgraph as dv
@@ -6,6 +10,9 @@ from divgraph.analysis import abstract_component, component_encoding
 from divgraph.errors import InternalInvariantError
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, is_normal
 from divgraph.ust import (
+    Arc,
+    ArcTable,
+    USTComponent,
     division_graph,
     orbit_decomposition,
     right_cosets,
@@ -349,6 +356,128 @@ def test_tampered_projection_raises(s4):
             f"^orbit {comp.clusters[up_id].index(up_orbit)} of H{up_id} "
             f"projects onto several orbits of H{low_id}$")):
         ust._component(s4, L, spaces, tampered, phi)
+
+
+def _tamper_setup(s4):
+    L = all_subgroups(s4)
+    spaces = [right_cosets(s4, L, s.id) for s in L.subgroups]
+    phi = next(g for g in s4.elements() if s4.element_order(g) == 4)
+    return L, spaces, ust._projections(L, spaces), phi
+
+
+def test_non_integer_relative_degree_raises(s4):
+    """Sending a whole orbit into a longer orbit below keeps each orbit on
+    one orbit below, but its length is no multiple of the one below."""
+    L, spaces, projections, phi = _tamper_setup(s4)
+    comp = ust._component(s4, L, spaces, projections, phi)
+    for i, (low_id, up_id, _) in enumerate(L.covers):
+        longest = max(comp.clusters[low_id], key=lambda o: o.length)
+        up_orbit = next((o for o in comp.clusters[up_id] if o.length % longest.length), None)
+        if up_orbit is not None:
+            break
+    tampered = [list(p) for p in projections]
+    for c in up_orbit.cosets:
+        tampered[i][c] = longest.cosets[0]
+    with pytest.raises(InternalInvariantError, match=(
+            f"^non-integer relative degree {up_orbit.length}/{longest.length}$")):
+        ust._component(s4, L, spaces, tampered, phi)
+
+
+def test_label_sums_off_the_cover_index_raise(s4):
+    L, spaces, projections, phi = _tamper_setup(s4)
+    low_id, up_id, index = L.covers[0]
+    wrong = SimpleNamespace(covers=[(low_id, up_id, index + 1)] + L.covers[1:],
+                            full_id=L.full_id)
+    with pytest.raises(InternalInvariantError, match=(
+            f"^arc labels from H{low_id} to H{up_id} sum to \\[.*\\], "
+            f"expected the relative index {index + 1}$")):
+        ust._component(s4, wrong, spaces, projections, phi)
+
+
+# -- arc columns ---------------------------------------------------------------------
+
+
+def test_arc_table_is_the_tuple_of_its_arcs():
+    arcs = (Arc((0, 0), (1, 0), 2), Arc((0, 0), (1, 1), 1), Arc((2, 1), (1, 1), 3))
+    table = USTComponent(0, {}, arcs).arcs
+    assert tuple(table) == arcs and len(table) == 3
+    assert all(type(arc) is Arc for arc in table)
+    assert (table[0], table[-1], table[1:]) == (arcs[0], arcs[-1], arcs[1:])
+    assert table == arcs and table == ArcTable(*zip(*arcs)) and table != arcs[:2]
+    assert table.lower == ((0, 0), (0, 0), (2, 1)) and table.labels == (2, 1, 3)
+    assert arcs[2] in table and table.index(arcs[1]) == 1
+    assert isinstance(table, ArcTable) and USTComponent(0, {}, table).arcs is table
+    assert USTComponent(0, {}, ()).arcs == () and not USTComponent(0, {}, []).arcs
+    assert USTComponent(0, {}, table).label_multiset() == {2: 1, 1: 1, 3: 1}
+
+
+def test_each_orbit_vertex_has_one_shared_end():
+    for _, comp in division_graph(dv.catalog("symmetric:4")).components:
+        ends = {}
+        for end in comp.arcs.lower + comp.arcs.upper:
+            assert ends.setdefault(end, end) is end
+        assert set(ends) == {(sid, k) for sid, orbits in comp.clusters.items()
+                             for k in range(len(orbits))}
+
+
+def _oracle_arcs(G, L, dg, comp):
+    """The arcs of ``comp`` from the subgroups' members alone: per cover
+    (H, K) and per <phi>-orbit on K\\G, one arc to the H-orbit holding the
+    image of the orbit's first coset, labelled by the ratio of the orbit
+    lengths.  Only the orbits' numbers are read off ``comp``."""
+    phi = comp.division_rep
+
+    def orbit(sid, g):  # the <phi>-orbit of H_sid g, as element sets from H_sid g
+        members, cosets, x = L.subgroups[sid].members, [], g
+        while not cosets or x not in cosets[0]:
+            cosets.append(frozenset(G.mul(h, x) for h in members))
+            x = G.mul(x, phi)
+        return cosets
+
+    def number(sid, cosets):
+        (k,) = {k for k, o in enumerate(comp.clusters[sid]) for c in o.cosets
+                if set(dg.spaces[sid].cosets[c]) in cosets}
+        return k
+
+    arcs = []
+    for low, up, _ in L.covers:
+        done = set()
+        for g in G.elements():
+            if g not in done:
+                up_orbit = orbit(up, g)
+                done.update(*up_orbit)
+                low_orbit = orbit(low, min(up_orbit[0]))
+                assert len(up_orbit) % len(low_orbit) == 0
+                arcs.append(Arc((low, number(low, low_orbit)), (up, number(up, up_orbit)),
+                                len(up_orbit) // len(low_orbit)))
+    return sorted(arcs)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "symmetric:4", "dihedral:6", "product:cyclic:2:cyclic:4",
+])
+def test_arcs_match_an_orbit_oracle_on_relabelled_groups(descriptor):
+    G = dv.catalog(descriptor)
+    relabel = list(range(G.order))
+    random.Random(descriptor).shuffle(relabel)
+    G = dv.relabeled_copy(G, relabel)
+    L = all_subgroups(G)
+    dg = division_graph(G, L)
+    for _, comp in dg.components:
+        assert sorted(comp.arcs) == _oracle_arcs(G, L, dg, comp)
+
+
+def test_symmetric_5_division_graph_memory():
+    """Shared ends and no object per arc: the graph of symmetric:5 (68,825
+    arcs), its lattice and coset spaces peak under 8 MiB of allocations."""
+    G = dv.catalog("symmetric:5")
+    tracemalloc.start()
+    try:
+        division_graph(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- Lagarias equivalence ------------------------------------------------------------
