@@ -39,7 +39,7 @@ from .lattice import (
     normalizer,
     prime_factorization,
 )
-from .ust import DivisionGraph, USTComponent, division_graph
+from .ust import ArcTable, DivisionGraph, USTComponent, division_graph
 
 
 # -- graph-only extraction ----------------------------------------------------
@@ -597,13 +597,13 @@ class AbstractComponent:
     color plus labeled arcs between (color, slot) pairs."""
 
     clusters: dict[int, tuple[int, ...]]
-    arcs: tuple[tuple[tuple[int, int], tuple[int, int], int], ...]
+    arcs: ArcTable
 
 
 def abstract_component(comp: USTComponent) -> AbstractComponent:
     return AbstractComponent(
         {color: tuple(o.length for o in orbits) for color, orbits in comp.clusters.items()},
-        tuple((arc.lower, arc.upper, arc.label) for arc in comp.arcs),
+        comp.arcs,
     )
 
 
@@ -614,13 +614,14 @@ def component_encoding(component: AbstractComponent, color_key) -> bytes:
     different graphs compare equal exactly when a color-respecting,
     length- and label-preserving isomorphism exists.
     """
+    keys = {color: color_key(color) for color in component.clusters}
     ids: dict[int, list[int]] = {}  # slot s of color c is vertex ids[c][s]
     cells: dict[tuple, list[int]] = {}
     n = 0
-    for color in sorted(component.clusters, key=color_key):
+    for color in sorted(keys, key=keys.__getitem__):
         ids[color] = cluster = list(range(n, n + len(component.clusters[color])))
         for v, length in zip(cluster, component.clusters[color]):
-            cells.setdefault((color_key(color), length), []).append(v)
+            cells.setdefault((keys[color], length), []).append(v)
         n += len(cluster)
     arcs = [(ids[lc][lo], ids[uc][uo], label)
             for (lc, lo), (uc, uo), label in component.arcs]
@@ -630,64 +631,64 @@ def component_encoding(component: AbstractComponent, color_key) -> bytes:
 # -- division graphs of subgroups and quotients (extraction procedures) -------------
 
 
-def restricted_components(dg: DivisionGraph, h_color: int,
-                          sketch: LatticeSketch | None = None) -> list[AbstractComponent]:
+def _walk(frm, to, starts) -> dict:
+    """Each vertex reached from ``starts`` along the arcs from ``frm[i]`` to
+    ``to[i]``, mapped to the start it was first reached from."""
+    step: dict = {}
+    for v, w in zip(frm, to):
+        step.setdefault(v, []).append(w)
+    start_of, frontier = {v: v for v in starts}, list(starts)
+    while frontier:
+        v = frontier.pop()
+        for w in step.get(v, ()):
+            if w not in start_of:
+                start_of[w] = start_of[v]
+                frontier.append(w)
+    return start_of
+
+
+def restricted_components(dg: DivisionGraph, h_color: int) -> list[AbstractComponent]:
     """Splitting types of the primes of color ``h_color``, rescaled to that
     base; after deduplication these are the components of the subgroup's own
-    division graph."""
-    if sketch is None:
-        sketch = recover_lattice(dg)
-    sub_colors = {c for c in sketch.colors if sketch.contains(h_color, c)}
+    division graph.  The walk up from each base orbit reaches exactly the
+    orbits over it of the colors of H's subgroups: each K <= H lies above H
+    along covers, and every projection is onto."""
     out = []
     for _, comp in dg.components:
-        upward: dict[tuple[int, int], list] = {}
-        for arc in comp.arcs:
-            upward.setdefault(arc.lower, []).append(arc)
-        for base_idx, base_orbit in enumerate(comp.clusters[h_color]):
-            reached = {(h_color, base_idx)}
-            frontier = [(h_color, base_idx)]
-            arcs = []
-            while frontier:
-                node = frontier.pop()
-                for arc in upward.get(node, ()):
-                    arcs.append(arc)
-                    if arc.upper not in reached:
-                        reached.add(arc.upper)
-                        frontier.append(arc.upper)
-            base_len = base_orbit.length
-            clusters: dict[int, list[int]] = {c: [] for c in sub_colors}
-            slot_of: dict[tuple[int, int], tuple[int, int]] = {}
-            for color, idx in sorted(reached):
-                length = comp.clusters[color][idx].length
-                if length % base_len:
-                    raise MalformedGraph("orbit length not divisible by base length")
-                slot_of[(color, idx)] = (color, len(clusters[color]))
-                clusters[color].append(length // base_len)
-            new_arcs = tuple(sorted(
-                (slot_of[arc.lower], slot_of[arc.upper], arc.label) for arc in arcs
-            ))
-            out.append(AbstractComponent(
-                {c: tuple(v) for c, v in clusters.items()}, new_arcs
-            ))
+        arcs, base = comp.arcs, comp.clusters[h_color]
+        start_of = _walk(arcs.lower, arcs.upper, [(h_color, b) for b in range(len(base))])
+        clusters: list[dict[int, list[int]]] = [{} for _ in base]
+        slot_of: dict[tuple[int, int], tuple[int, int]] = {}
+        for (color, idx), (_, b) in sorted(start_of.items()):
+            length, rest = divmod(comp.clusters[color][idx].length, base[b].length)
+            if rest:
+                raise MalformedGraph("orbit length not divisible by base length")
+            cluster = clusters[b].setdefault(color, [])
+            slot_of[(color, idx)] = (color, len(cluster))
+            cluster.append(length)
+        base_arcs: list[list] = [[] for _ in base]
+        for low, up, label in zip(arcs.lower, arcs.upper, arcs.labels):
+            if low in start_of:
+                base_arcs[start_of[low][1]].append((slot_of[low], slot_of[up], label))
+        out += (AbstractComponent({c: tuple(v) for c, v in cs.items()}, ArcTable(*zip(*a)))
+                for cs, a in zip(clusters, base_arcs))
     return out
 
 
 def quotient_components(dg: DivisionGraph, h_color: int) -> list[AbstractComponent]:
     """Splitting patterns that stop at color ``h_color``; after deduplication
-    these are the components of the quotient's division graph."""
-    sketch = recover_lattice(dg)
-    over_colors = {c for c in sketch.colors if sketch.contains(c, h_color)}
+    these are the components of the quotient's division graph.  The walk
+    down from H's orbits reaches every orbit of each K >= H: K lies below H
+    along covers, and every projection is onto."""
     out = []
     for _, comp in dg.components:
-        clusters = {
-            c: tuple(o.length for o in comp.clusters[c]) for c in over_colors
-        }
-        arcs = tuple(sorted(
-            (arc.lower, arc.upper, arc.label)
-            for arc in comp.arcs
-            if arc.lower[0] in over_colors and arc.upper[0] in over_colors
-        ))
-        out.append(AbstractComponent(clusters, arcs))
+        arcs = comp.arcs
+        starts = [(h_color, k) for k in range(len(comp.clusters[h_color]))]
+        reached = _walk(arcs.upper, arcs.lower, starts)
+        clusters = {c: tuple(o.length for o in comp.clusters[c])
+                    for c in {color for color, _ in reached}}
+        kept = [a for a in zip(arcs.lower, arcs.upper, arcs.labels) if a[1] in reached]
+        out.append(AbstractComponent(clusters, ArcTable(*zip(*kept))))
     return out
 
 

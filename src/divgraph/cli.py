@@ -30,18 +30,17 @@ from .errors import (
 
 def _load_group(args, spec: str | None = None) -> groups.Group:
     """Resolve one group from --catalog/--input or a positional spec."""
-    cap = args.order_cap
-    if spec is not None:
-        if spec.endswith(".json") or "/" in spec or Path(spec).exists():
-            data = json.loads(Path(spec).read_text(encoding="utf-8"))
-            return groups.group_from_json(data, order_cap=cap)
+    cap, path = args.order_cap, getattr(args, "input", None)
+    if spec is None:
+        spec = getattr(args, "catalog", None)
+    elif spec.endswith(".json") or "/" in spec or Path(spec).exists():
+        spec, path = None, spec
+    if spec:
         return groups.catalog(spec, order_cap=cap)
-    if getattr(args, "catalog", None):
-        return groups.catalog(args.catalog, order_cap=cap)
-    if getattr(args, "input", None):
-        data = json.loads(Path(args.input).read_text(encoding="utf-8"))
-        return groups.group_from_json(data, order_cap=cap)
-    raise ValidationError("no group given: use --catalog NAME or --input FILE")
+    if path is None:
+        raise ValidationError("no group given: use --catalog NAME or --input FILE")
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    return groups.group_from_json(data, order_cap=cap)
 
 
 def _emit(args, text: str) -> None:

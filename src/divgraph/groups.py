@@ -6,7 +6,6 @@ Groups are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from math import factorial
 from itertools import islice, product, repeat, permutations as _itertools_permutations
 
 from .errors import (
@@ -470,20 +469,19 @@ def direct_product(a: Group, b: Group) -> Group:
                                  order_cap=len(table))
 
 
-#: The order of each catalog family as a product of factors, from the
-#: descriptor's integer arguments, so the cap is checked before anything is
-#: built; the family's constructor is the function of the same name.
-_FAMILY_ORDERS = {
-    "cyclic": lambda n: (n,),
-    "klein4": lambda: (4,),
-    "dihedral": lambda n: (2, n),
-    "quaternion8": lambda: (8,),
-    "symmetric": lambda n: range(2, n + 1),
-    "alternating": lambda n: range(3, n + 1),
-    "elementary_abelian": lambda p, k: repeat(p, k),
-    "heisenberg27": lambda: (27,),
+#: One row per catalog family: its constructor, the factors of its order from
+#: the descriptor's integer arguments (so each cap is checked before anything
+#: is built), and whether it is a validated table, which TABLE_ORDER_CAP bounds.
+_FAMILIES = {
+    "cyclic": (cyclic, lambda n: (n,), True),
+    "klein4": (klein4, lambda: (4,), True),
+    "dihedral": (dihedral, lambda n: (2, n), True),
+    "quaternion8": (quaternion8, lambda: (8,), True),
+    "symmetric": (symmetric, lambda n: range(2, n + 1), False),
+    "alternating": (alternating, lambda n: range(3, n + 1), False),
+    "elementary_abelian": (elementary_abelian, lambda p, k: repeat(p, k), True),
+    "heisenberg27": (heisenberg27, lambda: (27,), True),
 }
-_TABLE_FAMILIES = ("cyclic", "dihedral", "elementary_abelian")  # of any order, as tables
 
 
 def _parse_descriptor(tokens: list[str], order_cap: int):
@@ -496,9 +494,9 @@ def _parse_descriptor(tokens: list[str], order_cap: int):
         _check_order(f"product:{left.name}:{right.name}",
                      (left.order, right.order), (order_cap, TABLE_ORDER_CAP))
         return direct_product(left, right), rest
-    if head not in _FAMILY_ORDERS:
+    if head not in _FAMILIES:
         raise UnknownDescriptor(f"unknown catalog name {head!r}")
-    order = _FAMILY_ORDERS[head]
+    build, order, table = _FAMILIES[head]
     arity = order.__code__.co_argcount
     if len(rest) < arity:
         raise UnknownDescriptor(f"{head} expects {arity} argument(s)")
@@ -508,9 +506,9 @@ def _parse_descriptor(tokens: list[str], order_cap: int):
             args.append(int(tok))
         except ValueError:
             raise UnknownDescriptor(f"non-integer argument {tok!r} for {head}") from None
-    caps = (order_cap, TABLE_ORDER_CAP) if head in _TABLE_FAMILIES else (order_cap,)
+    caps = (order_cap, TABLE_ORDER_CAP) if table else (order_cap,)
     _check_order(":".join([head, *rest[:arity]]), order(*args), caps)
-    return globals()[head](*args), rest[arity:]
+    return build(*args), rest[arity:]
 
 
 def _check_order(name: str, factors, caps: tuple[int, ...]) -> None:
@@ -523,7 +521,7 @@ def _check_order(name: str, factors, caps: tuple[int, ...]) -> None:
         order *= f
     for cap in caps:
         if order > cap:
-            raise OrderCapExceeded(f"{name} has order above the cap {cap}")
+            raise OrderCapExceeded(f"{name} has order above the cap {cap}", cap)
 
 
 def catalog(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
@@ -536,67 +534,44 @@ def catalog(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     return group
 
 
-#: direct products included in the standard test sweep, beyond the
-#: parameterized families; chosen to cover mixed abelian types and a few
-#: nonabelian-by-abelian combinations.
-_STANDARD_PRODUCTS = (
-    "product:cyclic:2:cyclic:4",
-    "product:cyclic:2:cyclic:6",
-    "product:cyclic:2:cyclic:8",
-    "product:cyclic:4:cyclic:4",
-    "product:cyclic:2:cyclic:12",
-    "product:cyclic:3:cyclic:9",
-    "product:cyclic:3:cyclic:12",
-    "product:cyclic:4:cyclic:8",
-    "product:cyclic:6:cyclic:6",
-    "product:symmetric:3:cyclic:2",
-    "product:symmetric:3:cyclic:3",
-    "product:symmetric:3:cyclic:4",
-    "product:symmetric:3:symmetric:3",
-    "product:quaternion8:cyclic:2",
-    "product:quaternion8:cyclic:3",
-    "product:alternating:4:cyclic:2",
-    "product:dihedral:4:cyclic:2",
-    "product:dihedral:5:cyclic:2",
-    "product:dihedral:4:cyclic:3",
+#: The stock groups of the standard sweep besides the dense cyclic and
+#: dihedral ranges.  Elementary abelian groups stop at rank 4 for p = 2 and
+#: rank 3 for p = 3, as larger ones have lattices out of proportion to the
+#: rest; degree 7 is above TABLE_ORDER_CAP, which bounds any sweep through
+#: cyclic:max_order.  The products mix abelian types and nonabelian factors.
+_STANDARD_DESCRIPTORS = (
+    "klein4", "quaternion8", "heisenberg27",
+    *(f"symmetric:{n}" for n in range(2, 7)),
+    *(f"alternating:{n}" for n in range(3, 7)),
+    *(f"elementary_abelian:{p}:{k}"
+      for p, k in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2))),
+    *(f"product:cyclic:{a}:cyclic:{b}" for a, b in
+      ((2, 4), (2, 6), (2, 8), (4, 4), (2, 12), (3, 9), (3, 12), (4, 8), (6, 6))),
+    *(f"product:symmetric:3:{right}"
+      for right in ("cyclic:2", "cyclic:3", "cyclic:4", "symmetric:3")),
+    "product:quaternion8:cyclic:2", "product:quaternion8:cyclic:3",
+    "product:alternating:4:cyclic:2", "product:dihedral:4:cyclic:2",
+    "product:dihedral:5:cyclic:2", "product:dihedral:4:cyclic:3",
 )
 
 
 def standard_groups(max_order: int) -> list[Group]:
     """The standard catalog sweep: every stock construction of order <= max_order.
 
-    Cyclic and dihedral families are enumerated densely; elementary abelian
-    groups stop at rank 4 for p = 2 and rank 3 for p = 3 (the larger ones
-    have subgroup lattices out of proportion to everything else here).
-    Isomorphic duplicates under different constructions are kept on purpose.
+    Each descriptor is built through :func:`catalog` with ``max_order`` as its
+    order cap, which refuses one of larger order before it is built; any other
+    refusal (a table above TABLE_ORDER_CAP) propagates.  Isomorphic duplicates
+    under different constructions are kept on purpose.
     """
     groups: list[Group] = []
-    for n in range(1, max_order + 1):
-        groups.append(cyclic(n))
-    for n in range(2, max_order // 2 + 1):
-        groups.append(dihedral(n))
-    if max_order >= 4:
-        groups.append(klein4())
-    if max_order >= 8:
-        groups.append(quaternion8())
-    if max_order >= 27:
-        groups.append(heisenberg27())
-    n = 2
-    while factorial(n) <= max_order:
-        groups.append(symmetric(n))
-        n += 1
-    n = 3
-    while factorial(n) // 2 <= max_order:
-        groups.append(alternating(n))
-        n += 1
-    ea_shapes = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]
-    for p, k in ea_shapes:
-        if p ** k <= max_order:
-            groups.append(elementary_abelian(p, k))
-    for desc in _STANDARD_PRODUCTS:
-        g = catalog(desc)
-        if g.order <= max_order:
-            groups.append(g)
+    for descriptor in (*(f"cyclic:{n}" for n in range(1, max_order + 1)),
+                       *(f"dihedral:{n}" for n in range(2, max_order // 2 + 1)),
+                       *_STANDARD_DESCRIPTORS):
+        try:
+            groups.append(catalog(descriptor, order_cap=max_order))
+        except OrderCapExceeded as exc:
+            if exc.cap != max_order:
+                raise
     return groups
 
 

@@ -306,10 +306,10 @@ def division_graph_to_dot(dg: DivisionGraph) -> str:
                     f'    "d{rep}/H{sid}/o{k}" [color="{sid}" length="{orbit.length}"];'
                 )
             lines.append(f"    {{ rank=same; {' '.join(names)} }}")
-        for arc in sorted(comp.arcs):
-            (ls, lo), (us, uo) = arc.lower, arc.upper
+        arcs = comp.arcs
+        for (ls, lo), (us, uo), label in sorted(zip(arcs.lower, arcs.upper, arcs.labels)):
             lines.append(
-                f'    "d{rep}/H{ls}/o{lo}" -> "d{rep}/H{us}/o{uo}" [label="{arc.label}"];'
+                f'    "d{rep}/H{ls}/o{lo}" -> "d{rep}/H{us}/o{uo}" [label="{label}"];'
             )
         lines.append("  }")
     lines.append("}")
@@ -337,12 +337,9 @@ def division_graph_to_json(dg: DivisionGraph, group: Group) -> dict:
                 for sid in sorted(comp.clusters)
             },
             "arcs": [
-                {
-                    "lower": list(arc.lower),
-                    "upper": list(arc.upper),
-                    "label": arc.label,
-                }
-                for arc in sorted(comp.arcs)
+                {"lower": list(lower), "upper": list(upper), "label": label}
+                for lower, upper, label in sorted(
+                    zip(comp.arcs.lower, comp.arcs.upper, comp.arcs.labels))
             ],
         })
     return {

@@ -8,6 +8,7 @@ if str(_SRC) not in sys.path:
 import pytest
 
 import divgraph as dv
+from divgraph import groups
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +39,40 @@ def ea33():
 @pytest.fixture(scope="session")
 def h27():
     return dv.heisenberg27()
+
+
+@pytest.fixture
+def refuse_to_build(monkeypatch):
+    """Make a catalog family's constructor, or ``direct_product``, fail the
+    test if it is called."""
+    def refuse(constructor):
+        def build(*args, **kwargs):
+            raise AssertionError(f"{constructor}{args} was built")
+
+        if constructor in groups._FAMILIES:
+            row = (build, *groups._FAMILIES[constructor][1:])
+            monkeypatch.setitem(groups._FAMILIES, constructor, row)
+        else:
+            monkeypatch.setattr(groups, constructor, build)
+    return refuse
+
+
+@pytest.fixture
+def built_orders(monkeypatch):
+    """The order of every group built from a table or from permutations, in
+    the order they are built."""
+    orders = []
+    validate, from_permutations = groups.validate_cayley_table, groups.Group._from_permutations
+
+    def counting_validate(table, *args, **kwargs):
+        orders.append(len(table))
+        return validate(table, *args, **kwargs)
+
+    def counting_from_permutations(name, perms):
+        orders.append(len(perms))
+        return from_permutations(name, perms)
+
+    monkeypatch.setattr(groups, "validate_cayley_table", counting_validate)
+    monkeypatch.setattr(groups.Group, "_from_permutations",
+                        staticmethod(counting_from_permutations))
+    return orders

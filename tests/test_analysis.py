@@ -20,6 +20,7 @@ from divgraph.analysis import (
     recover_lattice,
     recover_normal_colors,
     recover_order,
+    quotient_components,
     restricted_components,
     component_encoding,
     abstract_component,
@@ -389,7 +390,7 @@ def test_subgroup_extraction_klein_in_s4(s4):
     # involution components are isomorphic once colors may be renamed
     sketch = recover_lattice(dg)
     loose = set()
-    for comp in restricted_components(dg, v4, sketch):
+    for comp in restricted_components(dg, v4):
         colors = sorted(comp.clusters)
         order_key = {c: sketch.order_of[c] for c in colors}
         loose.add(component_encoding(comp, lambda c: order_key[c]))
@@ -463,6 +464,42 @@ def test_subgroup_restriction_from_s5():
         h_id = next(s.id for s in L.subgroups if s.order == sub_order)
         extracted, direct = division_graph_of_subgroup(s5, L, dg, h_id)
         assert set(extracted) == set(direct), sub_order
+
+
+def test_extraction_recovers_no_lattice(s4, monkeypatch):
+    calls = []
+    original = analysis.recover_lattice
+    monkeypatch.setattr(analysis, "recover_lattice",
+                        lambda dg: calls.append(dg) or original(dg))
+    L = all_subgroups(s4)
+    dg = division_graph(s4, L)
+    for h_id in normal_subgroup_ids(L):
+        extracted, direct = division_graph_of_quotient(s4, L, dg, h_id)
+        assert set(extracted) == set(direct)
+        extracted, direct = division_graph_of_subgroup(s4, L, dg, h_id)
+        assert set(extracted) == set(direct)
+    assert calls == []
+
+
+def test_walks_reach_the_sketch_subgroups_and_overgroups():
+    """The walk up from an orbit of color h reaches the colors the sketch
+    puts below h; the walk down reaches every orbit of the colors above h
+    and takes the arcs between them."""
+    for G in dv.standard_groups(24):
+        dg = division_graph(G)
+        sketch = recover_lattice(dg)
+        for h in sketch.colors:
+            below = {c for c in sketch.colors if sketch.contains(h, c)}
+            above = {c for c in sketch.colors if sketch.contains(c, h)}
+            for comp in restricted_components(dg, h):
+                assert set(comp.clusters) == below, (G.name, h)
+            for comp, (_, whole) in zip(quotient_components(dg, h), dg.components):
+                assert comp.clusters == {
+                    c: tuple(o.length for o in whole.clusters[c]) for c in above
+                }, (G.name, h)
+                assert sorted(comp.arcs) == sorted(
+                    arc for arc in whole.arcs if arc.lower[0] in above and arc.upper[0] in above
+                ), (G.name, h)
 
 
 def _shuffled_graph_copy(dg, rng):

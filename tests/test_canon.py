@@ -53,6 +53,13 @@ def test_initial_cells_distinguish():
     assert a != b
 
 
+def test_initial_cells_must_partition_the_vertices():
+    with pytest.raises(ValueError, match=r"^vertex 1 appears in two initial cells$"):
+        canonical_form(3, [], [[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match=r"^initial cells must cover every vertex$"):
+        canonical_form(3, [], [[0, 2]])
+
+
 def test_cell_classes_respected():
     # two disjoint arcs; marking different endpoints changes the class layout
     arcs = [(0, 1, 1), (2, 3, 1)]

@@ -84,6 +84,35 @@ def test_validate_generators_input(tmp_path, capsys):
     assert json.loads(out)["order"] == 9
 
 
+def test_input_option_reads_the_group_file(tmp_path, capsys):
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps({
+        "name": "c3",
+        "order": 3,
+        "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+    }))
+    code, out, err = invoke(capsys, "divisions", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["group"] == "c3"
+    assert invoke(capsys, "divisions", str(path)) == (0, out, "")
+
+
+def test_subgroups_json_by_default(capsys):
+    from divgraph.lattice import all_subgroups, lattice_to_json
+
+    code, out, _ = invoke(capsys, "subgroups", "--catalog", "quaternion8")
+    assert code == 0
+    assert json.loads(out) == json.loads(json.dumps(
+        lattice_to_json(all_subgroups(groups.quaternion8()))))
+
+
+def test_division_graph_unknown_division_exits_1(capsys):
+    code, out, err = invoke(capsys, "division-graph", "--catalog", "quaternion8",
+                            "--division", "z")
+    assert (code, out) == (1, "")
+    assert err == "error: no division has representative named 'z'\n"
+
+
 def test_subgroups_dot(capsys):
     code, out, _ = invoke(capsys, "subgroups", "--catalog", "quaternion8",
                           "--format", "dot")
@@ -137,23 +166,17 @@ def test_an_divisions_bad_degree(capsys, argv, code, message):
     ("symmetric:2000", "symmetric"),
     ("product:cyclic:100:cyclic:100", "direct_product"),
 ])
-def test_order_cap_exits_2_before_building(capsys, monkeypatch, descriptor, constructor):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{constructor}{args} was built")
-
-    monkeypatch.setattr(groups, constructor, refuse)
+def test_order_cap_exits_2_before_building(capsys, refuse_to_build, descriptor, constructor):
+    refuse_to_build(constructor)
     code, out, err = invoke(capsys, "validate", "--catalog", descriptor)
     assert (code, out) == (2, "")
     assert err == f"cap exceeded: {descriptor} has order above the cap 5040\n"
 
 
-def test_product_above_table_cap_exits_2_before_building(capsys, monkeypatch):
+def test_product_above_table_cap_exits_2_before_building(capsys, monkeypatch, refuse_to_build):
     """Products are built as validated Cayley tables, which would take
     minutes at order 5040; the product cap refuses them first."""
-    def refuse(*args):
-        raise AssertionError("the product table was built")
-
-    monkeypatch.setattr(groups, "direct_product", refuse)
+    refuse_to_build("direct_product")
     code, out, err = invoke(capsys, "validate", "--catalog", "product:symmetric:7:cyclic:1")
     assert (code, out) == (2, "")
     assert err == ("cap exceeded: product:symmetric:7:cyclic:1 has order above "
@@ -163,13 +186,11 @@ def test_product_above_table_cap_exits_2_before_building(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["order"] == 240
 
 
-def test_table_family_above_table_cap_exits_2_before_building(capsys, monkeypatch):
+def test_table_family_above_table_cap_exits_2_before_building(capsys, monkeypatch,
+                                                              refuse_to_build):
     """cyclic, dihedral and elementary_abelian build validated Cayley tables
     too, so they share the product cap below --order-cap."""
-    def refuse(*args):
-        raise AssertionError("the table was built")
-
-    monkeypatch.setattr(groups, "elementary_abelian", refuse)
+    refuse_to_build("elementary_abelian")
     code, out, err = invoke(capsys, "validate", "--catalog", "elementary_abelian:2:11")
     assert (code, out) == (2, "")
     assert err == ("cap exceeded: elementary_abelian:2:11 has order above "

@@ -312,11 +312,8 @@ def test_catalog_descriptor_errors():
     ("symmetric:1000000", "symmetric"),
     ("product:cyclic:100:cyclic:100", "direct_product"),
 ])
-def test_catalog_checks_order_before_building(monkeypatch, descriptor, constructor):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{constructor}{args} was built")
-
-    monkeypatch.setattr(dv.groups, constructor, refuse)
+def test_catalog_checks_order_before_building(refuse_to_build, descriptor, constructor):
+    refuse_to_build(constructor)
     with pytest.raises(OrderCapExceeded, match=r"has order above the cap 5040$"):
         dv.catalog(descriptor)
 
@@ -343,6 +340,45 @@ def test_standard_groups_have_bounded_order():
     assert all(g.order <= 24 for g in groups)
     names = {g.name for g in groups}
     assert "quaternion8" in names and "symmetric:4" in names
+
+
+#: ``standard_groups(20)``, the groups of the ``scan`` bench workload.
+STANDARD_20 = (
+    *(f"cyclic:{n}" for n in range(1, 21)),
+    *(f"dihedral:{n}" for n in range(2, 11)),
+    "klein4", "quaternion8", "symmetric:2", "symmetric:3", "alternating:3",
+    "alternating:4", "elementary_abelian:2:2", "elementary_abelian:2:3",
+    "elementary_abelian:2:4", "elementary_abelian:3:2",
+    "product:cyclic:2:cyclic:4", "product:cyclic:2:cyclic:6",
+    "product:cyclic:2:cyclic:8", "product:cyclic:4:cyclic:4",
+    "product:symmetric:3:cyclic:2", "product:symmetric:3:cyclic:3",
+    "product:quaternion8:cyclic:2", "product:dihedral:4:cyclic:2",
+    "product:dihedral:5:cyclic:2",
+)
+
+
+def test_standard_groups_names_and_lengths():
+    assert tuple(g.name for g in dv.standard_groups(20)) == STANDARD_20
+    assert len(STANDARD_20) == 48
+    lengths = {1: 1, 4: 9, 8: 19, 15: 33, 27: 68, 64: 130, 120: 215}
+    assert {k: len(dv.standard_groups(k)) for k in lengths} == lengths
+    assert dv.standard_groups(0) == []
+
+
+@pytest.mark.parametrize("max_order", [1, 8, 20, 35])
+def test_standard_groups_build_nothing_above_max_order(built_orders, max_order):
+    groups = dv.standard_groups(max_order)
+    assert built_orders and max(built_orders) <= max_order
+    assert max(g.order for g in groups) == max_order  # cyclic:max_order
+
+
+def test_standard_groups_propagate_the_table_cap(monkeypatch):
+    """Only a descriptor above ``max_order`` is skipped; a table refused by
+    TABLE_ORDER_CAP stops the sweep."""
+    monkeypatch.setattr(dv.groups, "TABLE_ORDER_CAP", 8)
+    assert len(dv.standard_groups(8)) == 19
+    with pytest.raises(OrderCapExceeded, match=r"^cyclic:9 has order above the cap 8$"):
+        dv.standard_groups(12)
 
 
 # -- element arithmetic ----------------------------------------------------------
