@@ -48,7 +48,7 @@ from .ust import ArcTable, DivisionGraph, USTComponent, division_graph
 def _identity_component(dg: DivisionGraph) -> USTComponent:
     all_one = [
         comp for _, comp in dg.components
-        if comp.arcs.labels.count(1) == len(comp.arcs)
+        if comp.arcs.labels.count(1) == len(comp.arcs.labels)
     ]
     if len(all_one) != 1:
         raise MalformedGraph(
@@ -623,8 +623,9 @@ def component_encoding(component: AbstractComponent, color_key) -> bytes:
         for v, length in zip(cluster, component.clusters[color]):
             cells.setdefault((keys[color], length), []).append(v)
         n += len(cluster)
-    arcs = [(ids[lc][lo], ids[uc][uo], label)
-            for (lc, lo), (uc, uo), label in component.arcs]
+    table = component.arcs
+    arcs = list(zip([ids[c][o] for c, o in table.lower], [ids[c][o] for c, o in table.upper],
+                    table.labels))
     return canonical_form(n, arcs, [cells[k] for k in sorted(cells)]).encoding
 
 

@@ -62,10 +62,6 @@ class ResourceCapExceeded(DivgraphError):
 class OrderCapExceeded(ResourceCapExceeded):
     """A group (or a closure in progress) exceeds the configured order cap."""
 
-    def __init__(self, message: str, cap: int | None = None):
-        super().__init__(message)
-        self.cap = cap  # the cap that refused it, where one was named
-
 
 class LatticeCapExceeded(ResourceCapExceeded):
     """Group order or subgroup count exceeds the lattice enumeration caps."""

@@ -484,20 +484,26 @@ _FAMILIES = {
 }
 
 
-def _parse_descriptor(tokens: list[str], order_cap: int):
+def _parse_descriptor(tokens: list[str], bound: int):
+    """(name, order, table flag, builder, rest) of the descriptor heading
+    ``tokens``, building nothing.  The order is exact up to ``bound`` and above
+    it otherwise: bound.bit_length() + 1 factors are multiplied at most, and a
+    valid family with more than two has every factor at least 2.  Invalid
+    arguments give order 0 at most, and the builder refuses them."""
     if not tokens:
         raise UnknownDescriptor("empty descriptor")
     head, rest = tokens[0], tokens[1:]
     if head in ("product", "direct_product"):
-        left, rest = _parse_descriptor(rest, order_cap)
-        right, rest = _parse_descriptor(rest, order_cap)
-        _check_order(f"product:{left.name}:{right.name}",
-                     (left.order, right.order), (order_cap, TABLE_ORDER_CAP))
-        return direct_product(left, right), rest
+        left, lorder, _, lbuild, rest = _parse_descriptor(rest, bound)
+        right, rorder, _, rbuild, rest = _parse_descriptor(rest, bound)
+        # a factor of order 0 still leaves the other factor's order capped
+        order = max(lorder, rorder, lorder * rorder)
+        return (f"product:{left}:{right}", order, True,
+                lambda: direct_product(lbuild(), rbuild()), rest)
     if head not in _FAMILIES:
         raise UnknownDescriptor(f"unknown catalog name {head!r}")
-    build, order, table = _FAMILIES[head]
-    arity = order.__code__.co_argcount
+    build, factors, table = _FAMILIES[head]
+    arity = factors.__code__.co_argcount
     if len(rest) < arity:
         raise UnknownDescriptor(f"{head} expects {arity} argument(s)")
     args = []
@@ -506,32 +512,36 @@ def _parse_descriptor(tokens: list[str], order_cap: int):
             args.append(int(tok))
         except ValueError:
             raise UnknownDescriptor(f"non-integer argument {tok!r} for {head}") from None
-    caps = (order_cap, TABLE_ORDER_CAP) if table else (order_cap,)
-    _check_order(":".join([head, *rest[:arity]]), order(*args), caps)
-    return build(*args), rest[arity:]
-
-
-def _check_order(name: str, factors, caps: tuple[int, ...]) -> None:
-    """Refuse ``name`` at the first cap that the product of its order's
-    factors passes.  Only the first bit_length(max(caps)) + 1 factors are
-    multiplied, so a huge argument costs nothing: every factor of a valid
-    family with more than two is at least 2, so that many pass every cap."""
     order = 1
-    for f in islice(factors, max(caps).bit_length() + 1):
+    for f in islice(factors(*args), bound.bit_length() + 1):
         order *= f
-    for cap in caps:
+    return (":".join([head, *rest[:arity]]), max(order, 0), table,
+            lambda: build(*args), rest[arity:])
+
+
+def _parse(descriptor: str, order_cap: int):
+    """(name, order, table flag, builder) of a whole descriptor."""
+    tokens = [t for t in str(descriptor).strip().split(":") if t != ""]
+    *parsed, rest = _parse_descriptor(tokens, max(order_cap, TABLE_ORDER_CAP))
+    if rest:
+        raise UnknownDescriptor(f"trailing tokens {rest!r} in {descriptor!r}")
+    return parsed
+
+
+def _check_order(name: str, order: int, table: bool, order_cap: int) -> None:
+    """Refuse ``name`` at the first cap its order passes; a validated table
+    is also bounded by TABLE_ORDER_CAP."""
+    for cap in (order_cap, TABLE_ORDER_CAP) if table else (order_cap,):
         if order > cap:
-            raise OrderCapExceeded(f"{name} has order above the cap {cap}", cap)
+            raise OrderCapExceeded(f"{name} has order above the cap {cap}")
 
 
 def catalog(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Build a named group from a descriptor like ``symmetric:4`` or
-    ``product:cyclic:2:cyclic:4``."""
-    tokens = [t for t in str(descriptor).strip().split(":") if t != ""]
-    group, rest = _parse_descriptor(tokens, order_cap)
-    if rest:
-        raise UnknownDescriptor(f"trailing tokens {rest!r} in {descriptor!r}")
-    return group
+    ``product:cyclic:2:cyclic:4``; its caps are checked before anything is built."""
+    name, order, table, build = _parse(descriptor, order_cap)
+    _check_order(name, order, table, order_cap)
+    return build()
 
 
 #: The stock groups of the standard sweep besides the dense cyclic and
@@ -558,21 +568,21 @@ _STANDARD_DESCRIPTORS = (
 def standard_groups(max_order: int) -> list[Group]:
     """The standard catalog sweep: every stock construction of order <= max_order.
 
-    Each descriptor is built through :func:`catalog` with ``max_order`` as its
-    order cap, which refuses one of larger order before it is built; any other
-    refusal (a table above TABLE_ORDER_CAP) propagates.  Isomorphic duplicates
-    under different constructions are kept on purpose.
+    The whole list is parsed and the kept descriptors' caps are checked
+    before any group is built, so a sweep with a table above TABLE_ORDER_CAP
+    is refused at once.  Isomorphic duplicates under different constructions
+    are kept on purpose.
     """
-    groups: list[Group] = []
-    for descriptor in (*(f"cyclic:{n}" for n in range(1, max_order + 1)),
-                       *(f"dihedral:{n}" for n in range(2, max_order // 2 + 1)),
-                       *_STANDARD_DESCRIPTORS):
-        try:
-            groups.append(catalog(descriptor, order_cap=max_order))
-        except OrderCapExceeded as exc:
-            if exc.cap != max_order:
-                raise
-    return groups
+    parsed = [_parse(descriptor, max_order)
+              for descriptor in (*(f"cyclic:{n}" for n in range(1, max_order + 1)),
+                                 *(f"dihedral:{n}" for n in range(2, max_order // 2 + 1)),
+                                 *_STANDARD_DESCRIPTORS)]
+    kept = []
+    for name, order, table, build in parsed:
+        if order <= max_order:
+            _check_order(name, order, table, max_order)
+            kept.append(build)
+    return [build() for build in kept]
 
 
 # -- quotients, subgroups, isomorphism -----------------------------------------

@@ -11,9 +11,7 @@ The disjoint union over all divisions is the group's division graph.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .divisions import Division, divisions
 from .errors import InternalInvariantError
@@ -37,49 +35,22 @@ class Orbit:
     length: int
 
 
-class Arc(NamedTuple):
-    lower: tuple[int, int]  # (subgroup_id, orbit_idx) in the larger group's cluster
-    upper: tuple[int, int]  # (subgroup_id, orbit_idx) in the smaller group's cluster
-    label: int
+@dataclass(frozen=True, slots=True)
+class ArcTable:
+    """Arcs as three columns: arc i runs from the orbit vertex ``lower[i]``
+    (subgroup_id, orbit_idx) of the larger group up to ``upper[i]`` of the
+    smaller one, with label ``labels[i]``."""
 
-
-class ArcTable(Sequence):
-    """Arcs as three columns: arc i runs from ``lower[i]`` up to ``upper[i]``
-    with label ``labels[i]``.  Iterating or indexing yields ``Arc``s, and a
-    table equals the tuple of its arcs."""
-
-    __slots__ = ("lower", "upper", "labels")
-
-    def __init__(self, lower: tuple = (), upper: tuple = (), labels: tuple[int, ...] = ()):
-        self.lower, self.upper, self.labels = lower, upper, labels
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __iter__(self):
-        return map(Arc, self.lower, self.upper, self.labels)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        return Arc(self.lower[i], self.upper[i], self.labels[i])
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == (tuple(other) if isinstance(other, ArcTable) else other)
-
-    def __repr__(self) -> str:
-        return f"ArcTable({tuple(self)!r})"
+    lower: tuple[tuple[int, int], ...] = ()
+    upper: tuple[tuple[int, int], ...] = ()
+    labels: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class USTComponent:
     division_rep: int
     clusters: dict[int, tuple[Orbit, ...]]
-    arcs: ArcTable  # given any sequence of Arcs, held as its table
-
-    def __post_init__(self):
-        if not isinstance(self.arcs, ArcTable):
-            object.__setattr__(self, "arcs", ArcTable(*zip(*self.arcs)))
+    arcs: ArcTable
 
     def cluster_sizes(self) -> dict[int, int]:
         return {sid: len(orbits) for sid, orbits in self.clusters.items()}

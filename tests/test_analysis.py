@@ -497,8 +497,9 @@ def test_walks_reach_the_sketch_subgroups_and_overgroups():
                 assert comp.clusters == {
                     c: tuple(o.length for o in whole.clusters[c]) for c in above
                 }, (G.name, h)
-                assert sorted(comp.arcs) == sorted(
-                    arc for arc in whole.arcs if arc.lower[0] in above and arc.upper[0] in above
+                columns = (whole.arcs.lower, whole.arcs.upper, whole.arcs.labels)
+                assert sorted(zip(comp.arcs.lower, comp.arcs.upper, comp.arcs.labels)) == sorted(
+                    arc for arc in zip(*columns) if arc[0][0] in above and arc[1][0] in above
                 ), (G.name, h)
 
 
@@ -509,7 +510,7 @@ def _shuffled_graph_copy(dg, rng):
 
 
 def _shuffled_graph_copy_and_color_map(dg, rng):
-    from divgraph.ust import DivisionGraph, USTComponent, Arc
+    from divgraph.ust import ArcTable, DivisionGraph, USTComponent
 
     colors = sorted({c for _, comp in dg.components for c in comp.clusters})
     new_ids = rng.sample(range(1000, 1000 + 10 * len(colors)), len(colors))
@@ -524,15 +525,16 @@ def _shuffled_graph_copy_and_color_map(dg, rng):
             # perm[new_idx] = old_idx
             slot_maps[color] = {old: new for new, old in enumerate(perm)}
             clusters[color_map[color]] = tuple(orbits[old] for old in perm)
-        arcs = tuple(sorted(
-            Arc(
-                (color_map[arc.lower[0]], slot_maps[arc.lower[0]][arc.lower[1]]),
-                (color_map[arc.upper[0]], slot_maps[arc.upper[0]][arc.upper[1]]),
-                arc.label,
+        arcs = sorted(
+            (
+                (color_map[lc], slot_maps[lc][lo]),
+                (color_map[uc], slot_maps[uc][uo]),
+                label,
             )
-            for arc in comp.arcs
-        ))
-        components.append((d, USTComponent(comp.division_rep, clusters, arcs)))
+            for (lc, lo), (uc, uo), label in zip(comp.arcs.lower, comp.arcs.upper,
+                                                 comp.arcs.labels)
+        )
+        components.append((d, USTComponent(comp.division_rep, clusters, ArcTable(*zip(*arcs)))))
     rng.shuffle(components)
     return DivisionGraph(dg.group_name, tuple(components)), color_map
 
@@ -580,11 +582,11 @@ def test_recover_lattice_rejects_inconsistent_label_sums():
     dg = division_graph(dv.cyclic(4))
     ci = next(i for i, (d, _) in enumerate(dg.components) if d.representative == 2)
     comp = dg.components[ci][1]
-    k = next(k for k, arc in enumerate(comp.arcs) if arc.label == 2)
-    arcs = list(comp.arcs)
-    arcs[k] = arcs[k]._replace(label=1)
+    labels = list(comp.arcs.labels)
+    labels[labels.index(2)] = 1
+    arcs = replace(comp.arcs, labels=tuple(labels))
     with pytest.raises(MalformedGraph):
-        recover_lattice(_with_component(dg, ci, replace(comp, arcs=tuple(arcs))))
+        recover_lattice(_with_component(dg, ci, replace(comp, arcs=arcs)))
 
 
 def test_recover_lattice_rejects_components_that_disagree_on_an_index():
@@ -596,11 +598,23 @@ def test_recover_lattice_rejects_components_that_disagree_on_an_index():
     dg = division_graph(dv.cyclic(4))
     ci = next(i for i, (d, _) in enumerate(dg.components) if d.representative == 2)
     comp = dg.components[ci][1]
-    pair = next((a.lower[0], a.upper[0]) for a in comp.arcs if a.label == 2)
-    arcs = tuple(
-        a._replace(label=2 * a.label) if (a.lower[0], a.upper[0]) == pair else a
-        for a in comp.arcs
-    )
-    broken = _with_component(dg, ci, replace(comp, arcs=arcs))
+    pairs = [(low[0], up[0]) for low, up in zip(comp.arcs.lower, comp.arcs.upper)]
+    pair = pairs[comp.arcs.labels.index(2)]
+    labels = tuple(2 * label if p == pair else label
+                   for p, label in zip(pairs, comp.arcs.labels))
+    broken = _with_component(dg, ci, replace(comp, arcs=replace(comp.arcs, labels=labels)))
     with pytest.raises(MalformedGraph):
         recover_lattice(broken)
+
+
+def test_recover_lattice_rejects_disagreeing_color_sets_and_an_empty_graph():
+    from dataclasses import replace
+    from divgraph.errors import MalformedGraph
+
+    dg = division_graph(dv.cyclic(4))
+    comp = dg.components[1][1]
+    fewer = replace(comp, clusters={c: o for c, o in comp.clusters.items() if c != 0})
+    with pytest.raises(MalformedGraph, match="^components disagree on the color set$"):
+        recover_lattice(_with_component(dg, 1, fewer))
+    with pytest.raises(MalformedGraph, match="^empty division graph$"):
+        recover_lattice(DivisionGraph(dg.group_name, ()))

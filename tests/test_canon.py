@@ -573,3 +573,27 @@ def test_budget_error_names_the_seed_count():
         "canonical search exceeded 3 nodes "
         "(at depth 3; 0 leaves and 0 automorphisms found, 1 seeded)"
     )
+
+
+def _undirected(edges):
+    return [(u, v, 1) for a, b in edges for u, v in ((a, b), (b, a))]
+
+
+def test_node_invariant_prunes_and_resets_on_two_cycles():
+    """C4 + C3 as an undirected 2-regular graph in one initial cell: the
+    root refinement cannot tell the cycles apart, so the search meets
+    children whose cell sizes beat or lose to the best path so far.  With the
+    triangle on 0-2 a later branch resets the best leaf, and with the square
+    on 0-3 a later branch is pruned; both labellings encode alike, and unlike
+    C7."""
+    n, cells = 7, [list(range(7))]
+    triangle_first = _undirected([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
+    square_first = _undirected([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])
+    seven = _undirected([(v, (v + 1) % 7) for v in range(7)])
+    encodings = [canonical_form(n, arcs, cells).encoding
+                 for arcs in (triangle_first, square_first, seven)]
+    assert encodings[0] == encodings[1] != encodings[2]
+    cls = _classes(n, cells)
+    maps = [any(_maps_onto(p, n, triangle_first, cls, arcs, cls) for p in permutations(range(n)))
+            for arcs in (square_first, seven)]
+    assert maps == [True, False]

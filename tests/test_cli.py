@@ -211,6 +211,24 @@ def test_conjecture_scan_max_order_above_order_cap_exits_2(capsys, monkeypatch):
         assert err.startswith("cap exceeded: max order") and one_line(err)
 
 
+def test_conjecture_scan_above_the_table_cap_exits_2_before_building(capsys, built_orders):
+    code, out, err = invoke(capsys, "conjecture-scan", "--max-order", "1030",
+                            "--order-cap", "2000")
+    assert (code, out, built_orders) == (2, "", [])
+    assert err == ("cap exceeded: cyclic:1025 has order above "
+                   f"the cap {groups.TABLE_ORDER_CAP}\n")
+
+
+@pytest.mark.parametrize("descriptor", [
+    "cyclic:0", "dihedral:0", "symmetric:0", "alternating:0",
+    "elementary_abelian:2:0", "cyclic:-3", "product:cyclic:-3:cyclic:-400",
+])
+def test_non_positive_catalog_argument_exits_1(capsys, descriptor):
+    code, out, err = invoke(capsys, "validate", "--catalog", descriptor)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "must be positive" in err and one_line(err)
+
+
 #: Every subcommand's options; each is read by the command that takes it.
 OPTIONS = {
     "validate": {"--catalog", "--input", "--order-cap", "--out"},
@@ -357,6 +375,24 @@ def test_lagarias_violation_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3
     assert "INVARIANT VIOLATION" in captured.err
+
+
+def test_analyze_oracle_disagreement_exits_3(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from divgraph import cli
+    from divgraph.analysis import OracleCheck
+
+    analyze = cli.analysis.analyze
+
+    def disagreeing(G, L):
+        report = analyze(G, L)
+        return replace(report, oracle_checks={"order": OracleCheck(G.order + 1, G.order, False)})
+
+    monkeypatch.setattr(cli.analysis, "analyze", disagreeing)
+    code, out, err = invoke(capsys, "analyze", "--catalog", "cyclic:4")
+    assert code == 3 and json.loads(out)["oracle_checks"]["order"]["agree"] is False
+    assert err.startswith("INVARIANT VIOLATION: graph-derived values disagree") and one_line(err)
 
 
 @pytest.mark.parametrize("data", [

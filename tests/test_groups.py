@@ -381,6 +381,21 @@ def test_standard_groups_propagate_the_table_cap(monkeypatch):
         dv.standard_groups(12)
 
 
+def test_catalog_refuses_a_product_before_building_its_factors(built_orders):
+    with pytest.raises(OrderCapExceeded,
+                       match=r"^product:cyclic:1000:cyclic:1000 has order above the cap 5040$"):
+        dv.catalog("product:cyclic:1000:cyclic:1000")
+    assert built_orders == []
+
+
+def test_standard_groups_above_the_table_cap_build_nothing(built_orders):
+    """The whole sweep is parsed and checked before its first group is built."""
+    cap = dv.groups.TABLE_ORDER_CAP
+    with pytest.raises(OrderCapExceeded, match=f"^cyclic:{cap + 1} has order above the cap {cap}$"):
+        dv.standard_groups(cap + 6)
+    assert built_orders == []
+
+
 # -- element arithmetic ----------------------------------------------------------
 
 
