@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import combinations
+from operator import or_
 
 from .canon import DEFAULT_BUDGET, SeedGroup, canonical_form
 from .errors import InternalInvariantError, MalformedGraph
@@ -39,7 +40,7 @@ from .lattice import (
     normalizer,
     prime_factorization,
 )
-from .ust import ArcTable, DivisionGraph, USTComponent, division_graph
+from .ust import ArcTable, DivisionGraph, USTComponent, division_graph, orbit_cosets
 
 
 # -- graph-only extraction ----------------------------------------------------
@@ -163,10 +164,7 @@ def recover_cyclic_colors(dg: DivisionGraph,
         sketch = recover_lattice(dg)
     families = []
     for _, comp in dg.components:
-        fixed = [
-            color for color, orbits in comp.clusters.items()
-            if any(o.length == 1 for o in orbits)
-        ]
+        fixed = [color for color, lengths in comp.clusters.items() if 1 in lengths]
         family = tuple(sorted(
             c for c in fixed
             if not any(d != c and sketch.contains(c, d) for d in fixed)
@@ -249,7 +247,8 @@ def invariant_factors_direct(G: Group) -> tuple[int, ...] | None:
 
 
 def _min_generators_from_sketch(sketch: LatticeSketch, cyclic_colors) -> int:
-    """Smallest join cover of maximal cyclic colors (generator-count heuristic)."""
+    """Smallest join cover of maximal cyclic colors (generator-count heuristic):
+    colors join to the full one when their masks' OR lies in no color it covers."""
     full = sketch.full_color
     if sketch.order_of[full] == 1:
         return 0
@@ -260,9 +259,11 @@ def _min_generators_from_sketch(sketch: LatticeSketch, cyclic_colors) -> int:
     maximal.sort(key=lambda c: -sketch.order_of[c])
     if full in maximal:
         return 1
+    masks = [sketch.below[c] for c in maximal]
+    tops = [sketch.below[up] for low, up, _ in sketch.covers if low == full]
     for r in range(2, len(maximal) + 1):
-        for combo in combinations(maximal, r):
-            if sketch.join(list(combo)) == full:
+        for combo in combinations(masks, r):
+            if all(reduce(or_, combo) & ~top for top in tops):
                 return r
     raise MalformedGraph("maximal cyclic colors fail to join to the full group")
 
@@ -392,7 +393,7 @@ class Certificate:
 
 def _component_fingerprint(comp: USTComponent) -> tuple:
     cluster_profile = tuple(sorted(
-        tuple(sorted(o.length for o in orbits)) for orbits in comp.clusters.values()
+        tuple(sorted(lengths)) for lengths in comp.clusters.values()
     ))
     labels = tuple(sorted(comp.arcs.labels))
     return (cluster_profile, labels)
@@ -400,8 +401,7 @@ def _component_fingerprint(comp: USTComponent) -> tuple:
 
 def _color_fingerprint(dg: DivisionGraph, color: int) -> tuple:
     return tuple(sorted(
-        tuple(sorted(o.length for o in comp.clusters[color]))
-        for _, comp in dg.components
+        tuple(sorted(comp.clusters[color])) for _, comp in dg.components
     ))
 
 
@@ -436,8 +436,8 @@ def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> Certificate:
         at = {}  # color -> ids[ci, color]
         for color in sorted(comp.clusters):
             ids[ci, color] = at[color] = cluster = list(range(n, n + len(comp.clusters[color])))
-            for v, orbit in zip(cluster, comp.clusters[color]):
-                cells.setdefault((2, orbit.length), []).append(v)
+            for v, length in zip(cluster, comp.clusters[color]):
+                cells.setdefault((2, length), []).append(v)
                 arcs.append((v, ci, 0))
                 arcs.append((v, color_node[color], 0))
             n += len(cluster)
@@ -459,27 +459,30 @@ def _group_seeds(dg: DivisionGraph, ids, color_node, n: int) -> list[SeedGroup]:
     it to Hxm<phi> in its component, as N_G(<phi>)/<phi> (each coset named by
     its least member).  Both act faithfully on the trivial subgroup's orbits."""
     G, L, spaces, comps = dg.group, dg.lattice, dg.spaces, [c for _, c in dg.components]
-    vertex_at, orbit_at, support = {}, {}, [[] for _ in comps]
+    orbit_at, support = {}, [[] for _ in comps]
     for (ci, sid), cluster in ids.items():
-        for v, orbit in zip(cluster, comps[ci].clusters[sid]):
-            vertex_at.update(((ci, sid, c), v) for c in orbit.cosets)  # coset -> its orbit vertex
-            orbit_at[v] = (ci, sid, spaces[sid].cosets[orbit.cosets[0]][0])
-            support[ci].append(v)
+        cosets = orbit_cosets(comps[ci].orbit_of[sid], len(cluster))  # c[0]: the start
+        orbit_at.update(zip(cluster, [(ci, sid, spaces[sid].cosets[c[0]][0]) for c in cosets]))
+        support[ci] += cluster
     color_sid = {v: sid for sid, v in color_node.items()}
     conj = cache(lambda sid, s: L.conjugate_subgroup(sid, G.inv(s)))  # sHs^-1
+
+    def vertex_at(ci, sid, x):  # the orbit vertex of the coset H_sid x
+        return ids[ci, sid][comps[ci].orbit_of[sid][spaces[sid].coset_of[x]]]
 
     def left(s, v):
         if v in orbit_at:
             ci, sid, x = orbit_at[v]
-            t = conj(sid, s)
-            return vertex_at[ci, t, spaces[t].coset_of[G.mul(s, x)]]
+            return vertex_at(ci, conj(sid, s), G.mul(s, x))
         return color_node[conj(color_sid[v], s)] if v in color_sid else v
 
     def right(ci, m, v):
         cj, sid, x = orbit_at.get(v, (None, 0, 0))
-        return vertex_at[ci, sid, spaces[sid].coset_of[G.mul(x, m)]] if cj == ci else v
+        return vertex_at(ci, sid, G.mul(x, m)) if cj == ci else v
 
-    families = [SeedGroup(0, G.generating_set(), G.mul, left, range(len(comps), n))]
+    by_order = sorted(G.elements(), key=G.element_order, reverse=True)  # fewer to check
+    families = [SeedGroup(0, list(greedy_generators(G, by_order)), G.mul, left,
+                          range(len(comps), n))]
     for ci, comp in enumerate(comps):
         cyc = L.subgroups[L.cyclic_of[comp.division_rep]]
         N = normalizer(L, cyc).members
@@ -601,10 +604,7 @@ class AbstractComponent:
 
 
 def abstract_component(comp: USTComponent) -> AbstractComponent:
-    return AbstractComponent(
-        {color: tuple(o.length for o in orbits) for color, orbits in comp.clusters.items()},
-        comp.arcs,
-    )
+    return AbstractComponent(comp.clusters, comp.arcs)
 
 
 def component_encoding(component: AbstractComponent, color_key) -> bytes:
@@ -661,7 +661,7 @@ def restricted_components(dg: DivisionGraph, h_color: int) -> list[AbstractCompo
         clusters: list[dict[int, list[int]]] = [{} for _ in base]
         slot_of: dict[tuple[int, int], tuple[int, int]] = {}
         for (color, idx), (_, b) in sorted(start_of.items()):
-            length, rest = divmod(comp.clusters[color][idx].length, base[b].length)
+            length, rest = divmod(comp.clusters[color][idx], base[b])
             if rest:
                 raise MalformedGraph("orbit length not divisible by base length")
             cluster = clusters[b].setdefault(color, [])
@@ -686,8 +686,7 @@ def quotient_components(dg: DivisionGraph, h_color: int) -> list[AbstractCompone
         arcs = comp.arcs
         starts = [(h_color, k) for k in range(len(comp.clusters[h_color]))]
         reached = _walk(arcs.upper, arcs.lower, starts)
-        clusters = {c: tuple(o.length for o in comp.clusters[c])
-                    for c in {color for color, _ in reached}}
+        clusters = {c: comp.clusters[c] for c in {color for color, _ in reached}}
         kept = [a for a in zip(arcs.lower, arcs.upper, arcs.labels) if a[1] in reached]
         out.append(AbstractComponent(clusters, ArcTable(*zip(*kept))))
     return out

@@ -612,10 +612,11 @@ def right_coset_partition(G: Group, members) -> tuple[list[tuple[int, ...]], lis
     indexed by minimal element (coset 0 is H), and the coset index of each g."""
     coset_of = [-1] * G.order
     cosets = []
+    rows = None if G._table is None else [G._table[h] for h in members]
     for g in range(G.order):
         if coset_of[g] >= 0:
             continue
-        coset = sorted(G.mul(h, g) for h in members)
+        coset = sorted([row[g] for row in rows] if rows else [G.mul(h, g) for h in members])
         for x in coset:
             coset_of[x] = len(cosets)
         cosets.append(tuple(coset))

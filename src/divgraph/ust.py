@@ -49,7 +49,8 @@ class ArcTable:
 @dataclass(frozen=True)
 class USTComponent:
     division_rep: int
-    clusters: dict[int, tuple[Orbit, ...]]
+    clusters: dict[int, tuple[int, ...]]  # color -> orbit lengths, by minimal coset
+    orbit_of: dict[int, tuple[int, ...]]  # color -> the orbit of each coset
     arcs: ArcTable
 
     def cluster_sizes(self) -> dict[int, int]:
@@ -79,27 +80,36 @@ def right_cosets(G: Group, L: SubgroupLattice, subgroup_id: int) -> CosetSpace:
 
 def orbit_decomposition(cs: CosetSpace, G: Group, phi: int) -> list[Orbit]:
     """Orbits of the right action (Hg) . phi = H(g phi), by minimal coset index."""
-    right = [G.mul(g, phi) for g in G.elements()]
-    return [Orbit(tuple(sorted(c)), len(c)) for c in _cycles(cs, right)[0]]
+    orbit_of, lengths, _ = _cycles(cs, [G.mul(g, phi) for g in G.elements()])
+    return [Orbit(tuple(c), n) for c, n in zip(orbit_cosets(orbit_of, len(lengths)), lengths)]
 
 
-def _cycles(cs: CosetSpace, right: list[int]) -> tuple[list[list[int]], list[int]]:
-    """The cycles of Hg -> H(g phi), given right[g] = g phi, each from its
-    minimal coset and in the order of that coset, and the cycle of each coset."""
+def orbit_cosets(orbit_of, count: int) -> list[list[int]]:
+    """The ascending cosets of each of ``count`` orbits, given the orbit of each coset."""
+    cosets = [[] for _ in range(count)]
+    for c, k in enumerate(orbit_of):
+        cosets[k].append(c)
+    return cosets
+
+
+def _cycles(cs: CosetSpace, right: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The cycles of Hg -> H(g phi), given right[g] = g phi, numbered in the
+    order of their minimal cosets: the cycle of each coset, each cycle's
+    length and its minimal coset."""
     coset_of = cs.coset_of
     act = [coset_of[right[coset[0]]] for coset in cs.cosets]
-    cycle_of = [-1] * len(act)
-    cycles = []
+    orbit_of = [-1] * len(act)
+    lengths, starts = [], []
     for start in range(len(act)):
-        if cycle_of[start] >= 0:
-            continue
-        k, cycle, c = len(cycles), [], start
-        while cycle_of[c] < 0:
-            cycle_of[c] = k
-            cycle.append(c)
-            c = act[c]
-        cycles.append(cycle)
-    return cycles, cycle_of
+        if orbit_of[start] < 0:
+            k, n, c = len(starts), 0, start
+            while orbit_of[c] < 0:
+                orbit_of[c] = k
+                n += 1
+                c = act[c]
+            lengths.append(n)
+            starts.append(start)
+    return orbit_of, lengths, starts
 
 
 def _coset_spaces(G: Group, L: SubgroupLattice) -> list[CosetSpace]:
@@ -132,31 +142,28 @@ def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
                projections: list[list[int]], phi: int) -> USTComponent:
     """The component of <phi> acting on the given coset spaces."""
     right = [G.mul(g, phi) for g in G.elements()]
-    cycles, orbit_of_coset = zip(*(_cycles(cs, right) for cs in spaces))
-    clusters = {sid: tuple(Orbit(tuple(sorted(c)), len(c)) for c in cycles[sid])
-                for sid in range(len(spaces))}
+    orbit_of, lengths, starts = zip(*(_cycles(cs, right) for cs in spaces))
     # orbit k of H_sid has one end (sid, k), shared by every arc at it; arcs
     # come in cover order, then by upper orbit, as columns with no object per arc
-    ends = [tuple((sid, k) for k in range(len(c))) for sid, c in enumerate(cycles)]
+    ends = [tuple((sid, k) for k in range(len(ls))) for sid, ls in enumerate(lengths)]
     lower, upper, labels = [], [], []
     for (low_id, up_id, index), projection in zip(L.covers, projections):
-        low_of = orbit_of_coset[low_id]
+        low_of = orbit_of[low_id]
         projected = [low_of[c] for c in projection]
-        up_orbits = clusters[up_id]
-        targets = [projected[o.cosets[0]] for o in up_orbits]
-        up_of = orbit_of_coset[up_id]
+        targets = [projected[c] for c in starts[up_id]]
+        up_of = orbit_of[up_id]
         if projected != [targets[u] for u in up_of]:
             up_idx = next(u for u, t in zip(up_of, projected) if t != targets[u])
             raise InternalInvariantError(
                 f"orbit {up_idx} of H{up_id} projects onto several orbits of H{low_id}"
             )
-        low_orbits = clusters[low_id]
-        sums = [0] * len(low_orbits)
-        for up_orbit, low_idx in zip(up_orbits, targets):
-            label, rest = divmod(up_orbit.length, low_orbits[low_idx].length)
+        low_lengths = lengths[low_id]
+        sums = [0] * len(low_lengths)
+        for up_length, low_idx in zip(lengths[up_id], targets):
+            label, rest = divmod(up_length, low_lengths[low_idx])
             if rest:
                 raise InternalInvariantError(
-                    f"non-integer relative degree {up_orbit.length}/{low_orbits[low_idx].length}"
+                    f"non-integer relative degree {up_length}/{low_lengths[low_idx]}"
                 )
             sums[low_idx] += label
             labels.append(label)
@@ -168,10 +175,11 @@ def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
         lower += map(ends[low_id].__getitem__, targets)
         upper += ends[up_id]
 
-    base = clusters[L.full_id]
-    if len(base) != 1 or base[0].length != 1:
+    if lengths[L.full_id] != [1]:
         raise InternalInvariantError("base cluster must be a single length-1 orbit")
-    return USTComponent(phi, clusters, ArcTable(tuple(lower), tuple(upper), tuple(labels)))
+    return USTComponent(phi, dict(enumerate(map(tuple, lengths))),
+                        dict(enumerate(map(tuple, orbit_of))),
+                        ArcTable(tuple(lower), tuple(upper), tuple(labels)))
 
 
 def division_graph(G: Group, L: SubgroupLattice | None = None) -> DivisionGraph:
@@ -183,10 +191,8 @@ def division_graph(G: Group, L: SubgroupLattice | None = None) -> DivisionGraph:
         L = all_subgroups(G)
     spaces = _coset_spaces(G, L)
     projections = _projections(L, spaces)
-    components = tuple(
-        (d, _component(G, L, spaces, projections, d.representative))
-        for d in divisions(G)
-    )
+    components = tuple((d, _component(G, L, spaces, projections, d.representative))
+                       for d in divisions(G))
     return DivisionGraph(G.name, components, G, L, tuple(spaces))
 
 
@@ -221,15 +227,10 @@ def verify_lagarias(G: Group, L: SubgroupLattice | None = None) -> LagariasRepor
     for g, cyclic in enumerate(L.cyclic_of):
         if cyclic not in by_cyclic:
             right = [G.mul(x, g) for x in G.elements()]
-            by_cyclic[cyclic] = tuple(
-                tuple(sorted(map(len, _cycles(cs, right)[0]))) for cs in spaces
-            )
+            by_cyclic[cyclic] = tuple(tuple(sorted(_cycles(cs, right)[1])) for cs in spaces)
     signature = [by_cyclic[cyclic] for cyclic in L.cyclic_of]
 
-    division_id = {}
-    for idx, d in enumerate(divs):
-        for g in d.members:
-            division_id[g] = idx
+    division_id = {g: idx for idx, d in enumerate(divs) for g in d.members}
 
     violations = []
     by_signature: dict[tuple, int] = {}
@@ -271,11 +272,9 @@ def division_graph_to_dot(dg: DivisionGraph) -> str:
         lines.append(f'    label="division [{rep}]";')
         for sid in sorted(comp.clusters):
             names = []
-            for k, orbit in enumerate(comp.clusters[sid]):
+            for k, length in enumerate(comp.clusters[sid]):
                 names.append(f'"d{rep}/H{sid}/o{k}"')
-                lines.append(
-                    f'    "d{rep}/H{sid}/o{k}" [color="{sid}" length="{orbit.length}"];'
-                )
+                lines.append(f'    "d{rep}/H{sid}/o{k}" [color="{sid}" length="{length}"];')
             lines.append(f"    {{ rank=same; {' '.join(names)} }}")
         arcs = comp.arcs
         for (ls, lo), (us, uo), label in sorted(zip(arcs.lower, arcs.upper, arcs.labels)):
@@ -302,10 +301,10 @@ def division_graph_to_json(dg: DivisionGraph, group: Group) -> dict:
             },
             "clusters": {
                 str(sid): [
-                    {"cosets": list(o.cosets), "length": o.length}
-                    for o in comp.clusters[sid]
+                    {"cosets": cosets, "length": length} for cosets, length in zip(
+                        orbit_cosets(comp.orbit_of[sid], len(lengths)), lengths)
                 ]
-                for sid in sorted(comp.clusters)
+                for sid, lengths in sorted(comp.clusters.items())
             },
             "arcs": [
                 {"lower": list(lower), "upper": list(upper), "label": label}

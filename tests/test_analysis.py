@@ -27,6 +27,7 @@ from divgraph.analysis import (
 )
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, normal_subgroup_ids
 from divgraph.canon import canonical_form
+from divgraph.groups import closure_from_generators
 from divgraph.ust import DivisionGraph, division_graph
 
 
@@ -162,6 +163,35 @@ def test_analyze_simple_group_detection():
     assert report.oracle_checks["simple"].graph_value is True
     report = analyze(dv.cyclic(8))
     assert report.oracle_checks["simple"].graph_value is False
+
+
+def _min_generators_by_join(sketch, cyclic_colors):
+    """The smallest number of maximal cyclic colors whose ``sketch.join``
+    is the full color, by trying every combination."""
+    full = sketch.full_color
+    if sketch.order_of[full] == 1:
+        return 0
+    maximal = [c for c in cyclic_colors
+               if not any(d != c and sketch.contains(d, c) for d in cyclic_colors)]
+    return next(r for r in range(1, len(maximal) + 1)
+                for combo in combinations(maximal, r) if sketch.join(combo) == full)
+
+
+def test_min_generators_mask_test_matches_the_join_loop():
+    """Testing the OR of the masks against the maximal subgroups' masks
+    counts what joining every combination counts."""
+    groups = {G.name: G for G in dv.standard_groups(48)}
+    for name in ("heisenberg27", "elementary_abelian:2:4"):
+        groups.setdefault(name, dv.catalog(name))
+    seen = set()
+    for G in groups.values():
+        dg = division_graph(G)
+        sketch = recover_lattice(dg)
+        cyclic, _ = recover_cyclic_colors(dg, sketch)
+        r = analysis._min_generators_from_sketch(sketch, cyclic)
+        assert r == _min_generators_by_join(sketch, cyclic), G.name
+        seen.add(r)
+    assert seen == {0, 1, 2, 3, 4}
 
 
 def test_analyze_report_serializes(s3):
@@ -300,6 +330,28 @@ def test_group_seeds_are_the_maps_their_generators_generate(G, monkeypatch):
                     group.append(c)
         expected += group[1:]
     assert sorted(tuple(g[v] for v in range(n)) for g in seeded.seeds) == sorted(expected)
+
+
+@pytest.mark.parametrize("descriptor", ["symmetric:5", "alternating:5", "symmetric:4"])
+def test_left_seed_family_has_two_generators(descriptor, monkeypatch):
+    """Greedy generators taken by descending element order: two elements
+    generate each of these groups, where ``generating_set()`` finds more."""
+    G = dv.catalog(descriptor)
+    seen = []
+
+    class Seeded(Exception):
+        pass
+
+    def stop(n, arcs, cells, budget, known):
+        seen.append(known)
+        raise Seeded
+
+    monkeypatch.setattr(analysis, "canonical_form", stop)
+    with pytest.raises(Seeded):
+        certificate(division_graph(G))
+    left = seen[0][0]
+    assert len(left.gens) == 2 and len(G.generating_set()) > 2
+    assert len(closure_from_generators(G, left.gens)) == G.order
 
 
 def test_conjecture_scan_small():
@@ -494,9 +546,7 @@ def test_walks_reach_the_sketch_subgroups_and_overgroups():
             for comp in restricted_components(dg, h):
                 assert set(comp.clusters) == below, (G.name, h)
             for comp, (_, whole) in zip(quotient_components(dg, h), dg.components):
-                assert comp.clusters == {
-                    c: tuple(o.length for o in whole.clusters[c]) for c in above
-                }, (G.name, h)
+                assert comp.clusters == {c: whole.clusters[c] for c in above}, (G.name, h)
                 columns = (whole.arcs.lower, whole.arcs.upper, whole.arcs.labels)
                 assert sorted(zip(comp.arcs.lower, comp.arcs.upper, comp.arcs.labels)) == sorted(
                     arc for arc in zip(*columns) if arc[0][0] in above and arc[1][0] in above
@@ -519,12 +569,14 @@ def _shuffled_graph_copy_and_color_map(dg, rng):
     for d, comp in dg.components:
         slot_maps = {}
         clusters = {}
+        orbit_of = {}
         for color, orbits in comp.clusters.items():
             perm = list(range(len(orbits)))
             rng.shuffle(perm)
             # perm[new_idx] = old_idx
             slot_maps[color] = {old: new for new, old in enumerate(perm)}
             clusters[color_map[color]] = tuple(orbits[old] for old in perm)
+            orbit_of[color_map[color]] = tuple(slot_maps[color][k] for k in comp.orbit_of[color])
         arcs = sorted(
             (
                 (color_map[lc], slot_maps[lc][lo]),
@@ -534,7 +586,8 @@ def _shuffled_graph_copy_and_color_map(dg, rng):
             for (lc, lo), (uc, uo), label in zip(comp.arcs.lower, comp.arcs.upper,
                                                  comp.arcs.labels)
         )
-        components.append((d, USTComponent(comp.division_rep, clusters, ArcTable(*zip(*arcs)))))
+        components.append((d, USTComponent(comp.division_rep, clusters, orbit_of,
+                                           ArcTable(*zip(*arcs)))))
     rng.shuffle(components)
     return DivisionGraph(dg.group_name, tuple(components)), color_map
 

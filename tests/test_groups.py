@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,13 @@ from divgraph.errors import (
     OrderCapExceeded,
     UnknownDescriptor,
 )
-from divgraph.groups import closure_from_generators, greedy_generators
+from divgraph.groups import (
+    EAGER_TABLE_LIMIT,
+    Group,
+    closure_from_generators,
+    greedy_generators,
+    right_coset_partition,
+)
 from divgraph.perms import Permutation
 
 
@@ -488,6 +495,24 @@ def test_quotient_group_raises_exactly_on_non_normal_subgroups():
             else:
                 with pytest.raises(ValueError, match="subgroup is not normal"):
                     dv.quotient_group(G, H.members)
+
+
+def test_coset_partition_reads_table_rows(monkeypatch):
+    """A permutation group above the eager table limit, which multiplies
+    permutations, and a copy of it holding its Cayley table, which reads the
+    table's rows and makes no Group.mul call, give the same partitions."""
+    G = dv.catalog("symmetric:6")
+    T = dv.catalog("symmetric:6")
+    T.table  # the copy builds and keeps its table
+    assert G.order > EAGER_TABLE_LIMIT and G._table is None and T._table is not None
+    subgroups = [[0], closure_from_generators(G, [1]), closure_from_generators(G, [5, 7]),
+                 closure_from_generators(G, [1, 2]), list(G.elements())]
+    products = Counter()
+    mul = Group.mul
+    monkeypatch.setattr(Group, "mul", lambda self, a, b: products.update([self]) or mul(self, a, b))
+    for members in subgroups:
+        assert right_coset_partition(T, members) == right_coset_partition(G, members)
+    assert T not in products and products[G] == len(subgroups) * G.order
 
 
 def test_greedy_generators_of_a_subgroup_are_its_own_groups():

@@ -11,6 +11,7 @@ from divgraph.errors import InternalInvariantError
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, is_normal
 from divgraph.ust import (
     ArcTable,
+    Orbit,
     USTComponent,
     division_graph,
     orbit_decomposition,
@@ -140,7 +141,7 @@ def test_lagarias_orbit_lengths_are_the_orbit_decomposition(monkeypatch, G):
 
     def recording(cs, right):
         out = cycles(cs, right)
-        signatures[cs.subgroup_id, right[0]] = sorted(map(len, out[0]))
+        signatures[cs.subgroup_id, right[0]] = sorted(out[1])
         return out
 
     monkeypatch.setattr(ust, "_cycles", recording)
@@ -209,7 +210,7 @@ def test_multiplicativity_of_labels(s4):
         comp = ust_component(s4, L, d)
         for (ls, lo), (us, uo), label in zip(comp.arcs.lower, comp.arcs.upper,
                                              comp.arcs.labels):
-            assert comp.clusters[us][uo].length == label * comp.clusters[ls][lo].length
+            assert comp.clusters[us][uo] == label * comp.clusters[ls][lo]
 
 
 def test_normality_criterion_equal_labels(s4):
@@ -218,7 +219,7 @@ def test_normality_criterion_equal_labels(s4):
     components = [ust_component(s4, L, d) for d in dv.divisions(s4)]
     for s in L.subgroups:
         equal_everywhere = all(
-            len({o.length for o in comp.clusters[s.id]}) == 1
+            len(set(comp.clusters[s.id])) == 1
             for comp in components
         )
         assert equal_everywhere == is_normal(L, s)
@@ -232,10 +233,7 @@ def test_decomposition_group_detection(q8):
         L = all_subgroups(G)
         for d in dv.divisions(G):
             comp = ust_component(G, L, d)
-            fixed = [
-                sid for sid, orbits in comp.clusters.items()
-                if any(o.length == 1 for o in orbits)
-            ]
+            fixed = [sid for sid, lengths in comp.clusters.items() if 1 in lengths]
             minimal = {
                 sid for sid in fixed
                 if not any(t != sid and L.contains(sid, t) for t in fixed)
@@ -343,16 +341,17 @@ def test_tampered_projection_raises(s4):
     phi = next(g for g in s4.elements() if s4.element_order(g) == 4)
     comp = ust._component(s4, L, spaces, projections, phi)
     for i, (low_id, up_id, _) in enumerate(L.covers):
-        low_orbits = comp.clusters[low_id]
-        up_orbit = next((o for o in comp.clusters[up_id] if o.length > 1), None)
-        if len(low_orbits) > 1 and up_orbit is not None:
+        up_idx = next((k for k, n in enumerate(comp.clusters[up_id]) if n > 1), None)
+        if len(comp.clusters[low_id]) > 1 and up_idx is not None:
             break
+    up_cosets = [c for c, k in enumerate(comp.orbit_of[up_id]) if k == up_idx]
+    low_of = comp.orbit_of[low_id]
     tampered = [list(p) for p in projections]
-    here = tampered[i][up_orbit.cosets[0]]
-    elsewhere = next(o for o in low_orbits if here not in o.cosets).cosets[0]
-    tampered[i][up_orbit.cosets[-1]] = elsewhere
+    here = tampered[i][up_cosets[0]]
+    elsewhere = next(c for c, k in enumerate(low_of) if k != low_of[here])
+    tampered[i][up_cosets[-1]] = elsewhere
     with pytest.raises(InternalInvariantError, match=(
-            f"^orbit {comp.clusters[up_id].index(up_orbit)} of H{up_id} "
+            f"^orbit {up_idx} of H{up_id} "
             f"projects onto several orbits of H{low_id}$")):
         ust._component(s4, L, spaces, tampered, phi)
 
@@ -370,15 +369,19 @@ def test_non_integer_relative_degree_raises(s4):
     L, spaces, projections, phi = _tamper_setup(s4)
     comp = ust._component(s4, L, spaces, projections, phi)
     for i, (low_id, up_id, _) in enumerate(L.covers):
-        longest = max(comp.clusters[low_id], key=lambda o: o.length)
-        up_orbit = next((o for o in comp.clusters[up_id] if o.length % longest.length), None)
-        if up_orbit is not None:
+        low_lengths = comp.clusters[low_id]
+        longest = low_lengths.index(max(low_lengths))
+        up_idx = next((k for k, n in enumerate(comp.clusters[up_id])
+                       if n % low_lengths[longest]), None)
+        if up_idx is not None:
             break
     tampered = [list(p) for p in projections]
-    for c in up_orbit.cosets:
-        tampered[i][c] = longest.cosets[0]
+    for c, k in enumerate(comp.orbit_of[up_id]):
+        if k == up_idx:
+            tampered[i][c] = comp.orbit_of[low_id].index(longest)
     with pytest.raises(InternalInvariantError, match=(
-            f"^non-integer relative degree {up_orbit.length}/{longest.length}$")):
+            f"^non-integer relative degree {comp.clusters[up_id][up_idx]}/"
+            f"{low_lengths[longest]}$")):
         ust._component(s4, L, spaces, tampered, phi)
 
 
@@ -402,7 +405,7 @@ def test_arc_table_is_three_columns_and_nothing_else():
     assert table.lower == ((0, 0), (0, 0), (2, 1)) and table.labels == (2, 1, 3)
     assert table == ArcTable(*zip(*arcs)) and table != arcs and ArcTable() == ArcTable((), (), ())
     assert not any(hasattr(table, name) for name in ("__len__", "__iter__", "__getitem__"))
-    comp = USTComponent(0, {}, table)
+    comp = USTComponent(0, {}, {}, table)
     assert comp.arcs is table and comp.label_multiset() == {2: 1, 1: 1, 3: 1}
     with pytest.raises(AttributeError):
         table.labels = ()
@@ -432,7 +435,7 @@ def _oracle_arcs(G, L, dg, comp):
         return cosets
 
     def number(sid, cosets):
-        (k,) = {k for k, o in enumerate(comp.clusters[sid]) for c in o.cosets
+        (k,) = {k for c, k in enumerate(comp.orbit_of[sid])
                 if set(dg.spaces[sid].cosets[c]) in cosets}
         return k
 
@@ -450,14 +453,18 @@ def _oracle_arcs(G, L, dg, comp):
     return sorted(arcs)
 
 
+def _relabelled(descriptor):
+    G = dv.catalog(descriptor)
+    relabel = list(range(G.order))
+    random.Random(descriptor).shuffle(relabel)
+    return dv.relabeled_copy(G, relabel)
+
+
 @pytest.mark.parametrize("descriptor", [
     "symmetric:4", "dihedral:6", "product:cyclic:2:cyclic:4",
 ])
 def test_arcs_match_an_orbit_oracle_on_relabelled_groups(descriptor):
-    G = dv.catalog(descriptor)
-    relabel = list(range(G.order))
-    random.Random(descriptor).shuffle(relabel)
-    G = dv.relabeled_copy(G, relabel)
+    G = _relabelled(descriptor)
     L = all_subgroups(G)
     dg = division_graph(G, L)
     for _, comp in dg.components:
@@ -466,8 +473,9 @@ def test_arcs_match_an_orbit_oracle_on_relabelled_groups(descriptor):
 
 
 def test_symmetric_5_division_graph_memory():
-    """Shared ends and no object per arc: the graph of symmetric:5 (68,825
-    arcs), its lattice and coset spaces peak under 8 MiB of allocations."""
+    """Shared ends, no object per arc and none per orbit: the graph of
+    symmetric:5 (68,825 arcs, 13,595 orbits), its lattice and coset spaces
+    peak under 4.25 MiB of allocations."""
     G = dv.catalog("symmetric:5")
     tracemalloc.start()
     try:
@@ -475,7 +483,40 @@ def test_symmetric_5_division_graph_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 4.25 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_components_hold_no_orbit():
+    """A cluster is the column of its orbit lengths and ``orbit_of`` the
+    column of each coset's orbit: plain ints, with no object per orbit."""
+    dg = division_graph(dv.catalog("symmetric:4"))
+    for _, comp in dg.components:
+        assert set(comp.orbit_of) == set(comp.clusters)
+        for sid, lengths in comp.clusters.items():
+            of = comp.orbit_of[sid]
+            assert type(lengths) is tuple and type(of) is tuple and len(of) == len(dg.spaces[sid])
+            assert all(type(x) is int for x in lengths + of)
+            assert sorted(set(of)) == list(range(len(lengths)))
+        assert not any(isinstance(x, Orbit) for x in vars(comp).values())
+
+
+@pytest.mark.parametrize("descriptor", ["symmetric:4", "dihedral:6"])
+def test_bucketed_orbit_columns_are_the_orbit_decomposition(descriptor):
+    """Bucketing ``orbit_of`` in coset order gives, for every cluster,
+    the orbits and lengths ``orbit_decomposition`` returns, which are the
+    brute-force orbits."""
+    G = _relabelled(descriptor)
+    L = all_subgroups(G)
+    dg = division_graph(G, L)
+    for _, comp in dg.components:
+        for sid, lengths in comp.clusters.items():
+            buckets = [[] for _ in lengths]
+            for c, k in enumerate(comp.orbit_of[sid]):
+                buckets[k].append(c)
+            orbits = orbit_decomposition(dg.spaces[sid], G, comp.division_rep)
+            assert [Orbit(tuple(b), n) for b, n in zip(buckets, lengths)] == orbits
+            assert [o.cosets for o in orbits] == _brute_force_orbits(
+                G, dg.spaces[sid], comp.division_rep)
 
 
 # -- Lagarias equivalence ------------------------------------------------------------
@@ -578,5 +619,5 @@ def test_orbit_sum_identity_per_cluster(s4):
         for d in dv.divisions(G):
             comp = ust_component(G, L, d)
             for s in L.subgroups:
-                total = sum(o.length for o in comp.clusters[s.id])
+                total = sum(comp.clusters[s.id])
                 assert total == G.order // s.order, (G.name, s.id)
