@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import or_
 
 from .canon import DEFAULT_BUDGET, SeedGroup, canonical_form
@@ -40,7 +40,7 @@ from .lattice import (
     normalizer,
     prime_factorization,
 )
-from .ust import ArcTable, DivisionGraph, USTComponent, division_graph, orbit_cosets
+from .ust import ArcTable, DivisionGraph, USTComponent, division_graph
 
 
 # -- graph-only extraction ----------------------------------------------------
@@ -426,49 +426,50 @@ def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> Certificate:
     for color, node in color_node.items():
         cells.setdefault((1, _color_fingerprint(dg, color)), []).append(node)
 
-    # orbit oi of cluster (ci, color) is vertex ids[ci, color][oi], one int
-    # object that every arc and cell shares: canon keys dicts by the vertices
-    # of arcs, and a lookup by the stored key object skips comparing values
-    ids: dict[tuple[int, int], list[int]] = {}
+    # orbit k of cluster (ci, color) is vertex first[ci, color] + k
+    first: dict[tuple[int, int], int] = {}
     n = len(dg.components) + len(colors)
     arcs: list[tuple[int, int, int]] = []
     for ci, (_, comp) in enumerate(dg.components):
-        at = {}  # color -> ids[ci, color]
-        for color in sorted(comp.clusters):
-            ids[ci, color] = at[color] = cluster = list(range(n, n + len(comp.clusters[color])))
-            for v, length in zip(cluster, comp.clusters[color]):
+        for color, cluster in sorted(comp.clusters.items()):
+            first[ci, color] = n
+            for v, length in enumerate(cluster, n):
                 cells.setdefault((2, length), []).append(v)
-                arcs.append((v, ci, 0))
-                arcs.append((v, color_node[color], 0))
+                arcs += (v, ci, 0), (v, color_node[color], 0)
             n += len(cluster)
-        table = comp.arcs
-        arcs += zip([at[c][o] for c, o in table.lower], [at[c][o] for c, o in table.upper],
-                    table.labels)
 
-    seeds = () if dg.group is None else _group_seeds(dg, ids, color_node, n)
-    result = canonical_form(n, arcs, [cells[k] for k in sorted(cells)],
+    def structural():  # made as canon reads them: no list of their ends lasts through the search
+        for ci, (_, comp) in enumerate(dg.components):
+            at = {color: first[ci, color] for color in comp.clusters}
+            for (c, o), (d, p), label in zip(comp.arcs.lower, comp.arcs.upper, comp.arcs.labels):
+                yield at[c] + o, at[d] + p, label
+
+    seeds = () if dg.group is None else _group_seeds(dg, first, color_node, n)
+    result = canonical_form(n, chain(arcs, structural()), [cells[k] for k in sorted(cells)],
                             budget=budget, known=seeds)
     return Certificate(b"divgraph-cert/1;" + result.encoding)
 
 
-def _group_seeds(dg: DivisionGraph, ids, color_node, n: int) -> list[SeedGroup]:
+def _group_seeds(dg: DivisionGraph, first, color_node, n: int) -> list[SeedGroup]:
     """Automorphism groups of the certificate graph, acting on an orbit
-    vertex Hx<phi> through a member x: left multiplication by s in G sends it
-    to (sHs^-1)(sx)<phi> in every component, commuting with <phi> and with
+    vertex Hx<phi> through any member x: left multiplication by s in G sends
+    it to (sHs^-1)(sx)<phi> in every component, commuting with <phi> and with
     the projections Hx -> Kx; right multiplication by m in N_G(<phi>) sends
     it to Hxm<phi> in its component, as N_G(<phi>)/<phi> (each coset named by
-    its least member).  Both act faithfully on the trivial subgroup's orbits."""
+    its least member).  Any member x gives the same images: left
+    multiplication commutes with <phi>, and N_G(<phi>) normalizes <phi>.
+    Both act faithfully on the trivial subgroup's orbits."""
     G, L, spaces, comps = dg.group, dg.lattice, dg.spaces, [c for _, c in dg.components]
-    orbit_at, support = {}, [[] for _ in comps]
-    for (ci, sid), cluster in ids.items():
-        cosets = orbit_cosets(comps[ci].orbit_of[sid], len(cluster))  # c[0]: the start
-        orbit_at.update(zip(cluster, [(ci, sid, spaces[sid].cosets[c[0]][0]) for c in cosets]))
-        support[ci] += cluster
+    orbit_at, begin = {}, {}
+    for (ci, sid), start in first.items():
+        begin.setdefault(ci, start)
+        member = dict(zip(comps[ci].orbit_of[sid], spaces[sid].reps))  # orbit -> a member
+        orbit_at.update((start + k, (ci, sid, x)) for k, x in member.items())
     color_sid = {v: sid for sid, v in color_node.items()}
     conj = cache(lambda sid, s: L.conjugate_subgroup(sid, G.inv(s)))  # sHs^-1
 
     def vertex_at(ci, sid, x):  # the orbit vertex of the coset H_sid x
-        return ids[ci, sid][comps[ci].orbit_of[sid][spaces[sid].coset_of[x]]]
+        return first[ci, sid] + comps[ci].orbit_of[sid][spaces[sid].coset_of[x]]
 
     def left(s, v):
         if v in orbit_at:
@@ -489,7 +490,7 @@ def _group_seeds(dg: DivisionGraph, ids, color_node, n: int) -> list[SeedGroup]:
         least = {G.mul(m, c): m for m in reversed(N) for c in cyc.members}  # x -> min x<phi>
         families.append(SeedGroup(0, [least[m] for m in greedy_generators(G, N)],
                                   lambda a, b, least=least: least[G.mul(a, b)],
-                                  partial(right, ci), support[ci]))
+                                  partial(right, ci), range(begin[ci], begin.get(ci + 1, n))))
     return families
 
 
@@ -603,10 +604,6 @@ class AbstractComponent:
     arcs: ArcTable
 
 
-def abstract_component(comp: USTComponent) -> AbstractComponent:
-    return AbstractComponent(comp.clusters, comp.arcs)
-
-
 def component_encoding(component: AbstractComponent, color_key) -> bytes:
     """Canonical bytes of one component with colors pinned (no renaming).
 
@@ -615,17 +612,18 @@ def component_encoding(component: AbstractComponent, color_key) -> bytes:
     length- and label-preserving isomorphism exists.
     """
     keys = {color: color_key(color) for color in component.clusters}
-    ids: dict[int, list[int]] = {}  # slot s of color c is vertex ids[c][s]
+    first: dict[int, int] = {}  # slot s of color c is vertex first[c] + s
     cells: dict[tuple, list[int]] = {}
     n = 0
     for color in sorted(keys, key=keys.__getitem__):
-        ids[color] = cluster = list(range(n, n + len(component.clusters[color])))
-        for v, length in zip(cluster, component.clusters[color]):
+        first[color] = n
+        cluster = component.clusters[color]
+        for v, length in enumerate(cluster, n):
             cells.setdefault((keys[color], length), []).append(v)
         n += len(cluster)
     table = component.arcs
-    arcs = list(zip([ids[c][o] for c, o in table.lower], [ids[c][o] for c, o in table.upper],
-                    table.labels))
+    arcs = ((first[c] + o, first[d] + p, label)  # made as canon reads them
+            for (c, o), (d, p), label in zip(table.lower, table.upper, table.labels))
     return canonical_form(n, arcs, [cells[k] for k in sorted(cells)]).encoding
 
 
@@ -712,9 +710,7 @@ def _paired_with_direct(L: SubgroupLattice, extracted, K: Group, image):
 
     extracted = dedup_components(extracted, color_key)
     direct = division_graph(K, K_lattice)
-    return extracted, dedup_components(
-        (abstract_component(comp) for _, comp in direct.components), lambda c: c
-    )
+    return extracted, dedup_components((comp for _, comp in direct.components), lambda c: c)
 
 
 def division_graph_of_subgroup(G: Group, L: SubgroupLattice, dg: DivisionGraph,

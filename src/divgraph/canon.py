@@ -60,10 +60,12 @@ def canonical_form(n: int, arcs, init_cells, budget: int = DEFAULT_BUDGET,
     """Canonicalize a digraph on the vertices 0..n-1.
 
     ``arcs`` is an iterable of (u, v, label) with integer labels and at most
-    one arc per ordered pair.  ``init_cells`` is an ordered partition of the
-    vertices; its cell order encodes invariant vertex classes, and only maps
-    preserving each class are considered.  ``known`` lists ``SeedGroup``s
-    to prune with from the start; only their generators' maps are checked.
+    one arc per ordered pair, read exactly once as the search is set up: a
+    caller that wants the arcs again must copy them first.  ``init_cells``
+    is an ordered partition of the vertices; its cell order encodes
+    invariant vertex classes, and only maps preserving each class are
+    considered.  ``known`` lists ``SeedGroup``s to prune with from the
+    start; only their generators' maps are checked.
     """
     return _Searcher(n, arcs, init_cells, budget, known).run()
 
@@ -73,14 +75,13 @@ class _Searcher:
         self.n = n
         self.budget = budget
         self.nodes = self.leaves = self.rounds = self.max_depth = 0
-        arcs = list(arcs)
         # one int object per vertex, whatever the caller's arcs hold: _refine
         # keys dicts by vertex, and a lookup by the stored key skips comparing
         self.vertices = vertex = list(range(n))
+        arcs = [(vertex[u], vertex[v], label) for u, v, label in arcs]
         self.out = [[] for _ in range(n)]
         self.in_ = [[] for _ in range(n)]
         for u, v, label in arcs:
-            u, v = vertex[u], vertex[v]
             self.out[u].append((label, v))
             self.in_[v].append((label, u))
 

@@ -39,7 +39,10 @@ def _load_group(args, spec: str | None = None) -> groups.Group:
         return groups.catalog(spec, order_cap=cap)
     if path is None:
         raise ValidationError("no group given: use --catalog NAME or --input FILE")
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:  # nesting deeper than the interpreter's stack
+        raise ValidationError("JSON input nested too deeply") from None
     return groups.group_from_json(data, order_cap=cap)
 
 
@@ -272,10 +275,7 @@ def run(argv=None) -> int:
     except ResourceCapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DivgraphError as exc:
+    except (DivgraphError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -165,13 +165,12 @@ def extend_subgroup(G: Group, members, mask: int, gens) -> tuple[list[int], int]
 
 
 def closure_from_generators(G: Group, gens) -> list[int]:
-    """Sorted members of the subgroup generated by ``gens``, extended by one
+    """Sorted members of the subgroup generated by the sequence ``gens``, one
     generator at a time; a generator already inside costs one bit test."""
-    members, mask, kept = [0], 1, []
-    for g in gens:
+    members, mask = [0], 1
+    for i, g in enumerate(gens):
         if not mask >> g & 1:
-            kept.append(g)
-            members, mask = extend_subgroup(G, members, mask, kept)
+            members, mask = extend_subgroup(G, members, mask, gens[:i + 1])
     return sorted(members)
 
 
@@ -607,20 +606,20 @@ def subgroup_as_group(G: Group, members) -> tuple[Group, list[int]]:
     return sub, members
 
 
-def right_coset_partition(G: Group, members) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Right cosets Hg of the subgroup with these members, as sorted tuples
-    indexed by minimal element (coset 0 is H), and the coset index of each g."""
+def right_coset_partition(G: Group, members) -> tuple[list[int], list[int]]:
+    """Right cosets Hg of the subgroup with these members: the least member
+    of each coset in ascending order (coset 0 is H), and the coset index of
+    each g.  Scanning g upward, the first g outside every coset found so far
+    is the least member of a new one."""
     coset_of = [-1] * G.order
-    cosets = []
+    reps = []
     rows = None if G._table is None else [G._table[h] for h in members]
     for g in range(G.order):
-        if coset_of[g] >= 0:
-            continue
-        coset = sorted([row[g] for row in rows] if rows else [G.mul(h, g) for h in members])
-        for x in coset:
-            coset_of[x] = len(cosets)
-        cosets.append(tuple(coset))
-    return cosets, coset_of
+        if coset_of[g] < 0:
+            for x in [row[g] for row in rows] if rows else [G.mul(h, g) for h in members]:
+                coset_of[x] = len(reps)
+            reps.append(g)
+    return reps, coset_of
 
 
 def quotient_group(G: Group, normal_members) -> tuple[Group, list[int]]:
@@ -631,15 +630,12 @@ def quotient_group(G: Group, normal_members) -> tuple[Group, list[int]]:
     putting the identity coset at index 0.
     """
     nset = frozenset(normal_members)
-    cosets, coset_of = right_coset_partition(G, nset)
-    reps = [coset[0] for coset in cosets]
+    reps, coset_of = right_coset_partition(G, nset)
     for s in G.generating_set():  # sN = Ns for each generator s: N is normal
         for h in nset:
             if coset_of[G.mul(h, s)] != coset_of[G.mul(s, h)]:
                 raise ValueError("subgroup is not normal")
-    table = [
-        [coset_of[G.mul(a, b)] for b in reps] for a in reps
-    ]
+    table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
     names = [f"[{G.names[r]}]" for r in reps]
     quotient = validate_cayley_table(table, names, f"{G.name}/N{len(nset)}",
                                      order_cap=len(reps))
@@ -657,10 +653,7 @@ def relabeled_copy(G: Group, relabel) -> Group:
     inverse = [0] * n
     for old, new in enumerate(relabel):
         inverse[new] = old
-    table = [
-        [relabel[G.mul(inverse[i], inverse[j])] for j in range(n)]
-        for i in range(n)
-    ]
+    table = [[relabel[G.mul(inverse[i], inverse[j])] for j in range(n)] for i in range(n)]
     names = [G.names[inverse[i]] for i in range(n)]
     return validate_cayley_table(table, names=names, name=f"{G.name}~relabeled",
                                  order_cap=n)

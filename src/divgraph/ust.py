@@ -22,11 +22,11 @@ from .lattice import SubgroupLattice, all_subgroups
 @dataclass(frozen=True, slots=True)
 class CosetSpace:
     subgroup_id: int
-    cosets: tuple[tuple[int, ...], ...]
+    reps: tuple[int, ...]  # the least member of each coset, ascending
     coset_of: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.cosets)
+        return len(self.reps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,9 +73,9 @@ class DivisionGraph:
 
 
 def right_cosets(G: Group, L: SubgroupLattice, subgroup_id: int) -> CosetSpace:
-    """Right cosets Hg, ordered by minimal element (so coset 0 contains 0)."""
-    cosets, coset_of = right_coset_partition(G, L.subgroups[subgroup_id].members)
-    return CosetSpace(subgroup_id, tuple(cosets), tuple(coset_of))
+    """Right cosets Hg, ordered by least member (so coset 0 contains 0)."""
+    reps, coset_of = right_coset_partition(G, L.subgroups[subgroup_id].members)
+    return CosetSpace(subgroup_id, tuple(reps), tuple(coset_of))
 
 
 def orbit_decomposition(cs: CosetSpace, G: Group, phi: int) -> list[Orbit]:
@@ -97,7 +97,7 @@ def _cycles(cs: CosetSpace, right: list[int]) -> tuple[list[int], list[int], lis
     order of their minimal cosets: the cycle of each coset, each cycle's
     length and its minimal coset."""
     coset_of = cs.coset_of
-    act = [coset_of[right[coset[0]]] for coset in cs.cosets]
+    act = [coset_of[right[x]] for x in cs.reps]
     orbit_of = [-1] * len(act)
     lengths, starts = [], []
     for start in range(len(act)):
@@ -119,7 +119,7 @@ def _coset_spaces(G: Group, L: SubgroupLattice) -> list[CosetSpace]:
 
 def _projections(L: SubgroupLattice, spaces: list[CosetSpace]) -> list[list[int]]:
     """Per cover (H, K), the coset Hg of H\\G holding each coset Kg of K\\G."""
-    return [[spaces[low_id].coset_of[coset[0]] for coset in spaces[up_id].cosets]
+    return [[spaces[low_id].coset_of[x] for x in spaces[up_id].reps]
             for low_id, up_id, _ in L.covers]
 
 

@@ -368,11 +368,7 @@ def test_smaller_leaf_after_an_equal_prefix_matches_reference(monkeypatch):
     # the certificate graph of alternating:4 meets a leaf whose key first
     # falls below the best key after an equal prefix, which the random
     # graphs above do not
-    calls = []
-    monkeypatch.setattr(analysis, "canonical_form",
-                        lambda *args, **kwargs: calls.append(args) or canonical_form(*args))
-    analysis.certificate(division_graph(catalog("alternating:4")))
-    n, arcs, cells = calls[0]
+    (n, arcs, cells, *_), _ = _certificate_search(catalog("alternating:4"), monkeypatch)
     ref = _ReferenceSearcher(n, arcs, cells, budget=10**6).run()
     new = canonical_form(n, arcs, cells)
     assert (new.encoding, new.order, new.nodes) == (
@@ -380,16 +376,19 @@ def test_smaller_leaf_after_an_equal_prefix_matches_reference(monkeypatch):
 
 
 def _certificate_search(G, monkeypatch):
-    """The arguments and result of the one search ``certificate`` runs."""
+    """The arguments and result of the one search ``certificate`` runs, its
+    streamed arcs kept as a list."""
     calls = []
 
-    def recording(*args, **kwargs):
+    def recording(n, arcs, *args, **kwargs):
+        args = (n, list(arcs), *args)
         calls.append((args, canonical_form(*args, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(analysis, "canonical_form", recording)
     analysis.certificate(division_graph(G))
     (call,) = calls
+    assert len(call[0][1]) > 0, "the recorded graph has arcs"
     return call
 
 

@@ -295,6 +295,12 @@ def test_unknown_descriptor_exits_1(capsys):
     assert code == 1
 
 
+def test_truncated_descriptor_exits_1(capsys):
+    code, out, err = invoke(capsys, "validate", "product:cyclic:2")
+    assert (code, out) == (1, "")
+    assert err == "error: empty descriptor\n"
+
+
 def test_missing_group_exits_1(capsys):
     code, _, err = invoke(capsys, "divisions")
     assert code == 1
@@ -419,8 +425,15 @@ def test_malformed_table_json_exits_1(tmp_path, capsys, data):
     (b'{"degree": true, "generators": []}', "bad degree True"),
     (b'{"table": [[0, 1], [1, 0]], "order": "2"}', "declared order '2'"),
     (b'{"table": [[0]], "order": true}', "declared order True"),
+    (b'[1, 2]', "group JSON must be an object"),
+    (b'{"table": [[0, 1], [1]]}', "row 1 has length 1, expected 2"),
+    (b'{"table": [[0, 1], [0, 1]]}', "column 0 repeats 0"),
+    (b'{"table": [[0]], "names": ["a", "b"]}', "2 names for 1 elements"),
+    (b'{"table": []}', "empty table"),
+    (b"[" * 100000 + b"]" * 100000, "JSON input nested too deeply"),
 ], ids=["not-utf8", "bool-entries", "float-image", "string-images", "bool-degree",
-        "string-order", "bool-order"])
+        "string-order", "bool-order", "not-an-object", "ragged-row", "column-repeat",
+        "names-length", "empty-table", "deep-nesting"])
 def test_json_input_takes_integers_only(tmp_path, capsys, raw, message):
     path = tmp_path / "input.json"
     path.write_bytes(raw)

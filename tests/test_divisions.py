@@ -1,3 +1,4 @@
+from importlib import import_module
 from math import gcd
 
 import pytest
@@ -325,6 +326,20 @@ def test_same_class_trivial_and_errors():
     odd = Permutation.from_cycles([(1, 2)], 5)
     with pytest.raises(NotEvenClass):
         dv.same_class_in_alternating(odd, odd, 5)
+
+
+def test_non_split_type_is_one_class_without_a_conjugator(monkeypatch):
+    """(3, 1, 1) does not split in A_5, so two 3-cycles share an A_5 class
+    although their standard conjugator is odd; no conjugator is built."""
+    p = Permutation.from_cycles([(1, 2, 3)], 5)
+    q = Permutation.from_cycles([(1, 3, 2)], 5)
+    assert not standard_conjugator(p, q).is_even()
+
+    def refuse(p, q):
+        raise AssertionError("a non-split type needs no conjugator")
+
+    monkeypatch.setattr(import_module("divgraph.divisions"), "standard_conjugator", refuse)
+    assert dv.same_class_in_alternating(p, q, 5) is True
 
 
 @settings(max_examples=30, deadline=None)

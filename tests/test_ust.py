@@ -6,7 +6,7 @@ import pytest
 
 import divgraph as dv
 from divgraph import ust
-from divgraph.analysis import abstract_component, component_encoding
+from divgraph.analysis import component_encoding
 from divgraph.errors import InternalInvariantError
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, is_normal
 from divgraph.ust import (
@@ -14,6 +14,7 @@ from divgraph.ust import (
     Orbit,
     USTComponent,
     division_graph,
+    orbit_cosets,
     orbit_decomposition,
     right_cosets,
     ust_component,
@@ -34,31 +35,36 @@ def test_q8_cosets_of_i_subgroup(q8):
     L = all_subgroups(q8)
     h1 = L.id_of([0, 1, 2, 3])  # <i> = {1,-1,i,-i}
     cs = right_cosets(q8, L, h1)
-    assert [set(c) for c in cs.cosets] == [{0, 1, 2, 3}, {4, 5, 6, 7}]
+    assert [set(c) for c in orbit_cosets(cs.coset_of, len(cs))] == [{0, 1, 2, 3}, {4, 5, 6, 7}]
+    assert cs.reps == (0, 4)
 
 
 def test_full_group_single_coset(q8):
     L = all_subgroups(q8)
     cs = right_cosets(q8, L, L.full_id)
-    assert len(cs.cosets) == 1
-    assert set(cs.cosets[0]) == set(range(8))
+    cosets = orbit_cosets(cs.coset_of, len(cs))
+    assert len(cosets) == 1
+    assert set(cosets[0]) == set(range(8))
 
 
 def test_trivial_subgroup_singleton_cosets(q8):
     L = all_subgroups(q8)
     cs = right_cosets(q8, L, L.trivial_id)
-    assert len(cs.cosets) == 8
-    assert all(len(c) == 1 for c in cs.cosets)
+    cosets = orbit_cosets(cs.coset_of, len(cs))
+    assert len(cosets) == 8
+    assert all(len(c) == 1 for c in cosets)
 
 
 def test_cosets_partition_and_identity_first(s4):
     L = all_subgroups(s4)
     for s in L.subgroups:
         cs = right_cosets(s4, L, s.id)
-        seen = sorted(g for c in cs.cosets for g in c)
+        cosets = orbit_cosets(cs.coset_of, len(cs))
+        seen = sorted(g for c in cosets for g in c)
         assert seen == list(range(24))
-        assert all(len(c) == s.order for c in cs.cosets)
-        assert 0 in cs.cosets[0]
+        assert all(len(c) == s.order for c in cosets)
+        assert 0 in cosets[0]
+        assert list(cs.reps) == [min(c) for c in cosets] == sorted(cs.reps)
 
 
 def test_quotient_shares_the_right_coset_partition():
@@ -98,7 +104,7 @@ def test_identity_orbits_are_singletons(s4):
         cs = right_cosets(s4, L, s.id)
         orbits = orbit_decomposition(cs, s4, 0)
         assert all(o.length == 1 for o in orbits)
-        assert len(orbits) == len(cs.cosets)
+        assert len(orbits) == len(cs)
 
 
 def test_orbit_lengths_divide_element_order(s4):
@@ -124,8 +130,7 @@ def _brute_force_orbits(G, cs, phi):
     powers = [0]
     while G.mul(powers[-1], phi) != 0:
         powers.append(G.mul(powers[-1], phi))
-    orbits = {tuple(sorted({cs.coset_of[G.mul(coset[0], p)] for p in powers}))
-              for coset in cs.cosets}
+    orbits = {tuple(sorted({cs.coset_of[G.mul(x, p)] for p in powers})) for x in cs.reps}
     return sorted(orbits)
 
 
@@ -284,15 +289,20 @@ def test_representative_independence(q8):
     for G in (q8, dv.symmetric(3), dv.cyclic(12), dv.alternating(4)):
         L = all_subgroups(G)
         for d in dv.divisions(G):
-            base = component_encoding(
-                abstract_component(ust_component(G, L, d)), lambda c: c
-            )
+            base = component_encoding(ust_component(G, L, d), lambda c: c)
             for rep in d.members:
                 alt = component_encoding(
-                    abstract_component(ust_component(G, L, d, representative=rep)),
-                    lambda c: c,
-                )
+                    ust_component(G, L, d, representative=rep), lambda c: c)
                 assert alt == base, (G.name, d.members, rep)
+
+
+def test_representative_outside_the_division_raises(q8):
+    L = all_subgroups(q8)
+    d = dv.divisions(q8)[1]
+    outside = next(g for g in q8.elements() if g not in d.members)
+    with pytest.raises(ValueError, match=(
+            rf"^element {outside} is not in division \[{d.representative}\]$")):
+        ust_component(q8, L, d, representative=outside)
 
 
 def test_component_count_equals_division_count(q8, s3):
@@ -426,6 +436,7 @@ def _oracle_arcs(G, L, dg, comp):
     image of the orbit's first coset, labelled by the ratio of the orbit
     lengths.  Only the orbits' numbers are read off ``comp``."""
     phi = comp.division_rep
+    space_cosets = [orbit_cosets(cs.coset_of, len(cs)) for cs in dg.spaces]
 
     def orbit(sid, g):  # the <phi>-orbit of H_sid g, as element sets from H_sid g
         members, cosets, x = L.subgroups[sid].members, [], g
@@ -436,7 +447,7 @@ def _oracle_arcs(G, L, dg, comp):
 
     def number(sid, cosets):
         (k,) = {k for c, k in enumerate(comp.orbit_of[sid])
-                if set(dg.spaces[sid].cosets[c]) in cosets}
+                if set(space_cosets[sid][c]) in cosets}
         return k
 
     arcs = []
