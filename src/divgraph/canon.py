@@ -14,17 +14,23 @@ position of v's cell and ``cell_at[s]`` the members of the cell starting at
 s (None where none starts).  A split renames only the split cell's members,
 cell lists are never mutated, so a search node copies just the two flat
 lists, and the search runs on an explicit stack, not Python's recursion.
+
+Adjacency is coded in ints: with K = n + 1 and HI = (max label - min
+label + 1) * K, an arc u -> w labelled lab gives u the entry lab*K + s and w
+HI + lab*K + s, s the other end's cell start.  Tails sort below heads, each
+kind as (label, start), and ``divmod`` decodes a leaf's entries.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict, namedtuple
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CanonicalizationBudgetExceeded, InternalInvariantError
 
 DEFAULT_BUDGET = 500_000
-_END = ((float("inf"),),)  # closes a signature list, above every (label, start)
 
 
 # A group with identity ``one``, generators ``gens`` and product ``mul``,
@@ -59,13 +65,14 @@ def canonical_form(n: int, arcs, init_cells, budget: int = DEFAULT_BUDGET,
                    known=()) -> CanonicalResult:
     """Canonicalize a digraph on the vertices 0..n-1.
 
-    ``arcs`` is an iterable of (u, v, label) with integer labels and at most
-    one arc per ordered pair, read exactly once as the search is set up: a
-    caller that wants the arcs again must copy them first.  ``init_cells``
-    is an ordered partition of the vertices; its cell order encodes
-    invariant vertex classes, and only maps preserving each class are
-    considered.  ``known`` lists ``SeedGroup``s to prune with from the
-    start; only their generators' maps are checked.
+    ``arcs`` is an iterable of (u, v, label) with int labels (any other
+    label raises ValueError) and at most one arc per ordered pair, read
+    exactly once as the search is set up: a caller that wants the arcs
+    again must copy them first.  ``init_cells`` is an ordered partition of
+    the vertices; its cell order encodes invariant vertex classes, and only
+    maps preserving each class are considered.  ``known`` lists
+    ``SeedGroup``s to prune with from the start; only their generators'
+    maps are checked.
     """
     return _Searcher(n, arcs, init_cells, budget, known).run()
 
@@ -78,14 +85,27 @@ class _Searcher:
         # one int object per vertex, whatever the caller's arcs hold: _refine
         # keys dicts by vertex, and a lookup by the stored key skips comparing
         self.vertices = vertex = list(range(n))
-        arcs = [(vertex[u], vertex[v], label) for u, v, label in arcs]
-        self.out = [[] for _ in range(n)]
-        self.in_ = [[] for _ in range(n)]
+        arcs = list(arcs)
+        if not set(map(type, map(itemgetter(2), arcs))) <= {int}:
+            raise ValueError("arc labels must be ints")
+        labels = set(map(itemgetter(2), arcs))
+        lo, hi = min(labels, default=0), max(labels, default=0)
+        K = self.radix = n + 1
+        HI = self.hi = (hi - lo + 1) * K
+        self.first_head, self.top = HI + lo * K, HI + (hi + 1) * K
+        tail, head = {lab: lab * K for lab in labels}, {lab: HI + lab * K for lab in labels}
+        # the entries w's out- and in-arcs give their other end, one int per label
+        self.out, self.in_ = out, in_ = [[] for _ in vertex], [[] for _ in vertex]
         for u, v, label in arcs:
-            self.out[u].append((label, v))
-            self.in_[v].append((label, u))
+            u, v = vertex[u], vertex[v]
+            out[u].append((head[label], v))
+            in_[v].append((tail[label], u))
+        del arcs  # the seeds are checked on the coded lists
+        for adj in out:
+            adj.sort()
 
         self.init_class = [-1] * n
+        init_cells = [sorted(map(vertex.__getitem__, cell)) for cell in init_cells]
         for ci, cell in enumerate(init_cells):
             for v in cell:
                 if self.init_class[v] != -1:
@@ -93,30 +113,34 @@ class _Searcher:
                 self.init_class[v] = ci
         if any(c < 0 for c in self.init_class):
             raise ValueError("initial cells must cover every vertex")
+        self.init_cells = list(filter(None, init_cells))
 
-        self.best_key = None
-        self.best_order = None
+        self.best_key = self.best_order = None
         self.best_path: list[tuple[int, ...]] = []
         self.best_prefix: tuple[int, ...] = ()
         self.generators: list[tuple[int, ...]] = []
         self._gen_set: set[tuple[int, ...]] = set()
         self._bounce: int | None = None
-        self.seeds = self._seed(known, arcs) if known else []
+        self.seeds = self._seed(known) if known else []
 
-    def _seed(self, known, arcs):
-        """Check every generator on the arcs at its support, then prune with
-        every other element of the group each family generates: that only
-        skips images of explored branches."""
-        arc_set, cls, seeds = set(arcs), self.init_class, []
+    def _seed(self, known):
+        """Check every generator on its support alone: a class-keeping
+        bijection of it, mapping each member's out-arcs onto its image's and
+        in-arcs from outside onto arcs.  Then prune with every other element
+        of the group each family generates: that only skips images of
+        explored branches."""
+        cls, out, in_, seeds = self.init_class, self.out, self.in_, []
         for one, gens, mul, act, support in known:
             inside = set(support)
-            near = [(v, w, lab) for v in inside for lab, w in self.out[v]]
-            near += [(u, v, lab) for v in inside for lab, u in self.in_[v] if u not in inside]
+            entering = [(v, c, u) for v in inside for c, u in in_[v] if u not in inside]
             for g in gens:
-                image = [act(g, v) if v in inside else v for v in range(self.n)]
-                if (sorted(image) != list(range(self.n))
-                        or list(map(cls.__getitem__, image)) != cls
-                        or not arc_set.issuperset((image[u], image[w], lab) for u, w, lab in near)):
+                image = {v: act(g, v) for v in inside}
+                moved = image.get
+                if (set(image.values()) != inside
+                        or any(cls[v] != cls[w] for v, w in image.items())
+                        or any(sorted([(c, moved(x, x)) for c, x in out[v]]) != out[w]
+                               for v, w in image.items())
+                        or any((c, u) not in in_[image[v]] for v, c, u in entering)):
                     raise InternalInvariantError(
                         f"a seed is not an automorphism of the graph on {self.n} vertices"
                     )
@@ -130,51 +154,59 @@ class _Searcher:
 
     # -- refinement ---------------------------------------------------------
 
-    def _refine(self, cell_at, cell_of, changed, end=_END):
+    def _refine(self, cell_at, cell_of, changed, first=False):
         """Split cells by neighborhood signatures until equitable, in place.
 
         A round splits each non-singleton cell holding a neighbor of a
-        vertex ``changed`` by the previous round, by sorted (label, cell
-        start) lists of out- and in-arcs, and applies all its splits at
-        once, so the schedule is invariant under isomorphism.
-
-        Only arcs into every part of a split cell but its last (Hopcroft's
-        rule) enter the signatures, into the individualized vertex alone in a
-        child's first round, yet they order the members as full signatures
-        would.  Every cell a round can split was uniform with respect to the
-        partition before the previous round (for a child's first round, the
-        parent's equitable one), so its members' arcs into unchanged cells
-        are identical, and per label their count into a split cell's last
-        part follows from their counts into the parts before it.  Where two
-        sorted full lists first differ, the one with more arcs into a part
-        is smaller, and stays so in the shortened lists if a list that runs
-        out sorts above one that goes on: the ``end`` marker closing each.
-        The initial cells are not uniform: the root's first round compares
-        full signatures of every vertex with no marker (``end=()``).
+        vertex ``changed`` by the previous round, by the sorted coded entries
+        of its arcs to them, and applies all its splits at once, so the
+        schedule is invariant under isomorphism.  Only arcs into every part
+        of a split cell but its last (Hopcroft's rule) enter, yet they order
+        the members as full signatures would: a cell a round can split was
+        uniform before the previous round, so per label its members' arcs
+        into the last part follow from those into the parts before it, and
+        where two full lists first differ the one with more arcs into a part
+        is smaller.  That holds in the shortened lists as each is closed by
+        ``top``, above every entry; out-entries sort below in-entries, so one
+        marker orders a list as a marker closing each of its two kinds would.
+        Untouched members (the marker alone, the largest list) form a cell's
+        closing part, in cell order, with no key.  The root's first round
+        (``first``) compares full out- and in-lists as a pair with no marker,
+        as the initial cells are not uniform.
         """
-        out, in_ = self.out, self.in_
+        out, in_, top, first_head = self.out, self.in_, self.top, self.first_head
         while changed:
             self.rounds += 1
-            out_sig, in_sig = defaultdict(list), defaultdict(list)
+            sig = defaultdict(list)
             for w in changed:
                 s = cell_of[w]
-                for lab, u in in_[w]:
-                    if len(cell_at[cell_of[u]]) > 1:
-                        out_sig[u].append((lab, s))
-                for lab, u in out[w]:
-                    if len(cell_at[cell_of[u]]) > 1:
-                        in_sig[u].append((lab, s))
-            dirty = sorted({cell_of[u] for u in out_sig.keys() | in_sig.keys()})
+                for c, u in in_[w]:
+                    sig[u].append(c + s)
+                for c, u in out[w]:
+                    sig[u].append(c + s)
+            touched = defaultdict(list)
+            for u in sig:
+                if len(cell_at[s := cell_of[u]]) > 1:
+                    touched[s].append(u)
             splits = []
-            for s in dirty:
-                sigs: dict[tuple, list[int]] = {}
-                for v in cell_at[s]:
-                    sig = (tuple(sorted(out_sig.get(v, ()))) + end,
-                           tuple(sorted(in_sig.get(v, ()))) + end)
-                    sigs.setdefault(sig, []).append(v)
-                if len(sigs) > 1:
-                    splits.append((s, [sigs[key] for key in sorted(sigs)]))
-            changed, end = [], _END
+            for s in sorted(touched):
+                cell, parts = cell_at[s], {}
+                # cells ascend by vertex, so sorted members keep cell order
+                members = cell if first else sorted(touched[s])
+                for v in members:
+                    key = sorted(sig.get(v, ()))
+                    if first:
+                        cut = bisect_left(key, first_head)
+                        parts.setdefault((tuple(key[:cut]), tuple(key[cut:])), []).append(v)
+                    else:
+                        key.append(top)
+                        parts.setdefault(tuple(key), []).append(v)
+                ordered = [parts[key] for key in sorted(parts)]
+                if len(members) < len(cell):
+                    ordered.append([v for v in cell if v not in sig])
+                if len(ordered) > 1:
+                    splits.append((s, ordered))
+            changed, first = [], False
             for s, parts in splits:
                 for part in parts:
                     cell_at[s] = part
@@ -186,17 +218,13 @@ class _Searcher:
     # -- search -------------------------------------------------------------
 
     def run(self) -> CanonicalResult:
-        cell_at, cell_of = [None] * self.n, [0] * self.n
-        by_class: dict[int, list[int]] = {}
-        for v in self.vertices:
-            by_class.setdefault(self.init_class[v], []).append(v)
-        s = 0
-        for ci in sorted(by_class):
-            cell_at[s] = by_class[ci]
-            for v in by_class[ci]:
+        cell_at, cell_of, s = [None] * self.n, [0] * self.n, 0
+        for cell in self.init_cells:
+            cell_at[s] = cell
+            for v in cell:
                 cell_of[v] = s
-            s += len(by_class[ci])
-        self._refine(cell_at, cell_of, self.vertices, ())
+            s += len(cell)
+        self._refine(cell_at, cell_of, self.vertices, first=True)
         stack = [self._search(cell_at, cell_of, (), [], 0)]
         while stack:
             child = next(stack[-1], None)
@@ -231,29 +259,25 @@ class _Searcher:
         cells = list(filter(None, cell_at))
         inv = tuple(map(len, cells))
         if self.best_key is not None and depth < len(self.best_path):
-            best_inv = self.best_path[depth]
-            if inv > best_inv:
+            if inv > self.best_path[depth]:
                 return
-            if inv < best_inv:
-                self.best_key = None
-                self.best_order = None
-                del self.best_path[depth:]
-                self.best_path.append(inv)
-        elif self.best_key is None:
+            if inv < self.best_path[depth]:
+                self.best_key = self.best_order = None
+        if self.best_key is None:
             del self.best_path[depth:]
             self.best_path.append(inv)
 
-        target = next((cell for cell in cells if len(cell) > 1), None)
-        if target is None:
+        try:  # the first non-singleton cell starts just before the first None
+            start = cell_at.index(None) - 1
+        except ValueError:
             self.leaves += 1
             self._handle_leaf(cells, prefix)
             return
+        target = cell_at[start]
 
         if prefix:
             fixed = [g for g in fixed if g[prefix[-1]] == prefix[-1]]
-        explored: list[int] = []
-        orbit_of = None
-        start = cell_of[target[0]]
+        explored, orbit_of = [], None
         for v in target:
             if explored:
                 if orbit_of is None or known < len(self.generators):
@@ -280,27 +304,20 @@ class _Searcher:
 
     def _cell_orbits(self, cell, useful):
         """Orbit representative per cell member under the automorphisms
-        ``useful``, those fixing the prefix pointwise; None when there are none.
-
-        Automorphisms fixing the prefix stabilize every cell of this node's
-        partition setwise (the partition is a deterministic function of the
-        prefix), so the orbit walk never leaves the cell.
-        """
+        ``useful`` fixing the prefix pointwise (None when there are none).
+        They stabilize every cell of the node's partition setwise, as it is a
+        function of the prefix, so the orbit walk never leaves the cell."""
         if not useful:
             return None
         orbit_of: dict[int, int] = {}
         for u in cell:
-            if u in orbit_of:
-                continue
-            orbit_of[u] = u
-            queue = [u]
-            while queue:
-                x = queue.pop()
-                for g in useful:
-                    y = g[x]
-                    if y not in orbit_of:
-                        orbit_of[y] = u
-                        queue.append(y)
+            if u not in orbit_of:
+                orbit_of[u], queue = u, [u]
+                for x in queue:  # the queue grows as the walk reaches new members
+                    for g in useful:
+                        if (y := g[x]) not in orbit_of:
+                            orbit_of[y] = u
+                            queue.append(y)
         return orbit_of
 
     def _handle_leaf(self, cells, prefix):
@@ -310,11 +327,10 @@ class _Searcher:
         position = [0] * self.n
         for pos, v in enumerate(order):
             position[v] = pos
-        best = self.best_key
+        best, out = self.best_key, self.out
         key = [] if best is None else None
         for i, v in enumerate(order):
-            entry = (self.init_class[v],
-                     tuple(sorted((lab, position[w]) for lab, w in self.out[v])))
+            entry = (self.init_class[v], tuple(sorted([c + position[w] for c, w in out[v]])))
             if key is None:
                 if entry == best[i]:
                     continue
@@ -323,9 +339,7 @@ class _Searcher:
                 key = list(best[:i])
             key.append(entry)
         if key is not None:  # the first leaf, or a smaller key
-            self.best_key = tuple(key)
-            self.best_order = order
-            self.best_prefix = prefix
+            self.best_key, self.best_order, self.best_prefix = tuple(key), order, prefix
         else:
             mapping = tuple(map(dict(zip(self.best_order, order)).__getitem__, range(self.n)))
             if mapping not in self._gen_set and mapping != tuple(range(self.n)):
@@ -339,17 +353,13 @@ class _Searcher:
         the current subtree repeats explored territory; unwind to the fork.
         """
         best = self.best_prefix
-        k = 0
-        while k < len(best) and k < len(prefix) and best[k] == prefix[k]:
-            k += 1
-        if k >= len(best) or k >= len(prefix):
-            return
-        if all(mapping[best[i]] == prefix[i] for i in range(k + 1)):
+        k = next((i for i, (a, b) in enumerate(zip(best, prefix)) if a != b), None)
+        if k is not None and all(mapping[best[i]] == prefix[i] for i in range(k + 1)):
             self._bounce = k
 
     def _encode_bytes(self, key) -> bytes:
         chunks = [f"n={self.n}"]
-        for init_class, adjacency in key:
-            arc_txt = ",".join(f"{lab}:{w}" for lab, w in adjacency)
+        for init_class, adjacency in key:  # an entry is HI + label*K + position
+            arc_txt = ",".join("%d:%d" % divmod(c - self.hi, self.radix) for c in adjacency)
             chunks.append(f"{init_class}|{arc_txt}")
         return ";".join(chunks).encode("ascii")

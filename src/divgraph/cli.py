@@ -195,6 +195,13 @@ def _cmd_conjecture_scan(args) -> int:
     return 0
 
 
+def _cap(text: str) -> int:
+    """A cap or budget: any work exceeds zero, a negative one is invalid input."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors are one-line invalid input (exit 1); 2 is for caps."""
 
@@ -218,11 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="catalog descriptor or JSON file path")
             p.add_argument("--catalog", help="catalog descriptor, e.g. symmetric:4")
             p.add_argument("--input", help="path to a JSON group file")
-        p.add_argument("--order-cap", type=int, default=groups.DEFAULT_ORDER_CAP)
+        p.add_argument("--order-cap", type=_cap, default=groups.DEFAULT_ORDER_CAP)
         if lattice_cap:
-            p.add_argument("--lattice-cap", type=int, default=lattice.DEFAULT_ORDER_LIMIT)
+            p.add_argument("--lattice-cap", type=_cap, default=lattice.DEFAULT_ORDER_LIMIT)
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+            p.add_argument("--budget", type=_cap, default=DEFAULT_BUDGET)
         p.add_argument("--out", help="write output to this path instead of stdout")
         return p
 
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("an-divisions", help="alternating-group divisions by cycle type")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", type=_cap, default=20)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_an_divisions)
 

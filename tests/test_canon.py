@@ -60,6 +60,12 @@ def test_initial_cells_must_partition_the_vertices():
         canonical_form(3, [], [[0, 2]])
 
 
+@pytest.mark.parametrize("label", ["a", 1.0])
+def test_labels_must_be_ints(label):
+    with pytest.raises(ValueError, match=r"^arc labels must be ints$"):
+        canonical_form(2, [(0, 1, 1), (1, 0, label)], [[0, 1]])
+
+
 def test_cell_classes_respected():
     # two disjoint arcs; marking different endpoints changes the class layout
     arcs = [(0, 1, 1), (2, 3, 1)]
@@ -170,17 +176,24 @@ def test_counters_repeat_across_relabellings(monkeypatch):
 
 class _ReferenceSearcher(_Searcher):
     """Index-based refinement with full signatures, a deep-copying
-    recursive search and its own leaf handling."""
+    recursive search and its own leaf handling, on its own (label, vertex)
+    adjacency lists and (label, position) leaf keys."""
 
     def __init__(self, n, arcs, init_cells, budget):
+        arcs = list(arcs)
         super().__init__(n, arcs, init_cells, budget)
+        self.arcs_out = [[] for _ in range(n)]
+        self.arcs_in = [[] for _ in range(n)]
+        for u, v, label in arcs:
+            self.arcs_out[u].append((label, v))
+            self.arcs_in[v].append((label, u))
         self.nbrs = [
-            tuple({w for _, w in self.out[v]} | {w for _, w in self.in_[v]})
+            tuple({w for _, w in self.arcs_out[v]} | {w for _, w in self.arcs_in[v]})
             for v in range(n)
         ]
 
     def _refine(self, cells, cell_of, changed):
-        out, in_, nbrs = self.out, self.in_, self.nbrs
+        out, in_, nbrs = self.arcs_out, self.arcs_in, self.nbrs
         while changed:
             touched = set()
             for v in changed:
@@ -294,7 +307,7 @@ class _ReferenceSearcher(_Searcher):
         key = tuple(
             (
                 self.init_class[v],
-                tuple(sorted((lab, position[w]) for lab, w in self.out[v])),
+                tuple(sorted((lab, position[w]) for lab, w in self.arcs_out[v])),
             )
             for v in order
         )
@@ -314,13 +327,22 @@ class _ReferenceSearcher(_Searcher):
                 self._gen_set.add(mapping)
             self._maybe_bounce(mapping, prefix)
 
+    def _encode_bytes(self, key):
+        chunks = [f"n={self.n}"]
+        for init_class, adjacency in key:
+            arc_txt = ",".join(f"{lab}:{w}" for lab, w in adjacency)
+            chunks.append(f"{init_class}|{arc_txt}")
+        return ";".join(chunks).encode("ascii")
+
 
 @st.composite
-def labelled_digraphs(draw, max_n):
+def labelled_digraphs(draw, max_n, labels=None):
     """(n, arcs, initial cells): random, circulant or disjoint-copies arcs
-    under a random vertex numbering, so that symmetric cases are common."""
+    under a random vertex numbering, so that symmetric cases are common.
+    Labels run from 1 to at most 3 unless ``labels`` draws them."""
     n = draw(st.integers(1, max_n))
-    labels = st.integers(1, draw(st.integers(1, 3)))
+    if labels is None:
+        labels = st.integers(1, draw(st.integers(1, 3)))
     kind = draw(st.sampled_from(["random", "circulant", "copies"]))
     arcs = {}
     if kind == "random":
@@ -352,16 +374,33 @@ def labelled_digraphs(draw, max_n):
     return n, arcs, cells
 
 
-@settings(max_examples=400, deadline=None)
-@given(labelled_digraphs(max_n=12))
-def test_incremental_refinement_matches_reference(graph):
-    n, arcs, cells = graph
+def _assert_matches_reference(n, arcs, cells):
     new = canonical_form(n, arcs, cells)
     ref = _ReferenceSearcher(n, arcs, cells, budget=10**6).run()
     assert new.encoding == ref._encode_bytes(ref.best_key)
     assert new.order == ref.best_order
     assert new.nodes == ref.nodes
     assert new.automorphisms == ref.generators
+
+
+@settings(max_examples=400, deadline=None)
+@given(labelled_digraphs(max_n=12))
+def test_incremental_refinement_matches_reference(graph):
+    _assert_matches_reference(*graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_digraphs(max_n=10, labels=st.integers(-2, 3)))
+def test_zero_and_negative_labels_match_reference(graph):
+    """Coded entries order as (label, start) where labels do not start at 1."""
+    _assert_matches_reference(*graph)
+
+
+def test_root_round_splits_out_from_in_lists_at_the_smallest_head_entry():
+    # with labels from 1, a tail entry can reach HI = (max - min + 1) * K:
+    # splitting the root's sorted lists there instead puts vertex 0's
+    # out-entry among the in-entries
+    _assert_matches_reference(2, [(0, 1, 1)], [[0, 1]])
 
 
 def test_smaller_leaf_after_an_equal_prefix_matches_reference(monkeypatch):

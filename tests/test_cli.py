@@ -275,6 +275,30 @@ def test_budget_acts_in_conjecture_scan(capsys):
     assert err.startswith("cap exceeded:") and one_line(err)
 
 
+#: Every (command, flag) pair taking a cap or budget, with arguments the cap acts on.
+CAPPED = [
+    (command, flag) for command, opts in sorted(OPTIONS.items())
+    for flag in ("--order-cap", "--lattice-cap", "--budget", "--cap") if flag in opts
+]
+CAPPED_ARGV = {"compare": ("cyclic:3", "cyclic:2"), "conjecture-scan": ("--max-order", "3"),
+               "an-divisions": ("--n", "5")}
+
+
+@pytest.mark.parametrize("command, flag", CAPPED, ids=[" ".join(c) for c in CAPPED])
+def test_negative_cap_is_invalid_input(capsys, command, flag):
+    argv = CAPPED_ARGV.get(command, ("cyclic:3",))
+    assert invoke(capsys, command, *argv, flag, "-1") == (
+        1, "", f"error: argument {flag}: expected a non-negative integer, got '-1'\n")
+
+
+@pytest.mark.parametrize("command, flag", CAPPED, ids=[" ".join(c) for c in CAPPED])
+def test_zero_cap_is_exceeded(capsys, command, flag):
+    argv = CAPPED_ARGV.get(command, ("cyclic:3",))
+    code, out, err = invoke(capsys, command, *argv, flag, "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("cap exceeded:") and one_line(err)
+
+
 @pytest.mark.parametrize("argv", [
     ("validate", "cyclic:3", "--budget", "5"),
     ("divisions", "cyclic:3", "--lattice-cap", "5"),
