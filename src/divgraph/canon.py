@@ -28,7 +28,7 @@ from collections import defaultdict, namedtuple
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import CanonicalizationBudgetExceeded, InternalInvariantError
+from .errors import CanonicalizationBudgetExceeded, InternalInvariantError, ValidationError
 
 DEFAULT_BUDGET = 500_000
 
@@ -74,6 +74,8 @@ def canonical_form(n: int, arcs, init_cells, budget: int = DEFAULT_BUDGET,
     ``SeedGroup``s to prune with from the start; only their generators'
     maps are checked.
     """
+    if budget < 0:
+        raise ValidationError(f"budget must be non-negative, got {budget}")
     return _Searcher(n, arcs, init_cells, budget, known).run()
 
 

@@ -287,6 +287,8 @@ def alternating_divisions_by_type(n: int, cap: int = 20) -> dict[tuple[int, ...]
     """
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
+    if cap < 0:
+        raise ValidationError(f"cap must be non-negative, got {cap}")
     if n > cap:
         raise ResourceCapExceeded(f"degree {n} exceeds cap {cap}")
     out: dict[tuple[int, ...], int] = {}

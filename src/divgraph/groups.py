@@ -6,6 +6,7 @@ Groups are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice, product, repeat, permutations as _itertools_permutations
 
 from .errors import (
@@ -16,6 +17,7 @@ from .errors import (
     NotClosed,
     OrderCapExceeded,
     UnknownDescriptor,
+    ValidationError,
 )
 from .perms import Permutation
 
@@ -124,11 +126,7 @@ class Group:
         return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
 
     def element_order_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for g in self.elements():
-            o = self.element_order(g)
-            hist[o] = hist.get(o, 0) + 1
-        return hist
+        return dict(Counter(map(self.element_order, self.elements())))
 
     def __repr__(self) -> str:
         return f"<Group {self.name!r} of order {self.order}>"
@@ -538,6 +536,8 @@ def _check_order(name: str, order: int, table: bool, order_cap: int) -> None:
 def catalog(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Build a named group from a descriptor like ``symmetric:4`` or
     ``product:cyclic:2:cyclic:4``; its caps are checked before anything is built."""
+    if order_cap < 0:
+        raise ValidationError(f"order cap must be non-negative, got {order_cap}")
     name, order, table, build = _parse(descriptor, order_cap)
     _check_order(name, order, table, order_cap)
     return build()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import LatticeCapExceeded
+from .errors import LatticeCapExceeded, ValidationError
 from .groups import Group, closure_from_generators, extend_subgroup
 
 DEFAULT_ORDER_LIMIT = 384
@@ -120,6 +120,8 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
     automorphism, so the covers of t^-1 R t are the t^-1 K t, same index.
     """
     n = G.order
+    if order_limit < 0:
+        raise ValidationError(f"lattice cap must be non-negative, got {order_limit}")
     if n > order_limit:
         raise LatticeCapExceeded(f"order {n} exceeds lattice cap {order_limit}")
 

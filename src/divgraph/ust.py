@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .divisions import Division, divisions
 from .errors import InternalInvariantError
@@ -211,24 +212,52 @@ class LagariasReport:
         return not self.violations
 
 
+def _cycle_type(divisors, fixed) -> tuple[int, ...]:
+    """Sorted cycle lengths of a permutation from the fixed points of its d-th
+    powers, d ascending over the divisors of its order (inclusion-exclusion)."""
+    lengths = []
+    for d, count in zip(divisors, fixed):
+        points = count - sum(e for e in lengths if d % e == 0)
+        if points < 0 or points % d:
+            raise InternalInvariantError(f"{points} points on cycles of length {d}")
+        lengths += [d] * (points // d)
+    return tuple(lengths)
+
+
+def _splitting_types(G: Group, L: SubgroupLattice) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Per cyclic subgroup <g>, its sorted orbit lengths on each H\\G: |G| conjugations
+    per space count the cosets Hx each element fixes (x g x^-1 in H)."""
+    cyclics, memos = {}, {}
+    for g, cyclic in enumerate(L.cyclic_of):
+        if cyclic not in cyclics:
+            m = G.element_order(g)
+            divisors = [d for d in range(1, m + 1) if m % d == 0]
+            counts = itemgetter(0, *(G.power(g, d) for d in divisors))
+            cyclics[cyclic] = (divisors, counts, memos.setdefault(m, {}), [])
+    mul, inverse = G.mul, G.inverse
+    for cs, H in zip(_coset_spaces(G, L), L.subgroups):
+        fixed = [0] * G.order
+        for x in cs.reps:
+            x_inv = inverse[x]
+            for k in H.members:
+                fixed[mul(mul(x_inv, k), x)] += 1
+        for divisors, counts, memo, types in cyclics.values():
+            key = counts(fixed)  # led by the cosets of H, so a tuple even if |g| = 1
+            types.append(memo.get(key) or memo.setdefault(key, _cycle_type(divisors, key[1:])))
+    return {cyclic: tuple(types) for cyclic, (*_, types) in cyclics.items()}
+
+
 def verify_lagarias(G: Group, L: SubgroupLattice | None = None) -> LagariasReport:
     """Check: same division <=> same orbit-length multisets on every H\\G.
 
-    Each cyclic subgroup, and each element generating it, gets a signature
-    listing per subgroup the sorted orbit lengths of its action on the right
-    cosets; the signature partition must match the division partition exactly.
+    Each element g gets as signature the sorted orbit lengths of <g> on every
+    H\\G, counted from the cosets each power of g fixes (``_splitting_types``);
+    the signature partition must match the division partition exactly.
     """
     if L is None:
         L = all_subgroups(G)
     divs = divisions(G)
-
-    spaces = _coset_spaces(G, L)
-    by_cyclic = {}
-    for g, cyclic in enumerate(L.cyclic_of):
-        if cyclic not in by_cyclic:
-            right = [G.mul(x, g) for x in G.elements()]
-            by_cyclic[cyclic] = tuple(tuple(sorted(_cycles(cs, right)[1])) for cs in spaces)
-    signature = [by_cyclic[cyclic] for cyclic in L.cyclic_of]
+    signature = list(map(_splitting_types(G, L).__getitem__, L.cyclic_of))
 
     division_id = {g: idx for idx, d in enumerate(divs) for g in d.members}
 

@@ -10,6 +10,7 @@ from divgraph.errors import (
     CanonicalizationBudgetExceeded,
     InternalInvariantError,
     ResourceCapExceeded,
+    ValidationError,
 )
 from divgraph.groups import catalog, relabeled_copy, standard_groups
 from divgraph.ust import division_graph
@@ -122,6 +123,17 @@ def test_budget_exhaustion():
         "canonical search exceeded 3 nodes "
         "(at depth 3; 0 leaves and 0 automorphisms found, 0 seeded)"
     )
+
+
+@pytest.mark.parametrize("budget, error", [(-1, ValidationError),
+                                            (0, CanonicalizationBudgetExceeded)])
+def test_negative_budget_is_invalid_input(budget, error):
+    """A negative budget is bad input (exit 1), also through ``compare``; zero
+    is a budget every search exceeds."""
+    with pytest.raises(error):
+        canonical_form(2, [(0, 1, 1)], [[0, 1]], budget=budget)
+    with pytest.raises(error):
+        analysis.compare(catalog("cyclic:2"), catalog("cyclic:2"), budget=budget)
 
 
 def test_deep_search_hits_budget_not_recursion_limit():

@@ -10,7 +10,8 @@ from divgraph.divisions import (
     standard_conjugator,
     symmetric_pair_count,
 )
-from divgraph.errors import NotEvenClass, NotSplitClass, TypeMismatch
+from divgraph.errors import (NotEvenClass, NotSplitClass, ResourceCapExceeded, TypeMismatch,
+                             ValidationError)
 from divgraph.perms import Permutation
 
 
@@ -368,6 +369,13 @@ def test_alternating_divisions_by_type_small_n():
     for n in range(2, 8):
         mapping = dv.alternating_divisions_by_type(n)
         assert all(count == 1 for count in mapping.values()), n
+
+
+@pytest.mark.parametrize("cap, error", [(-1, ValidationError), (0, ResourceCapExceeded)])
+def test_negative_alternating_divisions_cap_is_invalid_input(cap, error):
+    """A negative degree cap is bad input (exit 1); zero is a cap every degree exceeds."""
+    with pytest.raises(error):
+        dv.alternating_divisions_by_type(5, cap=cap)
 
 
 def test_alternating_divisions_nine_one_exception():

@@ -16,6 +16,7 @@ from divgraph.errors import (
     NotClosed,
     OrderCapExceeded,
     UnknownDescriptor,
+    ValidationError,
 )
 from divgraph.groups import (
     EAGER_TABLE_LIMIT,
@@ -83,6 +84,13 @@ def test_identity_relocation():
 def test_order_cap():
     with pytest.raises(OrderCapExceeded):
         dv.validate_cayley_table([[0, 1], [1, 0]], order_cap=1)
+
+
+@pytest.mark.parametrize("cap, error", [(-1, ValidationError), (0, OrderCapExceeded)])
+def test_negative_catalog_order_cap_is_invalid_input(cap, error):
+    """A negative order cap is bad input (exit 1); zero is a cap every group exceeds."""
+    with pytest.raises(error):
+        dv.catalog("cyclic:6", order_cap=cap)
 
 
 def _loops(n):

@@ -8,7 +8,7 @@ import pytest
 
 import divgraph as dv
 import divgraph.lattice
-from divgraph.errors import LatticeCapExceeded
+from divgraph.errors import LatticeCapExceeded, ValidationError
 from divgraph.groups import closure_from_generators, extend_subgroup
 from divgraph.lattice import (
     all_subgroups,
@@ -132,6 +132,13 @@ def test_lattice_cap():
         all_subgroups(dv.cyclic(12), order_limit=8)
     with pytest.raises(LatticeCapExceeded):
         all_subgroups(dv.elementary_abelian(2, 4), count_limit=10)
+
+
+@pytest.mark.parametrize("cap, error", [(-1, ValidationError), (0, LatticeCapExceeded)])
+def test_negative_lattice_cap_is_invalid_input(cap, error):
+    """A negative lattice cap is bad input (exit 1); zero is a cap every group exceeds."""
+    with pytest.raises(error):
+        all_subgroups(dv.cyclic(6), order_limit=cap)
 
 
 def test_count_cap_is_exact_when_whole_classes_are_added():

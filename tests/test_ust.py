@@ -3,12 +3,14 @@ import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import divgraph as dv
 from divgraph import ust
 from divgraph.analysis import certificate, component_encoding
 from divgraph.errors import InternalInvariantError
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, is_normal
+from divgraph.perms import Permutation
 from divgraph.ust import (
     ArcTable,
     Orbit,
@@ -136,29 +138,42 @@ def _brute_force_orbits(G, cs, phi):
 
 @pytest.mark.parametrize("G", dv.standard_groups(24) + [dv.symmetric(5)],
                          ids=lambda G: G.name)
-def test_lagarias_orbit_lengths_are_the_orbit_decomposition(monkeypatch, G):
-    """verify_lagarias reads only cycle lengths off the shared kernel; each
-    cyclic subgroup on each coset space gives the sorted lengths of the
-    orbits orbit_decomposition returns, and those are the brute-force orbits."""
+def test_lagarias_orbit_lengths_are_the_orbit_decomposition(G):
+    """The splitting types verify_lagarias counts from fixed points give each
+    cyclic subgroup, on each coset space, the sorted lengths of the orbits
+    orbit_decomposition returns for a generator, and those are the
+    brute-force orbits."""
     L = all_subgroups(G)
-    signatures = {}
-    cycles = ust._cycles
-
-    def recording(cs, right):
-        out = cycles(cs, right)
-        signatures[cs.subgroup_id, right[0]] = sorted(out[1])
-        return out
-
-    monkeypatch.setattr(ust, "_cycles", recording)
-    assert verify_lagarias(G, L).passed
-    monkeypatch.undo()
-    assert {(sid, L.cyclic_of[phi]) for sid, phi in signatures} == {
-        (s.id, c) for s in L.subgroups for c in set(L.cyclic_of)}
+    types = ust._splitting_types(G, L)
     spaces = [right_cosets(G, L, s.id) for s in L.subgroups]
-    for (sid, phi), lengths in signatures.items():
-        orbits = orbit_decomposition(spaces[sid], G, phi)
-        assert [o.cosets for o in orbits] == _brute_force_orbits(G, spaces[sid], phi)
-        assert lengths == sorted(o.length for o in orbits)
+    generators = dict(zip(L.cyclic_of, G.elements()))  # the last generator of each
+    assert set(types) == set(generators)
+    for cyclic, phi in generators.items():
+        assert len(types[cyclic]) == len(spaces)
+        for cs, lengths in zip(spaces, types[cyclic]):
+            orbits = orbit_decomposition(cs, G, phi)
+            brute = _brute_force_orbits(G, cs, phi)
+            assert [o.cosets for o in orbits] == brute
+            assert lengths == tuple(sorted(o.length for o in orbits))
+            assert lengths == tuple(sorted(map(len, brute)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.permutations(range(n))))
+def test_cycle_type_from_fixed_points_of_powers(images):
+    p = Permutation(images)
+    m = p.order()
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    fixed = [sum(i == j for i, j in enumerate((p ** d).images)) for d in divisors]
+    assert ust._cycle_type(divisors, fixed) == tuple(sorted(p.cycle_type()))
+
+
+@pytest.mark.parametrize("fixed", [(0, 3), (3, 1)], ids=["odd pair count", "negative"])
+def test_counts_that_are_no_cycle_type_raise(fixed):
+    """3 points on 2-cycles, or 1 fixed by the square of a map fixing 3, is no
+    cycle type of an element of order 2."""
+    with pytest.raises(InternalInvariantError, match="points on cycles of length 2"):
+        ust._cycle_type((1, 2), fixed)
 
 
 # -- component construction --------------------------------------------------------
@@ -554,18 +569,27 @@ def test_lagarias_s4(s4):
 
 
 def test_lagarias_decomposes_each_cyclic_subgroup_once(monkeypatch, s4):
+    """Each of the 17 cyclic subgroups of S4 (not its 24 elements) gets one
+    type on each of the 30 coset spaces, which are built once, and the
+    verifier walks no cycle."""
     L = all_subgroups(s4)
-    calls = []
-    cycles = ust._cycles
+    types = ust._splitting_types(s4, L)
+    assert len(types) == len(cyclic_subgroup_ids(L)) == 17
+    assert all(len(per_space) == len(L) == 30 for per_space in types.values())
+    built = []
+    cosets = ust.right_cosets
 
-    def counting(cs, right):
-        calls.append(right[0])  # the identity times phi
-        return cycles(cs, right)
+    def counting(G, L, subgroup_id):
+        built.append(subgroup_id)
+        return cosets(G, L, subgroup_id)
 
-    monkeypatch.setattr(ust, "_cycles", counting)
+    def walking(cs, right):
+        raise AssertionError("verify_lagarias walked a cycle")
+
+    monkeypatch.setattr(ust, "right_cosets", counting)
+    monkeypatch.setattr(ust, "_cycles", walking)
     assert verify_lagarias(s4, L).passed
-    # 17 cyclic subgroups of S4 (not its 24 elements) on each of 30 coset spaces
-    assert len(calls) == len(cyclic_subgroup_ids(L)) * len(L) == 17 * 30
+    assert sorted(built) == list(range(30))
 
 
 def test_lagarias_q8(q8):
