@@ -5,7 +5,9 @@ are just cluster keys, and all conclusions come from orbit lengths, arc
 labels, and the cover structure between color clusters.  The certificate
 canonicalizes a whole division graph up to component permutation and one
 global color bijection, which is the announced equivalence for deciding
-whether two groups have the same invariant.
+whether two groups have the same invariant.  That the graph also
+determines the division graphs of G's subgroups and quotients is a claim the
+tests check (``tests/extraction.py``); no command needs it, so it is not here.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .groups import (
     closure_from_generators,
     greedy_generators,
     quotient_group,
-    subgroup_as_group,
 )
 from .lattice import (
     DEFAULT_ORDER_LIMIT,
@@ -40,7 +41,7 @@ from .lattice import (
     normalizer,
     prime_factorization,
 )
-from .ust import ArcTable, DivisionGraph, USTComponent, division_graph
+from .ust import DivisionGraph, USTComponent, division_graph
 
 
 # -- graph-only extraction ----------------------------------------------------
@@ -590,145 +591,3 @@ def conjecture_scan(groups, budget: int = DEFAULT_BUDGET,
     return ScanReport(
         tuple(g.name for g in groups), tuple(collisions), tuple(matched), len(certs)
     )
-
-
-# -- component-level canonical forms (colors held fixed) ----------------------------
-
-
-@dataclass(frozen=True)
-class AbstractComponent:
-    """A splitting-type component detached from its group: orbit lengths per
-    color plus labeled arcs between (color, slot) pairs."""
-
-    clusters: dict[int, tuple[int, ...]]
-    arcs: ArcTable
-
-
-def component_encoding(component: AbstractComponent, color_key) -> bytes:
-    """Canonical bytes of one component with colors pinned (no renaming).
-
-    ``color_key`` maps raw colors to sortable tokens; components from
-    different graphs compare equal exactly when a color-respecting,
-    length- and label-preserving isomorphism exists.
-    """
-    keys = {color: color_key(color) for color in component.clusters}
-    first: dict[int, int] = {}  # slot s of color c is vertex first[c] + s
-    cells: dict[tuple, list[int]] = {}
-    n = 0
-    for color in sorted(keys, key=keys.__getitem__):
-        first[color] = n
-        cluster = component.clusters[color]
-        for v, length in enumerate(cluster, n):
-            cells.setdefault((keys[color], length), []).append(v)
-        n += len(cluster)
-    table = component.arcs
-    arcs = ((first[c] + o, first[d] + p, label)  # made as canon reads them
-            for (c, o), (d, p), label in zip(table.lower, table.upper, table.labels))
-    return canonical_form(n, arcs, [cells[k] for k in sorted(cells)]).encoding
-
-
-# -- division graphs of subgroups and quotients (extraction procedures) -------------
-
-
-def _walk(frm, to, starts) -> dict:
-    """Each vertex reached from ``starts`` along the arcs from ``frm[i]`` to
-    ``to[i]``, mapped to the start it was first reached from."""
-    step: dict = {}
-    for v, w in zip(frm, to):
-        step.setdefault(v, []).append(w)
-    start_of, frontier = {v: v for v in starts}, list(starts)
-    while frontier:
-        v = frontier.pop()
-        for w in step.get(v, ()):
-            if w not in start_of:
-                start_of[w] = start_of[v]
-                frontier.append(w)
-    return start_of
-
-
-def restricted_components(dg: DivisionGraph, h_color: int) -> list[AbstractComponent]:
-    """Splitting types of the primes of color ``h_color``, rescaled to that
-    base; after deduplication these are the components of the subgroup's own
-    division graph.  The walk up from each base orbit reaches exactly the
-    orbits over it of the colors of H's subgroups: each K <= H lies above H
-    along covers, and every projection is onto."""
-    out = []
-    for _, comp in dg.components:
-        arcs, base = comp.arcs, comp.clusters[h_color]
-        start_of = _walk(arcs.lower, arcs.upper, [(h_color, b) for b in range(len(base))])
-        clusters: list[dict[int, list[int]]] = [{} for _ in base]
-        slot_of: dict[tuple[int, int], tuple[int, int]] = {}
-        for (color, idx), (_, b) in sorted(start_of.items()):
-            length, rest = divmod(comp.clusters[color][idx], base[b])
-            if rest:
-                raise MalformedGraph("orbit length not divisible by base length")
-            cluster = clusters[b].setdefault(color, [])
-            slot_of[(color, idx)] = (color, len(cluster))
-            cluster.append(length)
-        base_arcs: list[list] = [[] for _ in base]
-        for low, up, label in zip(arcs.lower, arcs.upper, arcs.labels):
-            if low in start_of:
-                base_arcs[start_of[low][1]].append((slot_of[low], slot_of[up], label))
-        out += (AbstractComponent({c: tuple(v) for c, v in cs.items()}, ArcTable(*zip(*a)))
-                for cs, a in zip(clusters, base_arcs))
-    return out
-
-
-def quotient_components(dg: DivisionGraph, h_color: int) -> list[AbstractComponent]:
-    """Splitting patterns that stop at color ``h_color``; after deduplication
-    these are the components of the quotient's division graph.  The walk
-    down from H's orbits reaches every orbit of each K >= H: K lies below H
-    along covers, and every projection is onto."""
-    out = []
-    for _, comp in dg.components:
-        arcs = comp.arcs
-        starts = [(h_color, k) for k in range(len(comp.clusters[h_color]))]
-        reached = _walk(arcs.upper, arcs.lower, starts)
-        clusters = {c: comp.clusters[c] for c in {color for color, _ in reached}}
-        kept = [a for a in zip(arcs.lower, arcs.upper, arcs.labels) if a[1] in reached]
-        out.append(AbstractComponent(clusters, ArcTable(*zip(*kept))))
-    return out
-
-
-def dedup_components(components, color_key) -> dict[bytes, AbstractComponent]:
-    """Deduplicate by color-fixed canonical encoding."""
-    out: dict[bytes, AbstractComponent] = {}
-    for comp in components:
-        out.setdefault(component_encoding(comp, color_key), comp)
-    return out
-
-
-def _paired_with_direct(L: SubgroupLattice, extracted, K: Group, image):
-    """Deduplicate components extracted from D(G) and pair them with the
-    deduplicated components of D(K), as parallel dicts of canonical encodings.
-    ``image[g]`` is the element of K that g in G maps to; it translates each
-    extracted color to the id of its image in K's lattice."""
-    K_lattice = all_subgroups(K)
-
-    def color_key(color: int) -> int:
-        return K_lattice.id_of({image[g] for g in L.subgroups[color].members})
-
-    extracted = dedup_components(extracted, color_key)
-    direct = division_graph(K, K_lattice)
-    return extracted, dedup_components((comp for _, comp in direct.components), lambda c: c)
-
-
-def division_graph_of_subgroup(G: Group, L: SubgroupLattice, dg: DivisionGraph,
-                               h_id: int):
-    """Extract D(H) from D(G) and pair it with the directly computed D(H).
-
-    Returns (extracted, direct) as parallel dicts of canonical encodings so
-    a caller (or test) can check the extraction procedure verbatim.  Colors
-    of the extraction are translated to the subgroup's own lattice ids, so
-    the encodings are directly comparable.
-    """
-    sub, members = subgroup_as_group(G, L.subgroups[h_id].members)
-    to_local = {g: i for i, g in enumerate(members)}
-    return _paired_with_direct(L, restricted_components(dg, h_id), sub, to_local)
-
-
-def division_graph_of_quotient(G: Group, L: SubgroupLattice, dg: DivisionGraph,
-                               h_id: int):
-    """Extract D(G/H) from D(G) alongside the directly computed D(G/H)."""
-    quotient, coset_of = quotient_group(G, L.subgroups[h_id].members)
-    return _paired_with_direct(L, quotient_components(dg, h_id), quotient, coset_of)

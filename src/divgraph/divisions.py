@@ -114,17 +114,6 @@ def golomb_classes(G: Group) -> list[ConjugacyClass]:
     return classes
 
 
-def symmetric_pair_count(G: Group, c: int, d: int) -> int:
-    """Number of cells (a, b) with ab = c and ba = d."""
-    n = G.order
-    return sum(
-        1
-        for a in range(n)
-        for b in range(n)
-        if G.mul(a, b) == c and G.mul(b, a) == d
-    )
-
-
 def divisions(G: Group, classes: list[ConjugacyClass] | None = None) -> list[Division]:
     """Divisions as fused conjugacy classes.
 

@@ -206,6 +206,12 @@ def _check_latin(table) -> None:
             raise NotClosed(f"column {j} repeats {dup}")
 
 
+def _check_order_cap(order_cap: int) -> None:
+    """A negative cap is bad input (exit 1), not a cap that ran out."""
+    if order_cap < 0:
+        raise ValidationError(f"order cap must be non-negative, got {order_cap}")
+
+
 def validate_cayley_table(table, names=None, name="table-group",
                           order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Validate an n x n index table and wrap it as a Group.
@@ -234,6 +240,7 @@ def validate_cayley_table(table, names=None, name="table-group",
     The closure grows by :func:`extend_subgroup`; its argument holds here,
     as it multiplies only good elements and H's right cosets partition the table.
     """
+    _check_order_cap(order_cap)
     table = [list(row) for row in table]
     n = len(table)
     if n == 0:
@@ -296,6 +303,7 @@ def from_permutation_generators(gens, degree: int, name=None,
     is rejected before a permutation of that degree is built; every group
     within the cap acts faithfully on at most that many points.
     """
+    _check_order_cap(order_cap)
     gens = list(gens)
     for g in gens:
         if g.degree != degree:
@@ -536,8 +544,7 @@ def _check_order(name: str, order: int, table: bool, order_cap: int) -> None:
 def catalog(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Build a named group from a descriptor like ``symmetric:4`` or
     ``product:cyclic:2:cyclic:4``; its caps are checked before anything is built."""
-    if order_cap < 0:
-        raise ValidationError(f"order cap must be non-negative, got {order_cap}")
+    _check_order_cap(order_cap)
     name, order, table, build = _parse(descriptor, order_cap)
     _check_order(name, order, table, order_cap)
     return build()

@@ -120,8 +120,9 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
     automorphism, so the covers of t^-1 R t are the t^-1 K t, same index.
     """
     n = G.order
-    if order_limit < 0:
-        raise ValidationError(f"lattice cap must be non-negative, got {order_limit}")
+    cap = min(order_limit, count_limit)
+    if cap < 0:
+        raise ValidationError(f"lattice cap must be non-negative, got {cap}")
     if n > order_limit:
         raise LatticeCapExceeded(f"order {n} exceeds lattice cap {order_limit}")
 

@@ -12,22 +12,18 @@ from divgraph.analysis import (
     certificate,
     compare,
     conjecture_scan,
-    division_graph_of_quotient,
-    division_graph_of_subgroup,
     invariant_factors_direct,
     invariant_factors_from_cyclic_orders,
     recover_cyclic_colors,
     recover_lattice,
     recover_normal_colors,
     recover_order,
-    quotient_components,
-    restricted_components,
-    component_encoding,
 )
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, normal_subgroup_ids
 from divgraph.canon import canonical_form
 from divgraph.groups import closure_from_generators
 from divgraph.ust import DivisionGraph, division_graph
+from extraction import arcs_of, encoding, extract, quotient_components, restricted_components
 
 
 # -- recovery operations -------------------------------------------------------
@@ -423,7 +419,7 @@ def test_subgroup_extraction_matches_direct(descriptor, sub_order):
     L = all_subgroups(G)
     dg = division_graph(G, L)
     h_id = next(s.id for s in L.subgroups if s.order == sub_order)
-    extracted, direct = division_graph_of_subgroup(G, L, dg, h_id)
+    extracted, direct = extract(G, L, dg, h_id)
     assert set(extracted) == set(direct)
 
 
@@ -435,7 +431,7 @@ def test_subgroup_extraction_klein_in_s4(s4):
     b = s4.perm_images.index(Permutation.from_cycles([(1, 3), (2, 4)], 4))
     v4 = L.id_of(sorted([0, a, b, s4.mul(a, b)]))
     dg = division_graph(s4, L)
-    extracted, direct = division_graph_of_subgroup(s4, L, dg, v4)
+    extracted, direct = extract(s4, L, dg, v4)
     assert set(extracted) == set(direct)
     assert len(direct) == 4  # klein4 has four divisions
 
@@ -443,10 +439,10 @@ def test_subgroup_extraction_klein_in_s4(s4):
     # involution components are isomorphic once colors may be renamed
     sketch = recover_lattice(dg)
     loose = set()
-    for comp in restricted_components(dg, v4):
-        colors = sorted(comp.clusters)
+    for clusters, arcs in restricted_components(dg, v4):
+        colors = sorted(clusters)
         order_key = {c: sketch.order_of[c] for c in colors}
-        loose.add(component_encoding(comp, lambda c: order_key[c]))
+        loose.add(encoding(clusters, arcs, lambda c: order_key[c]))
     assert len(loose) < len(direct)
 
 
@@ -469,7 +465,7 @@ def test_quotient_extraction_matches_direct(descriptor, normal_order, quotient_d
         s.id for s in L.subgroups
         if s.order == normal_order and is_normal(L, s)
     )
-    extracted, direct = division_graph_of_quotient(G, L, dg, h_id)
+    extracted, direct = extract(G, L, dg, h_id, quotient=True)
     assert set(extracted) == set(direct)
     # and the quotient is the expected group
     from divgraph.groups import quotient_group
@@ -491,7 +487,7 @@ def test_subgroup_restriction_from_symmetric_group():
         L = all_subgroups(G)
         dg = division_graph(G, L)
         h_id = next(s.id for s in L.subgroups if s.order == sub_order)
-        extracted, direct = division_graph_of_subgroup(G, L, dg, h_id)
+        extracted, direct = extract(G, L, dg, h_id)
         assert set(extracted) == set(direct), (G.name, sub_order)
 
 
@@ -502,8 +498,8 @@ def test_component_encoding_distinguishes_lengths():
 
     divs = dv.divisions(g)
     enc = {
-        component_encoding(ust_component(g, L, d), lambda c: c)
-        for d in divs
+        encoding(comp.clusters, arcs_of(comp), lambda c: c)
+        for comp in (ust_component(g, L, d) for d in divs)
     }
     assert len(enc) == 3  # three structurally distinct components
 
@@ -515,7 +511,7 @@ def test_subgroup_restriction_from_s5():
     dg = division_graph(s5, L)
     for sub_order in (5, 6, 12):
         h_id = next(s.id for s in L.subgroups if s.order == sub_order)
-        extracted, direct = division_graph_of_subgroup(s5, L, dg, h_id)
+        extracted, direct = extract(s5, L, dg, h_id)
         assert set(extracted) == set(direct), sub_order
 
 
@@ -527,9 +523,9 @@ def test_extraction_recovers_no_lattice(s4, monkeypatch):
     L = all_subgroups(s4)
     dg = division_graph(s4, L)
     for h_id in normal_subgroup_ids(L):
-        extracted, direct = division_graph_of_quotient(s4, L, dg, h_id)
+        extracted, direct = extract(s4, L, dg, h_id, quotient=True)
         assert set(extracted) == set(direct)
-        extracted, direct = division_graph_of_subgroup(s4, L, dg, h_id)
+        extracted, direct = extract(s4, L, dg, h_id)
         assert set(extracted) == set(direct)
     assert calls == []
 
@@ -544,12 +540,12 @@ def test_walks_reach_the_sketch_subgroups_and_overgroups():
         for h in sketch.colors:
             below = {c for c in sketch.colors if sketch.contains(h, c)}
             above = {c for c in sketch.colors if sketch.contains(c, h)}
-            for comp in restricted_components(dg, h):
-                assert set(comp.clusters) == below, (G.name, h)
-            for comp, (_, whole) in zip(quotient_components(dg, h), dg.components):
-                assert comp.clusters == {c: whole.clusters[c] for c in above}, (G.name, h)
+            for clusters, _ in restricted_components(dg, h):
+                assert set(clusters) == below, (G.name, h)
+            for (clusters, arcs), (_, whole) in zip(quotient_components(dg, h), dg.components):
+                assert clusters == {c: whole.clusters[c] for c in above}, (G.name, h)
                 columns = (whole.arcs.lower, whole.arcs.upper, whole.arcs.labels)
-                assert sorted(zip(comp.arcs.lower, comp.arcs.upper, comp.arcs.labels)) == sorted(
+                assert sorted(arcs) == sorted(
                     arc for arc in zip(*columns) if arc[0][0] in above and arc[1][0] in above
                 ), (G.name, h)
 

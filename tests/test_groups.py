@@ -93,6 +93,24 @@ def test_negative_catalog_order_cap_is_invalid_input(cap, error):
         dv.catalog("cyclic:6", order_cap=cap)
 
 
+@pytest.mark.parametrize("build, zero_error", [
+    (lambda cap: dv.validate_cayley_table([[0]], order_cap=cap), OrderCapExceeded),
+    (lambda cap: dv.from_permutation_generators([Permutation((1, 0))], 2, order_cap=cap),
+     OrderCapExceeded),
+    (lambda cap: dv.from_permutation_generators([], 3, order_cap=cap), DegreeMismatch),
+    (lambda cap: dv.group_from_json({"table": [[0]]}, order_cap=cap), OrderCapExceeded),
+    (lambda cap: dv.group_from_json({"degree": 2, "generators": [[2, 1]]}, order_cap=cap),
+     OrderCapExceeded),
+], ids=["table", "generators", "no-generators", "json-table", "json-generators"])
+def test_negative_order_cap_is_invalid_input(build, zero_error):
+    """A negative order cap is bad input (exit 1), checked before the input;
+    zero is still a cap the group, or the bare degree, exceeds."""
+    with pytest.raises(ValidationError, match=r"^order cap must be non-negative, got -1$"):
+        build(-1)
+    with pytest.raises(zero_error, match="cap 0$"):
+        build(0)
+
+
 def _loops(n):
     """Every n x n Latin square whose row 0 and column 0 are the identity."""
     table = [[i if j == 0 else j if i == 0 else None for j in range(n)]

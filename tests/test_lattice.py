@@ -136,9 +136,11 @@ def test_lattice_cap():
 
 @pytest.mark.parametrize("cap, error", [(-1, ValidationError), (0, LatticeCapExceeded)])
 def test_negative_lattice_cap_is_invalid_input(cap, error):
-    """A negative lattice cap is bad input (exit 1); zero is a cap every group exceeds."""
-    with pytest.raises(error):
-        all_subgroups(dv.cyclic(6), order_limit=cap)
+    """A negative lattice cap, on the order or the count, is bad input (exit 1);
+    zero is a cap every group exceeds."""
+    for limit in ("order_limit", "count_limit"):
+        with pytest.raises(error, match=f"lattice cap.* {cap}$"):
+            all_subgroups(dv.cyclic(6), **{limit: cap})
 
 
 def test_count_cap_is_exact_when_whole_classes_are_added():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import divgraph as dv
 from divgraph import ust
-from divgraph.analysis import certificate, component_encoding
+from divgraph.analysis import certificate
 from divgraph.errors import InternalInvariantError
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, is_normal
 from divgraph.perms import Permutation
@@ -22,6 +22,7 @@ from divgraph.ust import (
     ust_component,
     verify_lagarias,
 )
+from extraction import arcs_of, encoding
 
 
 def q8_setup(q8):
@@ -304,10 +305,11 @@ def test_representative_independence(q8):
     for G in (q8, dv.symmetric(3), dv.cyclic(12), dv.alternating(4)):
         L = all_subgroups(G)
         for d in dv.divisions(G):
-            base = component_encoding(ust_component(G, L, d), lambda c: c)
+            comp = ust_component(G, L, d)
+            base = encoding(comp.clusters, arcs_of(comp), lambda c: c)
             for rep in d.members:
-                alt = component_encoding(
-                    ust_component(G, L, d, representative=rep), lambda c: c)
+                comp = ust_component(G, L, d, representative=rep)
+                alt = encoding(comp.clusters, arcs_of(comp), lambda c: c)
                 assert alt == base, (G.name, d.members, rep)
 
 
