@@ -392,14 +392,6 @@ class Certificate:
         return self.data.hex()
 
 
-def _component_fingerprint(comp: USTComponent) -> tuple:
-    cluster_profile = tuple(sorted(
-        tuple(sorted(lengths)) for lengths in comp.clusters.values()
-    ))
-    labels = tuple(sorted(comp.arcs.labels))
-    return (cluster_profile, labels)
-
-
 def _color_fingerprint(dg: DivisionGraph, color: int) -> tuple:
     return tuple(sorted(
         tuple(sorted(comp.clusters[color])) for _, comp in dg.components
@@ -410,33 +402,31 @@ def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> Certificate:
     """Canonical byte string of the graph up to component permutation and a
     single global color bijection.
 
-    The graph handed to the canonicalizer has one service node per
-    component and one per color; orbit vertices point at both, so any
-    automorphism permutes components wholesale and renames colors
-    consistently across the whole graph.  Service arcs carry label 0,
-    which no structural arc uses.  Graphs from ``division_graph`` seed the
-    search with automorphisms their group gives (``_group_seeds``).
+    The graph handed to the canonicalizer has one node per color, then the
+    orbits, each with a label-0 arc (no structural arc's label) to its color's
+    node, so any automorphism renames colors consistently across the graph.
+    It permutes components wholesale, as every orbit projects cover by cover
+    down to its component's base orbit.  Graphs from ``division_graph`` seed
+    the search with automorphisms their group gives (``_group_seeds``).
     """
     colors = sorted({c for _, comp in dg.components for c in comp.clusters})
-    color_node = {color: len(dg.components) + i for i, color in enumerate(colors)}
+    color_node = {color: i for i, color in enumerate(colors)}
 
-    # the sorted keys order the cells: components, colors, then orbits by length
+    # the sorted keys order the cells: colors, then orbits by length
     cells: dict[tuple, list[int]] = {}
-    for ci, (_, comp) in enumerate(dg.components):
-        cells.setdefault((0, _component_fingerprint(comp)), []).append(ci)
     for color, node in color_node.items():
-        cells.setdefault((1, _color_fingerprint(dg, color)), []).append(node)
+        cells.setdefault((0, _color_fingerprint(dg, color)), []).append(node)
 
     # orbit k of cluster (ci, color) is vertex first[ci, color] + k
     first: dict[tuple[int, int], int] = {}
-    n = len(dg.components) + len(colors)
+    n = len(colors)
     arcs: list[tuple[int, int, int]] = []
     for ci, (_, comp) in enumerate(dg.components):
         for color, cluster in sorted(comp.clusters.items()):
             first[ci, color] = n
             for v, length in enumerate(cluster, n):
-                cells.setdefault((2, length), []).append(v)
-                arcs += (v, ci, 0), (v, color_node[color], 0)
+                cells.setdefault((1, length), []).append(v)
+                arcs.append((v, color_node[color], 0))
             n += len(cluster)
 
     def structural():  # made as canon reads them: no list of their ends lasts through the search
@@ -448,7 +438,7 @@ def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> Certificate:
     seeds = () if dg.group is None else _group_seeds(dg, first, color_node, n)
     result = canonical_form(n, chain(arcs, structural()), [cells[k] for k in sorted(cells)],
                             budget=budget, known=seeds)
-    return Certificate(b"divgraph-cert/1;" + result.encoding)
+    return Certificate(b"divgraph-cert/2;" + result.encoding)
 
 
 def _group_seeds(dg: DivisionGraph, first, color_node, n: int) -> list[SeedGroup]:
@@ -456,10 +446,11 @@ def _group_seeds(dg: DivisionGraph, first, color_node, n: int) -> list[SeedGroup
     vertex Hx<phi> through any member x: left multiplication by s in G sends
     it to (sHs^-1)(sx)<phi> in every component, commuting with <phi> and with
     the projections Hx -> Kx; right multiplication by m in N_G(<phi>) sends
-    it to Hxm<phi> in its component, as N_G(<phi>)/<phi> (each coset named by
-    its least member).  Any member x gives the same images: left
-    multiplication commutes with <phi>, and N_G(<phi>) normalizes <phi>.
-    Both act faithfully on the trivial subgroup's orbits."""
+    it to Hxm<phi> in its component, as N_G(<phi>)/<phi>, each coset m<phi> =
+    <phi>m named by its least member, as the coset space of <phi> holds it.
+    Any member x gives the same images: left multiplication commutes with
+    <phi>, and N_G(<phi>) normalizes <phi>.  Both act faithfully on the
+    trivial subgroup's orbits."""
     G, L, spaces, comps = dg.group, dg.lattice, dg.spaces, [c for _, c in dg.components]
     orbit_at, begin = {}, {}
     for (ci, sid), start in first.items():
@@ -476,19 +467,18 @@ def _group_seeds(dg: DivisionGraph, first, color_node, n: int) -> list[SeedGroup
         if v in orbit_at:
             ci, sid, x = orbit_at[v]
             return vertex_at(ci, conj(sid, s), G.mul(s, x))
-        return color_node[conj(color_sid[v], s)] if v in color_sid else v
+        return color_node[conj(color_sid[v], s)]
 
     def right(ci, m, v):
         cj, sid, x = orbit_at.get(v, (None, 0, 0))
         return vertex_at(ci, sid, G.mul(x, m)) if cj == ci else v
 
     by_order = sorted(G.elements(), key=G.element_order, reverse=True)  # fewer to check
-    families = [SeedGroup(0, list(greedy_generators(G, by_order)), G.mul, left,
-                          range(len(comps), n))]
+    families = [SeedGroup(0, list(greedy_generators(G, by_order)), G.mul, left, range(n))]
     for ci, comp in enumerate(comps):
-        cyc = L.subgroups[L.cyclic_of[comp.division_rep]]
-        N = normalizer(L, cyc).members
-        least = {G.mul(m, c): m for m in reversed(N) for c in cyc.members}  # x -> min x<phi>
+        cs = spaces[L.cyclic_of[comp.division_rep]]
+        least = [cs.reps[c] for c in cs.coset_of]  # x -> min <phi>x
+        N = normalizer(L, L.subgroups[cs.subgroup_id]).members
         families.append(SeedGroup(0, [least[m] for m in greedy_generators(G, N)],
                                   lambda a, b, least=least: least[G.mul(a, b)],
                                   partial(right, ci), range(begin[ci], begin.get(ci + 1, n))))
@@ -532,12 +522,12 @@ def _scan_invariant(G: Group, dg: DivisionGraph) -> tuple:
     Each part is unchanged by permuting components and renaming colors (the
     order is ``recover_order(dg)``), so equivalent graphs share it.
     """
-    colors = sorted({c for _, comp in dg.components for c in comp.clusters})
-    return (
-        G.order,
-        tuple(sorted(_component_fingerprint(comp) for _, comp in dg.components)),
-        tuple(sorted(_color_fingerprint(dg, color) for color in colors)),
-    )
+    components = sorted(
+        (tuple(sorted(tuple(sorted(lengths)) for lengths in comp.clusters.values())),
+         tuple(sorted(comp.arcs.labels)))
+        for _, comp in dg.components)
+    colors = {c for _, comp in dg.components for c in comp.clusters}
+    return G.order, tuple(components), tuple(sorted(_color_fingerprint(dg, c) for c in colors))
 
 
 def conjecture_scan(groups, budget: int = DEFAULT_BUDGET,

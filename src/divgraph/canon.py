@@ -23,7 +23,6 @@ kind as (label, start), and ``divmod`` decodes a leaf's entries.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict, namedtuple
 from operator import itemgetter
 from typing import NamedTuple
@@ -94,7 +93,7 @@ class _Searcher:
         lo, hi = min(labels, default=0), max(labels, default=0)
         K = self.radix = n + 1
         HI = self.hi = (hi - lo + 1) * K
-        self.first_head, self.top = HI + lo * K, HI + (hi + 1) * K
+        self.top = HI + (hi + 1) * K
         tail, head = {lab: lab * K for lab in labels}, {lab: HI + lab * K for lab in labels}
         # the entries w's out- and in-arcs give their other end, one int per label
         self.out, self.in_ = out, in_ = [[] for _ in vertex], [[] for _ in vertex]
@@ -156,27 +155,27 @@ class _Searcher:
 
     # -- refinement ---------------------------------------------------------
 
-    def _refine(self, cell_at, cell_of, changed, first=False):
+    def _refine(self, cell_at, cell_of, changed):
         """Split cells by neighborhood signatures until equitable, in place.
 
         A round splits each non-singleton cell holding a neighbor of a
         vertex ``changed`` by the previous round, by the sorted coded entries
-        of its arcs to them, and applies all its splits at once, so the
-        schedule is invariant under isomorphism.  Only arcs into every part
-        of a split cell but its last (Hopcroft's rule) enter, yet they order
-        the members as full signatures would: a cell a round can split was
-        uniform before the previous round, so per label its members' arcs
-        into the last part follow from those into the parts before it, and
-        where two full lists first differ the one with more arcs into a part
-        is smaller.  That holds in the shortened lists as each is closed by
-        ``top``, above every entry; out-entries sort below in-entries, so one
-        marker orders a list as a marker closing each of its two kinds would.
-        Untouched members (the marker alone, the largest list) form a cell's
-        closing part, in cell order, with no key.  The root's first round
-        (``first``) compares full out- and in-lists as a pair with no marker,
-        as the initial cells are not uniform.
+        of its arcs to them, each list closed by ``top``, above every entry,
+        and applies all its splits at once, so the schedule is invariant
+        under isomorphism.  At the root every vertex is changed, so the
+        lists are full signatures; out-entries sort below in-entries, so one
+        marker orders them as a marker closing each of the two kinds would.
+        Later, only arcs into every part of a split cell but its last
+        (Hopcroft's rule) enter, yet they order the members as full
+        signatures would: a cell a round can split was uniform before the
+        previous round, so per label its members' arcs into the last part
+        follow from those into the parts before it, and where two full lists
+        first differ the one with more arcs into a part is smaller, as the
+        marker makes it in the shortened lists too.  Untouched members (the
+        marker alone, the largest list) form a cell's closing part, in cell
+        order, with no key.
         """
-        out, in_, top, first_head = self.out, self.in_, self.top, self.first_head
+        out, in_, top = self.out, self.in_, self.top
         while changed:
             self.rounds += 1
             sig = defaultdict(list)
@@ -194,21 +193,17 @@ class _Searcher:
             for s in sorted(touched):
                 cell, parts = cell_at[s], {}
                 # cells ascend by vertex, so sorted members keep cell order
-                members = cell if first else sorted(touched[s])
+                members = sorted(touched[s])
                 for v in members:
-                    key = sorted(sig.get(v, ()))
-                    if first:
-                        cut = bisect_left(key, first_head)
-                        parts.setdefault((tuple(key[:cut]), tuple(key[cut:])), []).append(v)
-                    else:
-                        key.append(top)
-                        parts.setdefault(tuple(key), []).append(v)
+                    key = sorted(sig[v])
+                    key.append(top)
+                    parts.setdefault(tuple(key), []).append(v)
                 ordered = [parts[key] for key in sorted(parts)]
                 if len(members) < len(cell):
                     ordered.append([v for v in cell if v not in sig])
                 if len(ordered) > 1:
                     splits.append((s, ordered))
-            changed, first = [], False
+            changed = []
             for s, parts in splits:
                 for part in parts:
                     cell_at[s] = part
@@ -226,7 +221,7 @@ class _Searcher:
             for v in cell:
                 cell_of[v] = s
             s += len(cell)
-        self._refine(cell_at, cell_of, self.vertices, first=True)
+        self._refine(cell_at, cell_of, self.vertices)
         stack = [self._search(cell_at, cell_of, (), [], 0)]
         while stack:
             child = next(stack[-1], None)

@@ -196,7 +196,8 @@ def _cmd_conjecture_scan(args) -> int:
 
 
 def _cap(text: str) -> int:
-    """A cap or budget: any work exceeds zero, a negative one is invalid input."""
+    """A cap, a budget or the scan's order bound: a negative one is invalid input
+    (and any work exceeds a zero cap)."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("conjecture-scan", _cmd_conjecture_scan,
                 "scan the catalog for certificate collisions",
                 group=False, budget=True)
-    p.add_argument("--max-order", type=int, default=15)
+    p.add_argument("--max-order", type=_cap, default=15)
 
     return parser
 

@@ -260,9 +260,9 @@ def test_acceptance_8_order_27_pair():
     assert result.verdict == "different"
     # certificate bytes are pinned; they change only with a version bump
     assert hashlib.sha256(result.left.data).hexdigest() == (
-        "01174a09b22e01fd7ceff4d5b86c04f9995c42da7a87d3bb5b703b557f3d2bec")
+        "dfd852cd498fa0f487cb3176cc2ca541523fab591e9de147164af89a53cc8feb")
     assert hashlib.sha256(result.right.data).hexdigest() == (
-        "2314e9c27254426aea86b8f18bec55d88e3b36a6f9166e0fbcfb95c76fb67d36")
+        "91110ab2bde5a68bf624c27d56a240d8be716a3d6fb3bbbf44728a925944ef66")
     _report(8, started, 60.0)
 
 

@@ -351,6 +351,56 @@ def test_left_seed_family_has_two_generators(descriptor, monkeypatch):
     assert len(closure_from_generators(G, left.gens)) == G.order
 
 
+@pytest.mark.parametrize("G", dv.standard_groups(24) + [dv.symmetric(5)],
+                         ids=lambda G: G.name)
+def test_certificate_graph_is_colors_then_connected_components(G, monkeypatch):
+    """Each component's orbits are connected through its structural arcs, so
+    a component needs no node of its own to move as a whole: the graph canon
+    gets has one vertex per color and per orbit, and one label-0 arc, from
+    each orbit to its color's node."""
+    dg = division_graph(G)
+    for _, comp in dg.components:
+        reach = {(sid, k): {(sid, k)} for sid, lengths in comp.clusters.items()
+                 for k in range(len(lengths))}
+        for a, b in zip(comp.arcs.lower, comp.arcs.upper):
+            if reach[a] is not reach[b]:
+                merged = reach[a] | reach[b]
+                for v in merged:
+                    reach[v] = merged
+        assert len({id(part) for part in reach.values()}) == 1
+
+    class Seeded(Exception):
+        pass
+
+    def stop(n, arcs, cells, budget, known):
+        seen.append((n, list(arcs)))
+        raise Seeded
+
+    seen = []
+    monkeypatch.setattr(analysis, "canonical_form", stop)
+    with pytest.raises(Seeded):
+        certificate(dg)
+    (n, arcs), = seen
+    colors = len({c for _, comp in dg.components for c in comp.clusters})
+    orbits = sum(comp.vertex_count() for _, comp in dg.components)
+    assert n == colors + orbits
+    service = sorted((u, v) for u, v, label in arcs if label == 0)
+    assert [u for u, _ in service] == list(range(colors, n))
+    assert {v for _, v in service} == set(range(colors))
+
+
+def test_certificates_tell_apart_exactly_the_non_isomorphic_groups():
+    """Certified whole, with no invariant deciding first, groups get equal
+    certificates exactly when they are isomorphic.  elementary_abelian:2:4 is
+    left out for time."""
+    groups = [G for G in dv.standard_groups(24) if G.name != "elementary_abelian:2:4"]
+    certs = [certificate(division_graph(G)).data for G in groups]
+    same = [(a.name, b.name) for (a, x), (b, y) in combinations(zip(groups, certs), 2)
+            if x == y]
+    isomorphic = [(a.name, b.name) for a, b in combinations(groups, 2) if dv.are_isomorphic(a, b)]
+    assert same == isomorphic and len(same) > 0
+
+
 def test_conjecture_scan_small():
     groups = [dv.cyclic(8), dv.dihedral(4), dv.quaternion8(),
               dv.catalog("product:cyclic:4:cyclic:2"), dv.elementary_abelian(2, 3)]

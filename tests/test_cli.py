@@ -284,7 +284,11 @@ CAPPED_ARGV = {"compare": ("cyclic:3", "cyclic:2"), "conjecture-scan": ("--max-o
                "an-divisions": ("--n", "5")}
 
 
-@pytest.mark.parametrize("command, flag", CAPPED, ids=[" ".join(c) for c in CAPPED])
+#: ... and the scan's order bound, which takes no negative value either.
+NEGATIVE = CAPPED + [("conjecture-scan", "--max-order")]
+
+
+@pytest.mark.parametrize("command, flag", NEGATIVE, ids=[" ".join(c) for c in NEGATIVE])
 def test_negative_cap_is_invalid_input(capsys, command, flag):
     argv = CAPPED_ARGV.get(command, ("cyclic:3",))
     assert invoke(capsys, command, *argv, flag, "-1") == (

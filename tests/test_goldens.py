@@ -27,15 +27,15 @@ GOLDEN_GROUPS = [
 ]
 
 #: sha256 of certificate(division_graph(G)).data; these change only with a
-#: deliberate bump of the ``divgraph-cert/1`` prefix.
+#: deliberate bump of the ``divgraph-cert/2`` prefix.
 CERTIFICATE_SHA256 = {
-    "cyclic:2": "fa2076ff72abf9d1e8bfaf00d4267ef25453656cba58564170cc1c94f2e9bf5d",
-    "cyclic:3": "3453711479ac608bc0dd4650a28ec6fb8944e0db351093d92aea4c922db9532c",
-    "cyclic:4": "3cddef903cbcbb093b43a167fba90e6fe38968fd6f7d7105963669cd8019c0f2",
-    "cyclic:5": "bb6ed4ad7067a203f6cf8068c8ac5f18beeba4226d2929b4c8362f4157553994",
-    "klein4": "736da4d359e56204d26b5ffadaea2cf11073e5c183140358a3e3d16b9ef1ff77",
-    "quaternion8": "d93426cb8fe94107279c458061a80ef8d574324a024273e7ec4027037b78d512",
-    "symmetric:3": "cfcaae88475889b119da9e081a6b8855644a229314b7caacb5bb3baec0b4d96b",
+    "cyclic:2": "9b9929298cc8b64b0173050f90c5bfe13be2cd5d3e9c789a4ee9f23b6ecc9390",
+    "cyclic:3": "6fdad7aa589b4186e971dc7090571d749b16080a6bc32319031994f266159a40",
+    "cyclic:4": "cce715086d81b7db3fa34b1dca86e7e761426e3d1809e4ee85cbf1ea9dd1735f",
+    "cyclic:5": "d78eecf3a1353597e05f80dee50229bdcb70056f6600ab27ec77735b4b9f430b",
+    "klein4": "fea9a46bc56bf6c84d5bc4ffe73eb10ba2adec0b91365f65db0718b65471cafa",
+    "quaternion8": "59a9e7f1b41fe404f3cd7c144b9a513172f16eaadecb457dda27839ba246c216",
+    "symmetric:3": "51b934af072b8147b75e164c24b1f85401f6fbb89dc6791e1c243d783c0a87c1",
 }
 
 _NODE = re.compile(r'"(d[^"]+)" \[color="(\d+)" length="(\d+)"\];')
@@ -74,7 +74,7 @@ def test_goldens_present():
 @pytest.mark.parametrize("descriptor", GOLDEN_GROUPS)
 def test_certificate_bytes_pinned(descriptor):
     data = certificate(division_graph(dv.catalog(descriptor))).data
-    assert data.startswith(b"divgraph-cert/1;")
+    assert data.startswith(b"divgraph-cert/2;")
     assert hashlib.sha256(data).hexdigest() == CERTIFICATE_SHA256[descriptor]
 
 
