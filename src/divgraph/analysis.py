@@ -509,11 +509,23 @@ class ScanReport:
     group_names: tuple[str, ...]
     collisions: tuple[tuple[str, str], ...]  # equal certificate, non-isomorphic
     matched_isomorphic: tuple[tuple[str, str], ...]
+    graphs: int  # division graphs built; the rest were decided by their lattices
     certified: int  # certificates computed; the rest were decided by invariants
 
     @property
     def clean(self) -> bool:
         return not self.collisions
+
+
+def _lattice_invariant(G: Group, L: SubgroupLattice) -> tuple:
+    """Order, sorted subgroup orders and the number of classes of cyclic subgroups.
+
+    Each part is read off the graph alone: ``recover_order(dg)``, the values of
+    ``recover_lattice(dg).order_of``, and one component per division, one
+    division per class.  So equivalent graphs share it, yet it needs no graph.
+    """
+    return (G.order, tuple(sorted(s.order for s in L.subgroups)),
+            len({L.classes[c] for c in L.cyclic_of}))
 
 
 def _scan_invariant(G: Group, dg: DivisionGraph) -> tuple:
@@ -530,54 +542,60 @@ def _scan_invariant(G: Group, dg: DivisionGraph) -> tuple:
     return G.order, tuple(components), tuple(sorted(_color_fingerprint(dg, c) for c in colors))
 
 
+def _shared(keys: list[tuple], members) -> list[int]:
+    """The members whose key another member also has."""
+    counts = Counter(keys[i] for i in members)
+    return [i for i in members if counts[keys[i]] > 1]
+
+
 def conjecture_scan(groups, budget: int = DEFAULT_BUDGET,
                     lattice_cap: int = DEFAULT_ORDER_LIMIT) -> ScanReport:
     """Look for equal certificates among non-isomorphic groups.
 
-    Only groups whose cheap invariant (``_scan_invariant``) is shared with
-    another group in the scan are certified.  This is sound: equal
-    certificates mean equivalent graphs, and equivalent graphs have equal
-    invariants, so a pair with different invariants can neither collide nor
-    match.  The invariant starts with the order, so groups are handled one
-    order at a time and only one order's division graphs are alive at once.
+    A group's key grows by three tiers, each run only on the groups whose
+    key so far another group shares: the lattice invariant
+    (``_lattice_invariant``), the invariant of the division graph built on
+    that lattice (``_scan_invariant``), the certificate.  This is sound:
+    equal certificates mean equivalent graphs, and equivalent graphs have
+    equal invariants, so a pair whose keys differ can neither collide nor
+    match.  Groups are handled one order at a time, so only one order's
+    lattices and graphs are alive at once.
 
     Every pair is still tested for isomorphism.  An isomorphic pair with
-    different invariants or different certificates would contradict
-    certificate invariance outright, so that case raises instead of being
-    reported.
+    different keys would contradict certificate invariance outright, so that
+    case raises, naming the tier where the keys part.
     """
     groups = list(groups)
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(groups):
         by_order.setdefault(g.order, []).append(i)
-    invariants: list[tuple] = [()] * len(groups)
-    certs: dict[int, Certificate] = {}
+    keys: list[tuple] = [()] * len(groups)  # its length is the number of tiers run
     for members in by_order.values():
-        graphs = {i: _capped_division_graph(groups[i], lattice_cap) for i in members}
+        lattices = {i: all_subgroups(groups[i], order_limit=lattice_cap) for i in members}
         for i in members:
-            invariants[i] = _scan_invariant(groups[i], graphs[i])
-        shared = Counter(invariants[i] for i in members)
-        for i in members:
-            if shared[invariants[i]] > 1:
-                certs[i] = certificate(graphs[i], budget=budget)
-        del graphs  # free this order's graphs before building the next order's
+            keys[i] = (_lattice_invariant(groups[i], lattices[i]),)
+        graphs = {i: division_graph(groups[i], lattices[i]) for i in _shared(keys, members)}
+        for i, dg in graphs.items():
+            keys[i] += (_scan_invariant(groups[i], dg),)
+        for i in _shared(keys, graphs):
+            keys[i] += (certificate(graphs[i], budget=budget),)
+        del lattices, graphs  # free this order's lattices and graphs before the next order's
 
     collisions = []
     matched = []
     for i, j in combinations(range(len(groups)), 2):
-        same_invariant = invariants[i] == invariants[j]
-        same_cert = same_invariant and certs[i] == certs[j]
+        same_cert = keys[i] == keys[j]  # equal keys are shared, so they hold a certificate
         iso = are_isomorphic(groups[i], groups[j])
         if same_cert and not iso:
             collisions.append((groups[i].name, groups[j].name))
         elif same_cert and iso:
             matched.append((groups[i].name, groups[j].name))
-        elif iso and not same_cert:
-            differing = "certificates" if same_invariant else "division-graph invariants"
+        elif iso:
+            tier = next(t for t, (a, b) in enumerate(zip(keys[i], keys[j])) if a != b)
+            differing = ("lattice invariants", "division-graph invariants", "certificates")
             raise InternalInvariantError(
                 f"isomorphic groups {groups[i].name} and {groups[j].name} "
-                f"received different {differing}"
+                f"received different {differing[tier]}"
             )
-    return ScanReport(
-        tuple(g.name for g in groups), tuple(collisions), tuple(matched), len(certs)
-    )
+    return ScanReport(tuple(g.name for g in groups), tuple(collisions), tuple(matched),
+                      sum(len(k) > 1 for k in keys), sum(len(k) > 2 for k in keys))

@@ -579,6 +579,7 @@ def standard_groups(max_order: int) -> list[Group]:
     is refused at once.  Isomorphic duplicates under different constructions
     are kept on purpose.
     """
+    _check_order_cap(max_order)
     parsed = [_parse(descriptor, max_order)
               for descriptor in (*(f"cyclic:{n}" for n in range(1, max_order + 1)),
                                  *(f"dihedral:{n}" for n in range(2, max_order // 2 + 1)),

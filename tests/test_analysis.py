@@ -445,6 +445,44 @@ def test_conjecture_scan_still_checks_invariants(monkeypatch):
         conjecture_scan([dv.symmetric(3), dv.dihedral(3)])
 
 
+def test_conjecture_scan_still_checks_lattice_invariants(monkeypatch):
+    serial = count()
+    monkeypatch.setattr(analysis, "_lattice_invariant", lambda G, L: (next(serial),))
+    with pytest.raises(dv.InternalInvariantError, match="different lattice invariants"):
+        conjecture_scan([dv.symmetric(3), dv.dihedral(3)])
+
+
+@pytest.mark.parametrize("G", [H for G in dv.standard_groups(24) for H in (G, _shuffled(G, 23))],
+                         ids=lambda G: G.name)
+def test_lattice_invariant_is_read_off_the_graph(G):
+    """The scan's first tier skips graphs only because its invariant is a
+    function of the graph: order, subgroup orders and division count."""
+    L = all_subgroups(G)
+    dg = division_graph(G, L)
+    from_graph = (recover_order(dg), tuple(sorted(recover_lattice(dg).order_of.values())),
+                  len(dg.components))
+    assert analysis._lattice_invariant(G, L) == from_graph
+
+
+def test_conjecture_scan_builds_graphs_only_where_lattices_collide(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(analysis, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, wrapper)
+
+    counted("all_subgroups")
+    counted("division_graph")
+    report = conjecture_scan(dv.standard_groups(48))
+    assert report.clean
+    assert calls == {"all_subgroups": 104, "division_graph": 13}
+    assert report.graphs == report.certified == 13
+
+
 def test_conjecture_scan_certifies_only_shared_invariants():
     groups = dv.standard_groups(48)
     report = conjecture_scan(groups)

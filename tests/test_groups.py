@@ -398,6 +398,13 @@ def test_standard_groups_names_and_lengths():
     assert dv.standard_groups(0) == []
 
 
+def test_standard_groups_refuse_a_negative_bound(built_orders):
+    with pytest.raises(ValidationError, match=r"^order cap must be non-negative, got -3$"):
+        dv.standard_groups(-3)
+    assert not built_orders
+    assert dv.standard_groups(0) == []
+
+
 @pytest.mark.parametrize("max_order", [1, 8, 20, 35])
 def test_standard_groups_build_nothing_above_max_order(built_orders, max_order):
     groups = dv.standard_groups(max_order)
