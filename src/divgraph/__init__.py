@@ -24,7 +24,7 @@ from .errors import (
     TypeMismatch,
     UnknownDescriptor,
 )
-from .perms import Permutation, cycle_type
+from .perms import Permutation
 from .groups import (
     Group,
     alternating,
@@ -89,7 +89,6 @@ from .ust import (
 )
 from .analysis import (
     AnalysisReport,
-    Certificate,
     analyze,
     certificate,
     compare,

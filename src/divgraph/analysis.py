@@ -384,21 +384,13 @@ def analyze(G: Group, L: SubgroupLattice | None = None) -> AnalysisReport:
 # -- certificates ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
-    data: bytes
-
-    def hex(self) -> str:
-        return self.data.hex()
-
-
 def _color_fingerprint(dg: DivisionGraph, color: int) -> tuple:
     return tuple(sorted(
         tuple(sorted(comp.clusters[color])) for _, comp in dg.components
     ))
 
 
-def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> Certificate:
+def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> bytes:
     """Canonical byte string of the graph up to component permutation and a
     single global color bijection.
 
@@ -438,7 +430,7 @@ def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> Certificate:
     seeds = () if dg.group is None else _group_seeds(dg, first, color_node, n)
     result = canonical_form(n, chain(arcs, structural()), [cells[k] for k in sorted(cells)],
                             budget=budget, known=seeds)
-    return Certificate(b"divgraph-cert/2;" + result.encoding)
+    return b"divgraph-cert/2;" + result.encoding
 
 
 def _group_seeds(dg: DivisionGraph, first, color_node, n: int) -> list[SeedGroup]:
@@ -488,8 +480,8 @@ def _group_seeds(dg: DivisionGraph, first, color_node, n: int) -> list[SeedGroup
 @dataclass(frozen=True)
 class ComparisonResult:
     verdict: str  # "same" | "different"
-    left: Certificate
-    right: Certificate
+    left: bytes
+    right: bytes
 
 
 def compare(G1: Group, G2: Group, budget: int = DEFAULT_BUDGET,
@@ -509,8 +501,7 @@ class ScanReport:
     group_names: tuple[str, ...]
     collisions: tuple[tuple[str, str], ...]  # equal certificate, non-isomorphic
     matched_isomorphic: tuple[tuple[str, str], ...]
-    graphs: int  # division graphs built; the rest were decided by their lattices
-    certified: int  # certificates computed; the rest were decided by invariants
+    certified: int  # certificates computed; the rest were decided by their lattices
 
     @property
     def clean(self) -> bool:
@@ -528,20 +519,6 @@ def _lattice_invariant(G: Group, L: SubgroupLattice) -> tuple:
             len({L.classes[c] for c in L.cyclic_of}))
 
 
-def _scan_invariant(G: Group, dg: DivisionGraph) -> tuple:
-    """Order plus the multisets of component and color fingerprints.
-
-    Each part is unchanged by permuting components and renaming colors (the
-    order is ``recover_order(dg)``), so equivalent graphs share it.
-    """
-    components = sorted(
-        (tuple(sorted(tuple(sorted(lengths)) for lengths in comp.clusters.values())),
-         tuple(sorted(comp.arcs.labels)))
-        for _, comp in dg.components)
-    colors = {c for _, comp in dg.components for c in comp.clusters}
-    return G.order, tuple(components), tuple(sorted(_color_fingerprint(dg, c) for c in colors))
-
-
 def _shared(keys: list[tuple], members) -> list[int]:
     """The members whose key another member also has."""
     counts = Counter(keys[i] for i in members)
@@ -552,34 +529,30 @@ def conjecture_scan(groups, budget: int = DEFAULT_BUDGET,
                     lattice_cap: int = DEFAULT_ORDER_LIMIT) -> ScanReport:
     """Look for equal certificates among non-isomorphic groups.
 
-    A group's key grows by three tiers, each run only on the groups whose
-    key so far another group shares: the lattice invariant
-    (``_lattice_invariant``), the invariant of the division graph built on
-    that lattice (``_scan_invariant``), the certificate.  This is sound:
-    equal certificates mean equivalent graphs, and equivalent graphs have
-    equal invariants, so a pair whose keys differ can neither collide nor
-    match.  Groups are handled one order at a time, so only one order's
-    lattices and graphs are alive at once.
+    A group's key is its lattice invariant (``_lattice_invariant``); a group
+    whose invariant another group shares gets the certificate of its division
+    graph, built on the lattice the scan already holds, appended.  This is
+    sound: equal certificates mean equivalent graphs, and equivalent graphs
+    have equal lattice invariants, so a pair whose invariants differ can
+    neither collide nor match.  Groups are handled one order at a time, so
+    only one order's lattices are alive at once.
 
     Every pair is still tested for isomorphism.  An isomorphic pair with
     different keys would contradict certificate invariance outright, so that
-    case raises, naming the tier where the keys part.
+    case raises, naming what differs.
     """
     groups = list(groups)
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(groups):
         by_order.setdefault(g.order, []).append(i)
-    keys: list[tuple] = [()] * len(groups)  # its length is the number of tiers run
+    keys: list[tuple] = [()] * len(groups)  # a second entry is the certificate
     for members in by_order.values():
         lattices = {i: all_subgroups(groups[i], order_limit=lattice_cap) for i in members}
         for i in members:
             keys[i] = (_lattice_invariant(groups[i], lattices[i]),)
-        graphs = {i: division_graph(groups[i], lattices[i]) for i in _shared(keys, members)}
-        for i, dg in graphs.items():
-            keys[i] += (_scan_invariant(groups[i], dg),)
-        for i in _shared(keys, graphs):
-            keys[i] += (certificate(graphs[i], budget=budget),)
-        del lattices, graphs  # free this order's lattices and graphs before the next order's
+        for i in _shared(keys, members):
+            keys[i] += (certificate(division_graph(groups[i], lattices[i]), budget=budget),)
+        del lattices  # free this order's lattices before the next order's
 
     collisions = []
     matched = []
@@ -591,11 +564,10 @@ def conjecture_scan(groups, budget: int = DEFAULT_BUDGET,
         elif same_cert and iso:
             matched.append((groups[i].name, groups[j].name))
         elif iso:
-            tier = next(t for t, (a, b) in enumerate(zip(keys[i], keys[j])) if a != b)
-            differing = ("lattice invariants", "division-graph invariants", "certificates")
+            differing = "lattice invariants" if keys[i][0] != keys[j][0] else "certificates"
             raise InternalInvariantError(
                 f"isomorphic groups {groups[i].name} and {groups[j].name} "
-                f"received different {differing[tier]}"
+                f"received different {differing}"
             )
     return ScanReport(tuple(g.name for g in groups), tuple(collisions), tuple(matched),
-                      sum(len(k) > 1 for k in keys), sum(len(k) > 2 for k in keys))
+                      sum(len(k) > 1 for k in keys))

@@ -10,7 +10,7 @@ conjugation orbits and by Golomb's diagonal-symmetry rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt, prod
 
 from .errors import (InternalInvariantError, NotEvenClass, NotSplitClass,
                      ResourceCapExceeded, TypeMismatch, ValidationError)
@@ -242,19 +242,6 @@ def same_class_in_alternating(p: Permutation, q: Permutation, n: int) -> bool:
     return standard_conjugator(p, q).is_even()
 
 
-def canonical_permutation_of_type(t, n: int) -> Permutation:
-    """The permutation with cycle type t using the points 1..n in order."""
-    t = _check_partition(t)
-    if sum(t) != n:
-        raise ValueError(f"{t} is not a partition of {n}")
-    cycles = []
-    next_point = 1
-    for length in t:
-        cycles.append(tuple(range(next_point, next_point + length)))
-        next_point += length
-    return Permutation.from_cycles(cycles, n)
-
-
 def _even_partitions(n: int):
     def parts(remaining, maximum):
         if remaining == 0:
@@ -271,8 +258,8 @@ def _even_partitions(n: int):
 
 def alternating_divisions_by_type(n: int, cap: int = 20) -> dict[tuple[int, ...], int]:
     """For each even cycle type of degree n, the number of A_n divisions it
-    carries (1 or 2), decided from the splitting and conjugator-parity rules
-    rather than looked up.
+    carries (1 or 2), decided from the splitting rule and the square criterion
+    of ``_divisions_within_type`` rather than looked up.
     """
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
@@ -280,23 +267,21 @@ def alternating_divisions_by_type(n: int, cap: int = 20) -> dict[tuple[int, ...]
         raise ValidationError(f"cap must be non-negative, got {cap}")
     if n > cap:
         raise ResourceCapExceeded(f"degree {n} exceeds cap {cap}")
-    out: dict[tuple[int, ...], int] = {}
-    for t in _even_partitions(n):
-        out[t] = _divisions_within_type(t, n)
-    return out
+    return {t: _divisions_within_type(t) for t in _even_partitions(n)}
 
 
-def _divisions_within_type(t, n: int) -> int:
+def _divisions_within_type(t) -> int:
+    """2 exactly when t splits in A_n and the product m of its parts is a square.
+
+    In a split type (distinct odd parts) the division of pi holds pi^k for
+    every k prime to m, and it holds both A_n classes of the type exactly
+    when some such pi^k lies in the other class.  The conjugator from pi to
+    pi^k multiplies by k on each cycle, so by Zolotarev its sign is the
+    product of the Jacobi symbols (k/t_i), which is (k/m).  As a function of
+    k that symbol is identically 1, leaving two divisions of one class each,
+    exactly when m is a perfect square.
+    """
     if not class_splits_in_alternating(t):
         return 1
-    if not split_class_inverse_closed(t):
-        # inverse pairs straddle the two classes, and [phi] contains phi^-1
-        return 1
-    pi = canonical_permutation_of_type(t, n)
-    order = pi.order()
-    power = pi
-    for k in range(2, order):
-        power = power * pi
-        if gcd(k, order) == 1 and not same_class_in_alternating(pi, power, n):
-            return 1
-    return 2
+    m = prod(t)
+    return 2 if isqrt(m) ** 2 == m else 1

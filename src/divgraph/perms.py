@@ -129,11 +129,6 @@ class Permutation:
         return f"Permutation.from_one_based({[x + 1 for x in self.images]})"
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    """Cycle type of a permutation as a weakly decreasing partition."""
-    return p.cycle_type()
-
-
 def parity_of_type(t) -> int:
     """0 for even, 1 for odd, from a cycle type alone."""
     return sum(length - 1 for length in t) % 2

@@ -7,7 +7,6 @@ import pytest
 import divgraph as dv
 from divgraph import analysis, lattice
 from divgraph.analysis import (
-    Certificate,
     analyze,
     certificate,
     compare,
@@ -272,7 +271,7 @@ def test_compare_cyclic4_klein4():
 
 def test_certificate_hex_renders(q8):
     cert = certificate(division_graph(q8))
-    assert cert.hex() == cert.data.hex()
+    assert isinstance(cert, bytes) and cert.startswith(b"divgraph-cert/2;")
     assert set(cert.hex()) <= set("0123456789abcdef")
 
 
@@ -394,7 +393,7 @@ def test_certificates_tell_apart_exactly_the_non_isomorphic_groups():
     certificates exactly when they are isomorphic.  elementary_abelian:2:4 is
     left out for time."""
     groups = [G for G in dv.standard_groups(24) if G.name != "elementary_abelian:2:4"]
-    certs = [certificate(division_graph(G)).data for G in groups]
+    certs = [certificate(division_graph(G)) for G in groups]
     same = [(a.name, b.name) for (a, x), (b, y) in combinations(zip(groups, certs), 2)
             if x == y]
     isomorphic = [(a.name, b.name) for a, b in combinations(groups, 2) if dv.are_isomorphic(a, b)]
@@ -406,7 +405,7 @@ def test_conjecture_scan_small():
               dv.catalog("product:cyclic:4:cyclic:2"), dv.elementary_abelian(2, 3)]
     report = conjecture_scan(groups)
     assert report.clean
-    certs = {certificate(division_graph(g)).data for g in groups}
+    certs = {certificate(division_graph(g)) for g in groups}
     assert len(certs) == 5
 
 
@@ -433,15 +432,8 @@ def test_conjecture_scan_matches_certify_everything():
 def test_conjecture_scan_still_checks_certificates(monkeypatch):
     serial = count()
     monkeypatch.setattr(analysis, "certificate",
-                        lambda dg, budget=None: Certificate(b"%d" % next(serial)))
+                        lambda dg, budget=None: b"%d" % next(serial))
     with pytest.raises(dv.InternalInvariantError, match="different certificates"):
-        conjecture_scan([dv.symmetric(3), dv.dihedral(3)])
-
-
-def test_conjecture_scan_still_checks_invariants(monkeypatch):
-    serial = count()
-    monkeypatch.setattr(analysis, "_scan_invariant", lambda G, dg: (next(serial),))
-    with pytest.raises(dv.InternalInvariantError, match="different division-graph invariants"):
         conjecture_scan([dv.symmetric(3), dv.dihedral(3)])
 
 
@@ -480,16 +472,46 @@ def test_conjecture_scan_builds_graphs_only_where_lattices_collide(monkeypatch):
     report = conjecture_scan(dv.standard_groups(48))
     assert report.clean
     assert calls == {"all_subgroups": 104, "division_graph": 13}
-    assert report.graphs == report.certified == 13
+    assert report.certified == 13
 
 
 def test_conjecture_scan_certifies_only_shared_invariants():
     groups = dv.standard_groups(48)
     report = conjecture_scan(groups)
     assert report.clean
-    shared = Counter(analysis._scan_invariant(g, division_graph(g)) for g in groups)
+    shared = Counter(analysis._lattice_invariant(g, all_subgroups(g)) for g in groups)
     assert report.certified == sum(n for n in shared.values() if n > 1)
     assert report.certified < len(groups)
+
+
+@pytest.fixture(scope="module")
+def sylow2_s8_order_16():
+    """One group per isomorphism class of order-16 subgroups of the Sylow
+    2-subgroup of S_8 (order 128): groups the catalog does not name."""
+    gens = [dv.Permutation.from_cycles(c, 8)
+            for c in ([(1, 2)], [(1, 3), (2, 4)], [(1, 5), (2, 6), (3, 7), (4, 8)])]
+    P = dv.from_permutation_generators(gens, 8)
+    L = all_subgroups(P)
+    classes = []
+    for s in L.subgroups:
+        if s.order == 16 and L.classes[s.id][0] == s.id:
+            H, _ = dv.subgroup_as_group(P, s.members)
+            if not any(dv.are_isomorphic(H, K) for K in classes):
+                classes.append(H)
+    assert len(classes) == 10
+    return classes
+
+
+def test_conjecture_scan_off_the_catalog(sylow2_s8_order_16):
+    report = conjecture_scan(sylow2_s8_order_16)
+    assert report.clean and report.certified == 0 and report.matched_isomorphic == ()
+
+
+def test_conjecture_scan_matches_a_relabelled_off_catalog_group(sylow2_s8_order_16):
+    H = next(H for H in sylow2_s8_order_16 if not H.is_abelian())
+    report = conjecture_scan(sylow2_s8_order_16 + [_shuffled(H, 16)])
+    assert report.clean and report.certified == 2
+    assert len(report.matched_isomorphic) == 1
 
 
 # -- subgroup and quotient extraction ---------------------------------------------------
@@ -681,10 +703,10 @@ def test_certificate_invariant_under_representation_shuffle(q8, s3):
     rng = random.Random(99)
     for G in (q8, s3, dv.cyclic(6)):
         dg = division_graph(G)
-        base = certificate(dg).data
+        base = certificate(dg)
         for _ in range(5):
             shuffled = _shuffled_graph_copy(dg, rng)
-            assert certificate(shuffled).data == base, G.name
+            assert certificate(shuffled) == base, G.name
 
 
 def test_conjecture_scan_singleton():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import divgraph as dv
-from divgraph.divisions import canonical_permutation_of_type, standard_conjugator
+from divgraph.divisions import standard_conjugator
 from divgraph.errors import (NotEvenClass, NotSplitClass, ResourceCapExceeded, TypeMismatch,
                              ValidationError)
 from divgraph.perms import Permutation
@@ -345,6 +345,13 @@ def test_non_split_type_is_one_class_without_a_conjugator(monkeypatch):
     assert dv.same_class_in_alternating(p, q, 5) is True
 
 
+def canonical_permutation_of_type(t, n: int) -> Permutation:
+    """The permutation with cycle type t using the points 1..n in order."""
+    assert sum(t) == n, (t, n)
+    starts = [sum(t[:i]) + 1 for i in range(len(t))]
+    return Permutation.from_cycles([tuple(range(a, a + x)) for a, x in zip(starts, t)], n)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_conjugator_parity_independent_of_choice(data):
@@ -390,6 +397,23 @@ def test_alternating_divisions_nine_one_exception():
 def test_alternating_divisions_n14_all_single():
     mapping = dv.alternating_divisions_by_type(14)
     assert all(count == 1 for count in mapping.values())
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_alternating_divisions_match_conjugator_parity(n):
+    """The square criterion against the rule it condenses: a split type
+    carries two divisions exactly when every power of pi prime to its order
+    stays in pi's A_n class."""
+    expected = {}
+    for t in dv.alternating_divisions_by_type(n):
+        expected[t] = 1
+        if dv.class_splits_in_alternating(t):
+            pi = canonical_permutation_of_type(t, n)
+            order = pi.order()
+            if all(dv.same_class_in_alternating(pi, pi ** k, n)
+                   for k in range(2, order) if gcd(k, order) == 1):
+                expected[t] = 2
+    assert dv.alternating_divisions_by_type(n) == expected
 
 
 def test_alternating_divisions_match_brute_force_a5():

@@ -1,6 +1,6 @@
 import pytest
 
-from divgraph.perms import Permutation, cycle_type
+from divgraph.perms import Permutation
 from divgraph.errors import DegreeMismatch
 
 
@@ -43,7 +43,7 @@ def test_power_of_nine_cycle_matches_stated_square():
 
 def test_cycle_type_of_double_transposition():
     p = Permutation.from_cycles([(1, 2), (3, 4)], 4)
-    assert cycle_type(p) == (2, 2)
+    assert p.cycle_type() == (2, 2)
     assert p.is_even()
 
 
