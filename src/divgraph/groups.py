@@ -7,7 +7,7 @@ Groups are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice, product, repeat, permutations as _itertools_permutations
+from itertools import islice, repeat, permutations as _itertools_permutations
 
 from .errors import (
     DegreeMismatch,
@@ -668,44 +668,40 @@ def relabeled_copy(G: Group, relabel) -> Group:
 
 
 def are_isomorphic(G1: Group, G2: Group) -> bool:
-    """Exhaustive table-isomorphism test (meant for small orders).
+    """Backtracking table-isomorphism test (meant for small orders).
 
-    Tries the images of a generating set of G1 of matching orders, extending
-    each candidate assignment to a full homomorphism by closure and checking
-    bijectivity.
+    G1's generators get images one at a time among G2's elements of the same
+    order.  The images so far are closed into the map on the subgroup they
+    generate (x*g -> f(x)*h), and a choice is dropped as soon as that map is
+    ill-defined or not injective; a full choice that survives is an
+    isomorphism.  Each generator at least doubles the subgroup, so the
+    closures along one search path cost about two closures of G1.
     """
     if G1.order != G2.order:
         return False
     if G1.element_order_histogram() != G2.element_order_histogram():
         return False
     gens = G1.generating_set()
-    orders1 = [G1.element_order(g) for g in gens]
-    by_order: dict[int, list[int]] = {}
-    for h in G2.elements():
-        by_order.setdefault(G2.element_order(h), []).append(h)
+    orders2 = [G2.element_order(h) for h in G2.elements()]
+    candidates = [[h for h, o in enumerate(orders2) if o == order]
+                  for order in map(G1.element_order, gens)]
 
-    def extend(assignment: dict[int, int]) -> bool:
-        """Close a partial map gens->G2 into a homomorphism; False on conflict."""
-        mapping = {0: 0}
-        frontier = [0]
+    def extends(images: tuple[int, ...]) -> bool:
+        mapping, hit, frontier = {0: 0}, {0}, [0]
         while frontier:
             a = frontier.pop()
-            fa = mapping[a]
-            for g, fg in assignment.items():
-                b = G1.mul(a, g)
-                fb = G2.mul(fa, fg)
-                if b in mapping:
-                    if mapping[b] != fb:
-                        return False
-                else:
+            for g, h in zip(gens, images):
+                b, fb = G1.mul(a, g), G2.mul(mapping[a], h)
+                if b not in mapping and fb not in hit:
                     mapping[b] = fb
+                    hit.add(fb)
                     frontier.append(b)
-        if len(mapping) != G1.order:
-            return False
-        return len(set(mapping.values())) == G1.order
+                elif mapping.get(b) != fb:  # ill-defined, or fb already hit
+                    return False
+        return len(images) == len(gens) or any(
+            extends((*images, h)) for h in candidates[len(images)])
 
-    return any(extend(dict(zip(gens, images)))
-               for images in product(*(by_order.get(o, ()) for o in orders1)))
+    return extends(())
 
 
 # -- JSON interchange ------------------------------------------------------------
@@ -717,6 +713,7 @@ def group_from_json(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     {"name", "degree", "generators"} with 1-based permutation image lists.
     Indices, orders and degrees must be JSON integers (not floats, strings
     or booleans; ``type(x) is int`` excludes bool, which subclasses int).
+    A declared order must equal the order of the group built, in either form.
     """
     if not isinstance(data, dict):
         raise NotClosed("group JSON must be an object")
@@ -732,12 +729,8 @@ def group_from_json(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
             isinstance(names, list) and all(isinstance(x, str) for x in names)
         ):
             raise NotClosed("'names' must be a list of strings")
-        order = data.get("order", len(table))
-        if type(order) is not int or order != len(table):
-            raise NotClosed(f"declared order {order!r} but table has {len(table)} rows")
-        return validate_cayley_table(table, names=names, name=name,
-                                     order_cap=order_cap)
-    if "generators" in data:
+        G = validate_cayley_table(table, names=names, name=name, order_cap=order_cap)
+    elif "generators" in data:
         degree = data.get("degree")
         if type(degree) is not int or degree < 1:
             raise DegreeMismatch(f"bad degree {degree!r}")
@@ -750,9 +743,13 @@ def group_from_json(data: dict, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
             gens = [Permutation.from_one_based(g) for g in images]
         except ValueError as exc:
             raise NotClosed(f"bad generator image list: {exc}") from None
-        return from_permutation_generators(gens, degree, name=name,
-                                           order_cap=order_cap)
-    raise NotClosed("group JSON needs either a 'table' or 'generators' field")
+        G = from_permutation_generators(gens, degree, name=name, order_cap=order_cap)
+    else:
+        raise NotClosed("group JSON needs either a 'table' or 'generators' field")
+    order = data.get("order", G.order)
+    if type(order) is not int or order != G.order:
+        raise NotClosed(f"declared order {order!r} but the group has order {G.order}")
+    return G
 
 
 def group_to_json(G: Group) -> dict:

@@ -16,9 +16,9 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
+        images = tuple(images)  # a bool is no int entry: type() is exact
+        if any(type(x) is not int for x in images) or sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a permutation of the ints 0..{len(images) - 1}: {images}")
         object.__setattr__(self, "images", images)
 
     def __setattr__(self, name, value):
@@ -35,16 +35,16 @@ class Permutation:
     @classmethod
     def from_one_based(cls, images) -> "Permutation":
         """Build from a 1-based image list, e.g. [2, 1, 3] for (1 2)."""
-        return cls(int(x) - 1 for x in images)
+        return cls(x - 1 if type(x) is int else x for x in images)  # __init__ refuses the rest
 
     @classmethod
     def from_cycles(cls, cycles, degree: int) -> "Permutation":
         """Build from 1-based cycles, e.g. [(1, 2, 3), (4, 5)]."""
         images = list(range(degree))
         for cycle in cycles:
-            pts = [int(p) - 1 for p in cycle]
-            if any(p < 0 or p >= degree for p in pts):
-                raise ValueError(f"cycle point out of range 1..{degree}: {cycle}")
+            if any(type(p) is not int or not 1 <= p <= degree for p in cycle):
+                raise ValueError(f"cycle point not an int in 1..{degree}: {cycle}")
+            pts = [p - 1 for p in cycle]
             if len(set(pts)) != len(pts):
                 raise ValueError(f"repeated point in cycle {cycle}")
             for a, b in zip(pts, pts[1:] + pts[:1]):

@@ -484,17 +484,17 @@ def test_conjecture_scan_certifies_only_shared_invariants():
     assert report.certified < len(groups)
 
 
-@pytest.fixture(scope="module")
-def sylow2_s8_order_16():
-    """One group per isomorphism class of order-16 subgroups of the Sylow
-    2-subgroup of S_8 (order 128): groups the catalog does not name."""
+@pytest.fixture(scope="module", params=[16, 32])
+def sylow2_s8_classes(request):
+    """One group per isomorphism class of order-16 (or order-32) subgroups of
+    the Sylow 2-subgroup of S_8 (order 128): groups the catalog does not name."""
     gens = [dv.Permutation.from_cycles(c, 8)
             for c in ([(1, 2)], [(1, 3), (2, 4)], [(1, 5), (2, 6), (3, 7), (4, 8)])]
     P = dv.from_permutation_generators(gens, 8)
     L = all_subgroups(P)
     classes = []
     for s in L.subgroups:
-        if s.order == 16 and L.classes[s.id][0] == s.id:
+        if s.order == request.param and L.classes[s.id][0] == s.id:
             H, _ = dv.subgroup_as_group(P, s.members)
             if not any(dv.are_isomorphic(H, K) for K in classes):
                 classes.append(H)
@@ -502,14 +502,15 @@ def sylow2_s8_order_16():
     return classes
 
 
-def test_conjecture_scan_off_the_catalog(sylow2_s8_order_16):
-    report = conjecture_scan(sylow2_s8_order_16)
+def test_conjecture_scan_off_the_catalog(sylow2_s8_classes):
+    report = conjecture_scan(sylow2_s8_classes)
     assert report.clean and report.certified == 0 and report.matched_isomorphic == ()
 
 
-def test_conjecture_scan_matches_a_relabelled_off_catalog_group(sylow2_s8_order_16):
-    H = next(H for H in sylow2_s8_order_16 if not H.is_abelian())
-    report = conjecture_scan(sylow2_s8_order_16 + [_shuffled(H, 16)])
+@pytest.mark.parametrize("sylow2_s8_classes", [16], indirect=True)  # two order-32 certificates take 8 s
+def test_conjecture_scan_matches_a_relabelled_off_catalog_group(sylow2_s8_classes):
+    H = next(H for H in sylow2_s8_classes if not H.is_abelian())
+    report = conjecture_scan(sylow2_s8_classes + [_shuffled(H, 16)])
     assert report.clean and report.certified == 2
     assert len(report.matched_isomorphic) == 1
 

@@ -453,6 +453,10 @@ def test_malformed_table_json_exits_1(tmp_path, capsys, data):
     (b'{"degree": true, "generators": []}', "bad degree True"),
     (b'{"table": [[0, 1], [1, 0]], "order": "2"}', "declared order '2'"),
     (b'{"table": [[0]], "order": true}', "declared order True"),
+    (b'{"name": "g", "degree": 2, "generators": [[2, 1]], "order": 3}', "declared order 3"),
+    (b'{"degree": 2, "generators": [[2, 1]], "order": "x"}', "declared order 'x'"),
+    (b'{"degree": 2, "generators": [[2, 1]], "order": 2.9}', "declared order 2.9"),
+    (b'{"degree": 2, "generators": [[2, 1]], "order": true}', "declared order True"),
     (b'[1, 2]', "group JSON must be an object"),
     (b'{"table": [[0, 1], [1]]}', "row 1 has length 1, expected 2"),
     (b'{"table": [[0, 1], [0, 1]]}', "column 0 repeats 0"),
@@ -460,7 +464,8 @@ def test_malformed_table_json_exits_1(tmp_path, capsys, data):
     (b'{"table": []}', "empty table"),
     (b"[" * 100000 + b"]" * 100000, "JSON input nested too deeply"),
 ], ids=["not-utf8", "bool-entries", "float-image", "string-images", "bool-degree",
-        "string-order", "bool-order", "not-an-object", "ragged-row", "column-repeat",
+        "string-order", "bool-order", "generators-wrong-order", "generators-string-order",
+        "generators-float-order", "generators-bool-order", "not-an-object", "ragged-row", "column-repeat",
         "names-length", "empty-table", "deep-nesting"])
 def test_json_input_takes_integers_only(tmp_path, capsys, raw, message):
     path = tmp_path / "input.json"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -568,6 +569,53 @@ def test_are_isomorphic_distinguishes_order8():
     )
 
 
+def _reference_are_isomorphic(G1, G2):
+    """The enumerate-then-close oracle: every tuple of generator images of
+    matching orders, each closed into a full map that is then checked for
+    bijectivity.  Slow, but with no pruning to get wrong."""
+    if G1.order != G2.order:
+        return False
+    if G1.element_order_histogram() != G2.element_order_histogram():
+        return False
+    gens = G1.generating_set()
+    by_order = {}
+    for h in G2.elements():
+        by_order.setdefault(G2.element_order(h), []).append(h)
+
+    def extend(assignment):
+        mapping, frontier = {0: 0}, [0]
+        while frontier:
+            a = frontier.pop()
+            for g, fg in assignment.items():
+                b, fb = G1.mul(a, g), G2.mul(mapping[a], fg)
+                if b in mapping:
+                    if mapping[b] != fb:
+                        return False
+                else:
+                    mapping[b] = fb
+                    frontier.append(b)
+        return len(mapping) == G1.order and len(set(mapping.values())) == G1.order
+
+    return any(extend(dict(zip(gens, images))) for images in
+               itertools.product(*(by_order[G1.element_order(g)] for g in gens)))
+
+
+def test_are_isomorphic_matches_the_reference_oracle():
+    """Every same-order pair of standard_groups(32), and each group against
+    a seeded relabelled copy of itself."""
+    groups = dv.standard_groups(32)
+    pairs = [(a, b) for a, b in itertools.combinations(groups, 2) if a.order == b.order]
+    copies = []
+    for seed, G in enumerate(groups):
+        relabel = list(range(G.order))
+        random.Random(seed).shuffle(relabel)
+        copies.append((G, dv.relabeled_copy(G, relabel)))
+    verdicts = [(dv.are_isomorphic(a, b), _reference_are_isomorphic(a, b)) for a, b in pairs]
+    assert all(new == ref for new, ref in verdicts)
+    assert sum(new for new, _ in verdicts) == 8  # groups the catalog names twice
+    assert all(dv.are_isomorphic(G, H) and _reference_are_isomorphic(G, H) for G, H in copies)
+
+
 def test_relabeled_copy_is_isomorphic(s4):
     rng = random.Random(3)
     perm = list(range(24))
@@ -593,6 +641,7 @@ def test_group_json_generators():
     }
     g = dv.group_from_json(data)
     assert g.order == 9
+    assert dv.group_from_json({**data, "order": 9}).order == 9
 
 
 def test_group_json_rejects_garbage():

@@ -67,3 +67,21 @@ def test_bad_images_rejected():
         Permutation.from_cycles([(1, 1)], 2)
     with pytest.raises(ValueError):
         Permutation.from_cycles([(1, 2), (2, 3)], 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Permutation([1.9, 0]),
+    lambda: Permutation(["1", "0"]),
+    lambda: Permutation([True, False]),
+    lambda: Permutation.from_one_based([2.0, 1]),
+    lambda: Permutation.from_one_based(["2", "1"]),
+    lambda: Permutation.from_one_based([2, True]),
+    lambda: Permutation.from_cycles([(1, 2.7)], 3),
+    lambda: Permutation.from_cycles([("1", "2")], 3),
+    lambda: Permutation.from_cycles([(True, 2)], 3),
+], ids=["float", "string", "bool", "one-based-float", "one-based-string", "one-based-bool",
+        "cycle-float", "cycle-string", "cycle-bool"])
+def test_entries_must_be_ints(build):
+    """No entry is coerced: 1.9 does not become 1, nor True 1."""
+    with pytest.raises(ValueError):
+        build()
