@@ -12,14 +12,13 @@ tests check (``tests/extraction.py``); no command needs it, so it is not here.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import chain, combinations
 from operator import or_
 
 from .canon import DEFAULT_BUDGET, SeedGroup, canonical_form
-from .errors import InternalInvariantError, MalformedGraph
+from .errors import MalformedGraph
 from .groups import (
     Group,
     are_isomorphic,
@@ -500,8 +499,8 @@ def _capped_division_graph(G: Group, lattice_cap: int) -> DivisionGraph:
 class ScanReport:
     group_names: tuple[str, ...]
     collisions: tuple[tuple[str, str], ...]  # equal certificate, non-isomorphic
-    matched_isomorphic: tuple[tuple[str, str], ...]
-    certified: int  # certificates computed; the rest were decided by their lattices
+    matched_isomorphic: tuple[tuple[str, str], ...]  # every pair within one isomorphism class
+    certified: int  # class representatives sharing their lattice invariant with another class
 
     @property
     def clean(self) -> bool:
@@ -519,55 +518,46 @@ def _lattice_invariant(G: Group, L: SubgroupLattice) -> tuple:
             len({L.classes[c] for c in L.cyclic_of}))
 
 
-def _shared(keys: list[tuple], members) -> list[int]:
-    """The members whose key another member also has."""
-    counts = Counter(keys[i] for i in members)
-    return [i for i in members if counts[keys[i]] > 1]
-
-
 def conjecture_scan(groups, budget: int = DEFAULT_BUDGET,
                     lattice_cap: int = DEFAULT_ORDER_LIMIT) -> ScanReport:
     """Look for equal certificates among non-isomorphic groups.
 
-    A group's key is its lattice invariant (``_lattice_invariant``); a group
-    whose invariant another group shares gets the certificate of its division
-    graph, built on the lattice the scan already holds, appended.  This is
-    sound: equal certificates mean equivalent graphs, and equivalent graphs
-    have equal lattice invariants, so a pair whose invariants differ can
-    neither collide nor match.  Groups are handled one order at a time, so
-    only one order's lattices are alive at once.
-
-    Every pair is still tested for isomorphism.  An isomorphic pair with
-    different keys would contradict certificate invariance outright, so that
-    case raises, naming what differs.
+    Groups are bucketed by their lattice invariant (``_lattice_invariant``),
+    one order at a time, so only one order's lattices are alive at once.
+    Within a bucket each group is tested with ``are_isomorphic`` against one
+    representative per isomorphism class found so far, and every pair in one
+    class is reported as matched.  Only a bucket holding two classes or more
+    certifies its representatives, the division graph built on the lattice
+    the scan already holds; two representatives with equal certificates are a
+    collision.  This is sound: equivalent graphs have equal lattice
+    invariants, so groups in different buckets can neither collide nor be
+    isomorphic.  It also cross-checks ``are_isomorphic``: a false "not
+    isomorphic" splits one class in two, whose certificates then collide.
     """
     groups = list(groups)
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(groups):
         by_order.setdefault(g.order, []).append(i)
-    keys: list[tuple] = [()] * len(groups)  # a second entry is the certificate
+    collisions, matched, certified = [], [], 0
     for members in by_order.values():
         lattices = {i: all_subgroups(groups[i], order_limit=lattice_cap) for i in members}
+        buckets: dict[tuple, list[list[int]]] = {}  # invariant -> classes, led by representatives
         for i in members:
-            keys[i] = (_lattice_invariant(groups[i], lattices[i]),)
-        for i in _shared(keys, members):
-            keys[i] += (certificate(division_graph(groups[i], lattices[i]), budget=budget),)
+            classes = buckets.setdefault(_lattice_invariant(groups[i], lattices[i]), [])
+            cls = next((c for c in classes if are_isomorphic(groups[c[0]], groups[i])), None)
+            if cls is None:
+                classes.append([i])
+            else:
+                cls.append(i)
+        for classes in buckets.values():
+            matched += (pair for c in classes for pair in combinations(c, 2))
+            if len(classes) > 1:
+                certs = [(c[0], certificate(division_graph(groups[c[0]], lattices[c[0]]),
+                                            budget=budget)) for c in classes]
+                certified += len(certs)
+                collisions += ((i, j) for (i, x), (j, y) in combinations(certs, 2) if x == y)
         del lattices  # free this order's lattices before the next order's
 
-    collisions = []
-    matched = []
-    for i, j in combinations(range(len(groups)), 2):
-        same_cert = keys[i] == keys[j]  # equal keys are shared, so they hold a certificate
-        iso = are_isomorphic(groups[i], groups[j])
-        if same_cert and not iso:
-            collisions.append((groups[i].name, groups[j].name))
-        elif same_cert and iso:
-            matched.append((groups[i].name, groups[j].name))
-        elif iso:
-            differing = "lattice invariants" if keys[i][0] != keys[j][0] else "certificates"
-            raise InternalInvariantError(
-                f"isomorphic groups {groups[i].name} and {groups[j].name} "
-                f"received different {differing}"
-            )
-    return ScanReport(tuple(g.name for g in groups), tuple(collisions), tuple(matched),
-                      sum(len(k) > 1 for k in keys))
+    def named(pairs):
+        return tuple((groups[i].name, groups[j].name) for i, j in sorted(pairs))
+    return ScanReport(tuple(g.name for g in groups), named(collisions), named(matched), certified)

@@ -181,8 +181,7 @@ def _cmd_conjecture_scan(args) -> int:
             f"max order {args.max_order} exceeds the order cap {args.order_cap}"
         )
     candidates = groups.standard_groups(args.max_order)
-    report = analysis.conjecture_scan(candidates, budget=args.budget,
-                                      lattice_cap=args.lattice_cap)
+    report = analysis.conjecture_scan(candidates, lattice_cap=args.lattice_cap)
     _dump(args, {
         "max_order": args.max_order,
         "groups": list(report.group_names),
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, group=True, lattice_cap=True, budget=False):
+    def command(name, func, help, group=True, lattice_cap=True):
         """A subcommand with only the options its function reads."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
@@ -229,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order-cap", type=_cap, default=groups.DEFAULT_ORDER_CAP)
         if lattice_cap:
             p.add_argument("--lattice-cap", type=_cap, default=lattice.DEFAULT_ORDER_LIMIT)
-        if budget:
-            p.add_argument("--budget", type=_cap, default=DEFAULT_BUDGET)
         p.add_argument("--out", help="write output to this path instead of stdout")
         return p
 
@@ -251,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
             "recover properties from the graph and cross-check")
 
     p = command("compare", _cmd_compare,
-                "compare two groups by canonical certificates",
-                group=False, budget=True)
+                "compare two groups by canonical certificates", group=False)
+    p.add_argument("--budget", type=_cap, default=DEFAULT_BUDGET)
     p.add_argument("left", help="catalog descriptor or JSON file path")
     p.add_argument("right", help="catalog descriptor or JSON file path")
 
@@ -266,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_an_divisions)
 
     p = command("conjecture-scan", _cmd_conjecture_scan,
-                "scan the catalog for certificate collisions",
-                group=False, budget=True)
+                "scan the catalog for certificate collisions", group=False)
     p.add_argument("--max-order", type=_cap, default=15)
 
     return parser

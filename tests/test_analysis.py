@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations, count
+from itertools import combinations
 
 import pytest
 
@@ -415,8 +415,40 @@ def test_conjecture_scan_reports_isomorphic_duplicates():
     assert report.matched_isomorphic == (("symmetric:3", "dihedral:3"),)
 
 
-def test_conjecture_scan_matches_certify_everything():
-    groups = dv.standard_groups(12)
+def _metacyclic(m, k, r, s):
+    """<a, b | a^m = 1, b^k = a^s, b a b^-1 = a^r> on the elements a^i b^j (index
+    i + m*j): a^i b^j * a^i' b^j' = a^(i + i' r^j + s [j + j' >= k]) b^((j + j') mod k).
+    ``validate_cayley_table`` refuses parameters that give no group."""
+    table = [[(i + i2 * r ** j + s * (j + j2 >= k)) % m + m * ((j + j2) % k)
+              for j2 in range(k) for i2 in range(m)]
+             for j in range(k) for i in range(m)]
+    names = [f"a^{i} b^{j}" for j in range(k) for i in range(m)]
+    return dv.validate_cayley_table(table, names, name=f"metacyclic:{m}:{k}:{r}:{s}")
+
+
+@pytest.fixture(scope="module")
+def metacyclic_pair():
+    """C_8 : C_4 with b acting as a -> a^3 and as a -> a^7: not isomorphic, yet
+    with equal lattice invariants, so only their certificates tell them apart."""
+    A, B = _metacyclic(8, 4, 3, 0), _metacyclic(8, 4, 7, 0)
+    assert not dv.are_isomorphic(A, B)
+    assert (analysis._lattice_invariant(A, all_subgroups(A))
+            == analysis._lattice_invariant(B, all_subgroups(B)))
+    return A, B
+
+
+@pytest.fixture(scope="module")
+def isomorphic_catalog_pairs():
+    """Every isomorphic pair of ``standard_groups(48)``, found pair by pair."""
+    pairs = [(G, H) for G, H in combinations(dv.standard_groups(48), 2)
+             if dv.are_isomorphic(G, H)]
+    assert len(pairs) == 8 and len({G.name for pair in pairs for G in pair}) == 13
+    return pairs
+
+
+@pytest.mark.parametrize("with_pair, certified", [(False, 0), (True, 2)])
+def test_conjecture_scan_matches_certify_everything(metacyclic_pair, with_pair, certified):
+    groups = dv.standard_groups(12) + list(metacyclic_pair if with_pair else ())
     certs = [certificate(division_graph(g)) for g in groups]
     collisions, matched = [], []
     for i, j in combinations(range(len(groups)), 2):
@@ -426,22 +458,52 @@ def test_conjecture_scan_matches_certify_everything():
     report = conjecture_scan(groups)
     assert report.collisions == tuple(collisions)
     assert report.matched_isomorphic == tuple(matched)
-    assert 0 < report.certified < len(groups)
+    assert report.certified == certified
 
 
-def test_conjecture_scan_still_checks_certificates(monkeypatch):
-    serial = count()
-    monkeypatch.setattr(analysis, "certificate",
-                        lambda dg, budget=None: b"%d" % next(serial))
-    with pytest.raises(dv.InternalInvariantError, match="different certificates"):
-        conjecture_scan([dv.symmetric(3), dv.dihedral(3)])
+def test_conjecture_scan_certifies_a_hard_pair(metacyclic_pair):
+    report = conjecture_scan(metacyclic_pair)
+    assert report.clean and report.certified == 2 and report.matched_isomorphic == ()
 
 
-def test_conjecture_scan_still_checks_lattice_invariants(monkeypatch):
-    serial = count()
-    monkeypatch.setattr(analysis, "_lattice_invariant", lambda G, L: (next(serial),))
-    with pytest.raises(dv.InternalInvariantError, match="different lattice invariants"):
-        conjecture_scan([dv.symmetric(3), dv.dihedral(3)])
+def test_compare_separates_the_hard_pair(metacyclic_pair):
+    assert compare(*metacyclic_pair).verdict == "different"
+
+
+def test_conjecture_scan_certifies_one_representative_per_class(metacyclic_pair):
+    A, B = metacyclic_pair
+    copy = _shuffled(A, 32)
+    report = conjecture_scan([A, B, copy])
+    assert report.clean and report.certified == 2
+    assert report.matched_isomorphic == ((A.name, copy.name),)
+
+
+def test_conjecture_scan_reports_equal_certificates_as_collisions(metacyclic_pair, monkeypatch):
+    A, B = metacyclic_pair
+    monkeypatch.setattr(analysis, "certificate", lambda dg, budget=None: b"same")
+    report = conjecture_scan([A, B])
+    assert report.collisions == ((A.name, B.name),) and not report.clean
+
+
+def test_conjecture_scan_budget_bounds_its_certificates(metacyclic_pair):
+    with pytest.raises(dv.CanonicalizationBudgetExceeded) as caught:
+        conjecture_scan(metacyclic_pair, budget=1)
+    message = str(caught.value)
+    assert message.startswith("canonical search exceeded 1 nodes") and "\n" not in message
+
+
+def test_isomorphic_groups_have_equal_lattice_invariants(isomorphic_catalog_pairs):
+    """Why the scan tests isomorphism only within a lattice-invariant bucket."""
+    for G, H in isomorphic_catalog_pairs:
+        assert (analysis._lattice_invariant(G, all_subgroups(G))
+                == analysis._lattice_invariant(H, all_subgroups(H))), (G.name, H.name)
+
+
+def test_isomorphic_groups_have_equal_certificates(isomorphic_catalog_pairs, metacyclic_pair):
+    """Why the scan certifies one representative per isomorphism class."""
+    A = metacyclic_pair[0]
+    for G, H in isomorphic_catalog_pairs + [(A, _shuffled(A, 48))]:
+        assert certificate(division_graph(G)) == certificate(division_graph(H)), (G.name, H.name)
 
 
 @pytest.mark.parametrize("G", [H for G in dv.standard_groups(24) for H in (G, _shuffled(G, 23))],
@@ -469,19 +531,23 @@ def test_conjecture_scan_builds_graphs_only_where_lattices_collide(monkeypatch):
 
     counted("all_subgroups")
     counted("division_graph")
+    counted("are_isomorphic")
     report = conjecture_scan(dv.standard_groups(48))
     assert report.clean
-    assert calls == {"all_subgroups": 104, "division_graph": 13}
-    assert report.certified == 13
+    assert [calls[name] for name in ("all_subgroups", "division_graph", "are_isomorphic")] == [
+        104, 0, 7]
+    assert report.certified == 0
 
 
 def test_conjecture_scan_certifies_only_shared_invariants():
+    """The 13 groups of ``standard_groups(48)`` that share a lattice invariant
+    are isomorphic duplicates, one class per bucket, so none is certified."""
     groups = dv.standard_groups(48)
     report = conjecture_scan(groups)
     assert report.clean
     shared = Counter(analysis._lattice_invariant(g, all_subgroups(g)) for g in groups)
-    assert report.certified == sum(n for n in shared.values() if n > 1)
-    assert report.certified < len(groups)
+    assert sum(n for n in shared.values() if n > 1) == 13
+    assert report.certified == 0 and len(report.matched_isomorphic) == 8
 
 
 @pytest.fixture(scope="module", params=[16, 32])
@@ -507,11 +573,10 @@ def test_conjecture_scan_off_the_catalog(sylow2_s8_classes):
     assert report.clean and report.certified == 0 and report.matched_isomorphic == ()
 
 
-@pytest.mark.parametrize("sylow2_s8_classes", [16], indirect=True)  # two order-32 certificates take 8 s
 def test_conjecture_scan_matches_a_relabelled_off_catalog_group(sylow2_s8_classes):
     H = next(H for H in sylow2_s8_classes if not H.is_abelian())
     report = conjecture_scan(sylow2_s8_classes + [_shuffled(H, 16)])
-    assert report.clean and report.certified == 2
+    assert report.clean and report.certified == 0
     assert len(report.matched_isomorphic) == 1
 
 

@@ -242,8 +242,7 @@ OPTIONS = {
     "verify-lagarias": {"--catalog", "--input", "--order-cap", "--lattice-cap",
                         "--out"},
     "an-divisions": {"--n", "--cap", "--out"},
-    "conjecture-scan": {"--max-order", "--order-cap", "--lattice-cap",
-                        "--budget", "--out"},
+    "conjecture-scan": {"--max-order", "--order-cap", "--lattice-cap", "--out"},
 }
 
 
@@ -264,13 +263,6 @@ def test_order_cap_acts_in_every_command(capsys, command):
     argv = {"compare": ("cyclic:3", "cyclic:2"),
             "conjecture-scan": ("--max-order", "3")}.get(command, ("cyclic:3",))
     code, out, err = invoke(capsys, command, *argv, "--order-cap", "2")
-    assert (code, out) == (2, "")
-    assert err.startswith("cap exceeded:") and one_line(err)
-
-
-def test_budget_acts_in_conjecture_scan(capsys):
-    code, out, err = invoke(capsys, "conjecture-scan", "--max-order", "4",
-                            "--budget", "1")
     assert (code, out) == (2, "")
     assert err.startswith("cap exceeded:") and one_line(err)
 
@@ -307,6 +299,7 @@ def test_zero_cap_is_exceeded(capsys, command, flag):
     ("validate", "cyclic:3", "--budget", "5"),
     ("divisions", "cyclic:3", "--lattice-cap", "5"),
     ("subgroups", "cyclic:3", "--budget", "5"),
+    ("conjecture-scan", "--budget", "5"),
     ("an-divisions", "--n", "x"),
     ("an-divisions",),
     ("frobnicate",),

@@ -5,7 +5,8 @@ Comparison is structural: per division subgraph, the multiset of vertex
 canonical sort the exporter already applies.  Full byte equality is also
 asserted since the output is deterministic.  The same groups' certificate
 bytes are pinned by sha256, and so is the stdout of ``analyze`` and of
-``division-graph --format json`` on them and on symmetric:4.
+``division-graph --format json`` on them and on symmetric:4, and the stdout
+of ``conjecture-scan`` at two order bounds.
 """
 
 import hashlib
@@ -105,3 +106,20 @@ def test_stdout_bytes_pinned(descriptor, command, capsys):
     assert run([command, "--catalog", descriptor, *extra]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[descriptor, command]
+
+
+#: sha256 of the stdout of ``conjecture-scan --max-order N``.  Its key
+#: ``isomorphic_pairs_with_equal_certificates`` lists every pair within one
+#: isomorphism class; the scan certifies none of them, as their certificates
+#: are equal by invariance (``test_isomorphic_groups_have_equal_certificates``).
+SCAN_STDOUT_SHA256 = {
+    24: "4fb7cf651f854f5dfcd5d042c88087e6cd91cae2309c224b751a7d6c6e444ee9",
+    48: "70cdc663b9de44c0203eb276b10f1cd813cfc362572e460675d44bd7eee30ef9",
+}
+
+
+@pytest.mark.parametrize("max_order", sorted(SCAN_STDOUT_SHA256))
+def test_conjecture_scan_stdout_pinned(max_order, capsys):
+    assert run(["conjecture-scan", "--max-order", str(max_order)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_STDOUT_SHA256[max_order]
