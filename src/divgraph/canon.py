@@ -23,8 +23,9 @@ kind as (label, start), and ``divmod`` decodes a leaf's entries.
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
-from operator import itemgetter
+from collections import namedtuple
+from itertools import chain
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .errors import CanonicalizationBudgetExceeded, InternalInvariantError, ValidationError
@@ -64,8 +65,8 @@ def canonical_form(n: int, arcs, init_cells, budget: int = DEFAULT_BUDGET,
                    known=()) -> CanonicalResult:
     """Canonicalize a digraph on the vertices 0..n-1.
 
-    ``arcs`` is an iterable of (u, v, label) with int labels (any other
-    label raises ValueError) and at most one arc per ordered pair, read
+    ``arcs`` is an iterable of (u, v, label) of ints, u and v in 0..n-1 as
+    are cell members (else ValueError), at most one per ordered pair, read
     exactly once as the search is set up: a caller that wants the arcs
     again must copy them first.  ``init_cells`` is an ordered partition of
     the vertices; its cell order encodes invariant vertex classes, and only
@@ -78,35 +79,48 @@ def canonical_form(n: int, arcs, init_cells, budget: int = DEFAULT_BUDGET,
     return _Searcher(n, arcs, init_cells, budget, known).run()
 
 
+def _refusal(n, arcs, cells) -> ValueError:
+    """The error for a label that is no int, else for the first bad vertex."""
+    if set(map(type, map(itemgetter(2), arcs))) - {int}:
+        return ValueError("arc labels must be ints")
+    ids = chain(chain.from_iterable(arc[:2] for arc in arcs), *cells)
+    bad = next(x for x in ids if type(x) is not int or not 0 <= x < n)
+    return ValueError(f"vertex {bad!r} is not an int in 0..{n - 1}")
+
+
 class _Searcher:
     def __init__(self, n, arcs, init_cells, budget, known=()):
         self.n = n
         self.budget = budget
         self.nodes = self.leaves = self.rounds = self.max_depth = 0
-        # one int object per vertex, whatever the caller's arcs hold: _refine
-        # keys dicts by vertex, and a lookup by the stored key skips comparing
-        self.vertices = vertex = list(range(n))
-        arcs = list(arcs)
-        if not set(map(type, map(itemgetter(2), arcs))) <= {int}:
-            raise ValueError("arc labels must be ints")
+        # one int object per vertex, whatever the caller's arcs hold, so no
+        # list of arcs with an int per end lasts; any other key fails
+        vertex = {v: v for v in range(n)}
+        arcs, init_cells = list(arcs), [list(cell) for cell in init_cells]
+        if not set(map(type, chain(chain.from_iterable(arcs), *init_cells))) <= {int}:
+            raise _refusal(n, arcs, init_cells)
         labels = set(map(itemgetter(2), arcs))
         lo, hi = min(labels, default=0), max(labels, default=0)
         K = self.radix = n + 1
         HI = self.hi = (hi - lo + 1) * K
         self.top = HI + (hi + 1) * K
         tail, head = {lab: lab * K for lab in labels}, {lab: HI + lab * K for lab in labels}
-        # the entries w's out- and in-arcs give their other end, one int per label
-        self.out, self.in_ = out, in_ = [[] for _ in vertex], [[] for _ in vertex]
-        for u, v, label in arcs:
-            u, v = vertex[u], vertex[v]
-            out[u].append((head[label], v))
-            in_[v].append((tail[label], u))
+        # w's sorted out-entries, then its in-entries, each with the other end
+        self.adj = adj = [[] for _ in vertex]
+        try:
+            init_cells = [sorted(map(vertex.__getitem__, cell)) for cell in init_cells]
+            for u, v, label in arcs:
+                adj[vertex[u]].append((head[label], vertex[v]))
+            for entries in adj:
+                entries.sort()
+            self.nout = list(map(len, adj))
+            for u, v, label in arcs:
+                adj[vertex[v]].append((tail[label], vertex[u]))
+        except KeyError:
+            raise _refusal(n, arcs, init_cells) from None
         del arcs  # the seeds are checked on the coded lists
-        for adj in out:
-            adj.sort()
 
         self.init_class = [-1] * n
-        init_cells = [sorted(map(vertex.__getitem__, cell)) for cell in init_cells]
         for ci, cell in enumerate(init_cells):
             for v in cell:
                 if self.init_class[v] != -1:
@@ -130,18 +144,18 @@ class _Searcher:
         in-arcs from outside onto arcs.  Then prune with every other element
         of the group each family generates: that only skips images of
         explored branches."""
-        cls, out, in_, seeds = self.init_class, self.out, self.in_, []
+        cls, adj, nout, seeds = self.init_class, self.adj, self.nout, []
         for one, gens, mul, act, support in known:
             inside = set(support)
-            entering = [(v, c, u) for v in inside for c, u in in_[v] if u not in inside]
+            entering = [(v, c, u) for v in inside for c, u in adj[v][nout[v]:] if u not in inside]
             for g in gens:
                 image = {v: act(g, v) for v in inside}
                 moved = image.get
                 if (set(image.values()) != inside
                         or any(cls[v] != cls[w] for v, w in image.items())
-                        or any(sorted([(c, moved(x, x)) for c, x in out[v]]) != out[w]
-                               for v, w in image.items())
-                        or any((c, u) not in in_[image[v]] for v, c, u in entering)):
+                        or any(sorted([(c, moved(x, x)) for c, x in adj[v][:nout[v]]])
+                               != adj[w][:nout[w]] for v, w in image.items())
+                        or any((c, u) not in adj[image[v]] for v, c, u in entering)):
                     raise InternalInvariantError(
                         f"a seed is not an automorphism of the graph on {self.n} vertices"
                     )
@@ -158,49 +172,53 @@ class _Searcher:
     def _refine(self, cell_at, cell_of, changed):
         """Split cells by neighborhood signatures until equitable, in place.
 
-        A round splits each non-singleton cell holding a neighbor of a
-        vertex ``changed`` by the previous round, by the sorted coded entries
-        of its arcs to them, each list closed by ``top``, above every entry,
-        and applies all its splits at once, so the schedule is invariant
-        under isomorphism.  At the root every vertex is changed, so the
-        lists are full signatures; out-entries sort below in-entries, so one
-        marker orders them as a marker closing each of the two kinds would.
-        Later, only arcs into every part of a split cell but its last
-        (Hopcroft's rule) enter, yet they order the members as full
-        signatures would: a cell a round can split was uniform before the
-        previous round, so per label its members' arcs into the last part
-        follow from those into the parts before it, and where two full lists
-        first differ the one with more arcs into a part is smaller, as the
-        marker makes it in the shortened lists too.  Untouched members (the
-        marker alone, the largest list) form a cell's closing part, in cell
-        order, with no key.
+        A round reads the one adjacency list (out-entries, then in-entries)
+        of each vertex ``changed`` by the previous round into signatures
+        indexed by vertex, splits each non-singleton cell so reached by its
+        members' sorted entries, each list closed by ``top``, above every
+        entry (one entry x is keyed by x alone, ranked as (x, top)), and
+        applies all its splits at once, so the schedule is invariant under
+        isomorphism.  At the root every vertex is changed, so the lists are
+        full signatures; out-entries sort below in-entries, so one marker
+        orders them as a marker closing each of the two kinds would.  Later,
+        only arcs into every part of a split cell but its last (Hopcroft's
+        rule) enter, yet they order the members as full signatures would: a
+        cell a round can split was uniform before the previous round, so per
+        label its members' arcs into the last part follow from those into the
+        parts before it, and where two full lists first differ the one with
+        more arcs into a part is smaller, as the marker makes it in the
+        shortened lists too.  Members with no signature (the marker alone,
+        the largest list) form a cell's closing part, in cell order.
         """
-        out, in_, top = self.out, self.in_, self.top
+        adj, top, n = self.adj, self.top, self.n
         while changed:
             self.rounds += 1
-            sig = defaultdict(list)
+            sig, touched = [None] * n, set()
             for w in changed:
                 s = cell_of[w]
-                for c, u in in_[w]:
-                    sig[u].append(c + s)
-                for c, u in out[w]:
-                    sig[u].append(c + s)
-            touched = defaultdict(list)
-            for u in sig:
-                if len(cell_at[s := cell_of[u]]) > 1:
-                    touched[s].append(u)
+                for c, u in adj[w]:
+                    if (key := sig[u]) is None:
+                        sig[u] = [c + s]
+                        if len(cell_at[t := cell_of[u]]) > 1:
+                            touched.add(t)
+                    else:
+                        key.append(c + s)
             splits = []
             for s in sorted(touched):
-                cell, parts = cell_at[s], {}
-                # cells ascend by vertex, so sorted members keep cell order
-                members = sorted(touched[s])
-                for v in members:
-                    key = sorted(sig[v])
-                    key.append(top)
-                    parts.setdefault(tuple(key), []).append(v)
-                ordered = [parts[key] for key in sorted(parts)]
-                if len(members) < len(cell):
-                    ordered.append([v for v in cell if v not in sig])
+                parts, rest = {}, []
+                for v in cell_at[s]:
+                    if (key := sig[v]) is None:
+                        rest.append(v)
+                    elif len(key) == 1:
+                        parts.setdefault(key[0], []).append(v)
+                    else:
+                        key.sort()
+                        key.append(top)
+                        parts.setdefault(tuple(key), []).append(v)
+                ordered = [parts[k] for k in sorted(
+                    parts, key=lambda k: (k, top) if type(k) is int else k)]
+                if rest:
+                    ordered.append(rest)
                 if len(ordered) > 1:
                     splits.append((s, ordered))
             changed = []
@@ -221,7 +239,7 @@ class _Searcher:
             for v in cell:
                 cell_of[v] = s
             s += len(cell)
-        self._refine(cell_at, cell_of, self.vertices)
+        self._refine(cell_at, cell_of, range(self.n))
         stack = [self._search(cell_at, cell_of, (), [], 0)]
         while stack:
             child = next(stack[-1], None)
@@ -279,7 +297,7 @@ class _Searcher:
             if explored:
                 if orbit_of is None or known < len(self.generators):
                     fixed += [g for g in self.generators[known:]
-                              if all(g[p] == p for p in prefix)]
+                              if all(map(eq, map(g.__getitem__, prefix), prefix))]
                     known = len(self.generators)
                     orbit_of = self._cell_orbits(target, fixed)
                 if orbit_of is not None:
@@ -324,10 +342,10 @@ class _Searcher:
         position = [0] * self.n
         for pos, v in enumerate(order):
             position[v] = pos
-        best, out = self.best_key, self.out
+        best, adj, nout, cls = self.best_key, self.adj, self.nout, self.init_class
         key = [] if best is None else None
         for i, v in enumerate(order):
-            entry = (self.init_class[v], tuple(sorted([c + position[w] for c, w in out[v]])))
+            entry = (cls[v], tuple(sorted([c + position[w] for c, w in adj[v][:nout[v]]])))
             if key is None:
                 if entry == best[i]:
                     continue

@@ -68,6 +68,19 @@ def test_labels_must_be_ints(label):
         canonical_form(2, [(0, 1, 1), (1, 0, label)], [[0, 1]])
 
 
+@pytest.mark.parametrize("arcs, cells, bad", [
+    ([(0, -1, 1)], [[0, 1, 2]], "-1"),
+    ([(0, 5, 1)], [[0, 1, 2]], "5"),
+    ([(0, 1.0, 1)], [[0, 1, 2]], "1.0"),
+    ([(True, 1, 1)], [[0, 1, 2]], "True"),
+    ([(1, 0, 1), (True, 1, 1)], [[0, 1, 2]], "True"),  # True hashes and compares as 1
+    ([], [[0, 1, -1]], "-1"),
+])
+def test_vertex_ids_must_be_ints_in_range(arcs, cells, bad):
+    with pytest.raises(ValueError, match=rf"^vertex {bad} is not an int in 0\.\.2$"):
+        canonical_form(3, arcs, cells)
+
+
 def test_cell_classes_respected():
     # two disjoint arcs; marking different endpoints changes the class layout
     arcs = [(0, 1, 1), (2, 3, 1)]
@@ -419,6 +432,16 @@ def test_root_round_splits_out_from_in_lists_at_the_smallest_head_entry():
     # splitting the root's sorted lists there instead puts vertex 0's
     # out-entry among the in-entries
     _assert_matches_reference(2, [(0, 1, 1)], [[0, 1]])
+
+
+def test_one_entry_signature_ranks_after_the_longer_lists_it_starts():
+    """At the root, vertex 0's signature is the one entry x of its arc into
+    2 and vertex 1's is (x, y): (x, y, top) ranks before (x, top), so 1
+    leads the split of their cell.  Ranking the bare int x as (x,) instead
+    puts 0 first and makes this test fail."""
+    n, arcs, cells = 4, [(0, 2, 1), (1, 2, 1), (1, 3, 1)], [[0, 1], [2], [3]]
+    _assert_matches_reference(n, arcs, cells)
+    assert canonical_form(n, arcs, cells).order == [1, 0, 2, 3]
 
 
 def test_smaller_leaf_after_an_equal_prefix_matches_reference(monkeypatch):

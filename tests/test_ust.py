@@ -515,9 +515,10 @@ def test_symmetric_5_division_graph_memory():
 
 
 def test_alternating_5_certificate_memory():
-    """Canon's set-up holds the coded adjacency lists and no set or list of
-    the arcs: the certificate of alternating:5's graph (2,219 vertices,
-    14,684 arcs) peaks under 5.75 MiB of allocations."""
+    """Canon's set-up holds one coded adjacency list per vertex, no set or
+    list of the arcs and no n-length image: the certificate of
+    alternating:5's graph (2,215 vertices, 12,528 arcs) peaks under 5 MiB of
+    allocations (4.3 MiB measured)."""
     dg = division_graph(dv.catalog("alternating:5"))
     tracemalloc.start()
     try:
@@ -525,7 +526,7 @@ def test_alternating_5_certificate_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_components_hold_no_orbit():
