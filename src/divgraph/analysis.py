@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from operator import or_
 
 from .canon import DEFAULT_BUDGET, SeedGroup, canonical_form
@@ -470,7 +470,9 @@ def _group_seeds(dg: DivisionGraph, first, color_node, n: int) -> list[SeedGroup
         cs = spaces[L.cyclic_of[comp.division_rep]]
         least = [cs.reps[c] for c in cs.coset_of]  # x -> min <phi>x
         N = normalizer(L, L.subgroups[cs.subgroup_id]).members
-        families.append(SeedGroup(0, [least[m] for m in greedy_generators(G, N)],
+        # generators of N modulo <phi>: phi leads, and is dropped unless it is 0 (never yielded)
+        gens = islice(greedy_generators(G, [comp.division_rep, *N]), comp.division_rep != 0, None)
+        families.append(SeedGroup(0, [least[m] for m in gens],
                                   lambda a, b, least=least: least[G.mul(a, b)],
                                   partial(right, ci), range(begin[ci], begin.get(ci + 1, n))))
     return families
@@ -500,7 +502,7 @@ class ScanReport:
     group_names: tuple[str, ...]
     collisions: tuple[tuple[str, str], ...]  # equal certificate, non-isomorphic
     matched_isomorphic: tuple[tuple[str, str], ...]  # every pair within one isomorphism class
-    certified: int  # class representatives sharing their lattice invariant with another class
+    certified: int  # class representatives tied with another class on both invariants
 
     @property
     def clean(self) -> bool:
@@ -508,7 +510,8 @@ class ScanReport:
 
 
 def _lattice_invariant(G: Group, L: SubgroupLattice) -> tuple:
-    """Order, sorted subgroup orders and the number of classes of cyclic subgroups.
+    """Order, sorted subgroup orders and the number of classes of cyclic subgroups:
+    the scan's second tier.
 
     Each part is read off the graph alone: ``recover_order(dg)``, the values of
     ``recover_lattice(dg).order_of``, and one component per division, one
@@ -520,43 +523,48 @@ def _lattice_invariant(G: Group, L: SubgroupLattice) -> tuple:
 
 def conjecture_scan(groups, budget: int = DEFAULT_BUDGET,
                     lattice_cap: int = DEFAULT_ORDER_LIMIT) -> ScanReport:
-    """Look for equal certificates among non-isomorphic groups.
+    """Look for equal certificates among non-isomorphic groups, in four tiers.
 
-    Groups are bucketed by their lattice invariant (``_lattice_invariant``),
-    one order at a time, so only one order's lattices are alive at once.
-    Within a bucket each group is tested with ``are_isomorphic`` against one
-    representative per isomorphism class found so far, and every pair in one
-    class is reported as matched.  Only a bucket holding two classes or more
-    certifies its representatives, the division graph built on the lattice
-    the scan already holds; two representatives with equal certificates are a
-    collision.  This is sound: equivalent graphs have equal lattice
-    invariants, so groups in different buckets can neither collide nor be
-    isomorphic.  It also cross-checks ``are_isomorphic``: a false "not
-    isomorphic" splits one class in two, whose certificates then collide.
+    Groups are bucketed by order and element-order histogram, a graph
+    invariant: each component has phi(m) elements of order m per member of
+    its conjugate cyclic family, m an orbit length of its trivial color.  In
+    a bucket each group is tested with ``are_isomorphic`` against one
+    representative per class found so far, and every pair in one class is
+    matched.  Only a bucket of two classes or more builds its representatives'
+    lattices, sub-bucketed by ``_lattice_invariant``; representatives still
+    tied are certified on those lattices, and equal certificates collide.
+    Groups an invariant tells apart can neither collide nor be isomorphic; a
+    false "not isomorphic" splits a class in two, whose certificates collide.
+    A group above ``lattice_cap`` is refused before any work.
     """
     groups = list(groups)
-    by_order: dict[int, list[int]] = {}
+    for g in groups:
+        if g.order > lattice_cap:
+            all_subgroups(g, order_limit=lattice_cap)  # raises, before any lattice is built
+    buckets: dict[tuple, list[list[int]]] = {}  # histogram -> classes, led by representatives
     for i, g in enumerate(groups):
-        by_order.setdefault(g.order, []).append(i)
+        classes = buckets.setdefault(
+            (g.order, tuple(sorted(g.element_order_histogram().items()))), [])
+        cls = next((c for c in classes if are_isomorphic(groups[c[0]], g)), None)
+        if cls is None:
+            classes.append([i])
+        else:
+            cls.append(i)
     collisions, matched, certified = [], [], 0
-    for members in by_order.values():
-        lattices = {i: all_subgroups(groups[i], order_limit=lattice_cap) for i in members}
-        buckets: dict[tuple, list[list[int]]] = {}  # invariant -> classes, led by representatives
-        for i in members:
-            classes = buckets.setdefault(_lattice_invariant(groups[i], lattices[i]), [])
-            cls = next((c for c in classes if are_isomorphic(groups[c[0]], groups[i])), None)
-            if cls is None:
-                classes.append([i])
-            else:
-                cls.append(i)
-        for classes in buckets.values():
-            matched += (pair for c in classes for pair in combinations(c, 2))
-            if len(classes) > 1:
-                certs = [(c[0], certificate(division_graph(groups[c[0]], lattices[c[0]]),
-                                            budget=budget)) for c in classes]
+    for classes in buckets.values():
+        matched += (pair for c in classes for pair in combinations(c, 2))
+        if len(classes) < 2:
+            continue
+        lattices = {c[0]: all_subgroups(groups[c[0]], order_limit=lattice_cap) for c in classes}
+        ties: dict[tuple, list[int]] = {}
+        for i, L in lattices.items():
+            ties.setdefault(_lattice_invariant(groups[i], L), []).append(i)
+        for tied in ties.values():
+            if len(tied) > 1:
+                certs = [(i, certificate(division_graph(groups[i], lattices[i]), budget=budget))
+                         for i in tied]
                 certified += len(certs)
                 collisions += ((i, j) for (i, x), (j, y) in combinations(certs, 2) if x == y)
-        del lattices  # free this order's lattices before the next order's
 
     def named(pairs):
         return tuple((groups[i].name, groups[j].name) for i, j in sorted(pairs))

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -328,6 +329,28 @@ def test_group_seeds_are_the_maps_their_generators_generate(G, monkeypatch):
     assert sorted(tuple(g[v] for v in range(n)) for g in seeded.seeds) == sorted(expected)
 
 
+@pytest.mark.parametrize("G", dv.standard_groups(16) + [dv.heisenberg27()],
+                         ids=lambda G: G.name)
+def test_no_seed_generator_acts_as_the_identity(G, monkeypatch):
+    """The right families take their generators modulo <phi>, so none lies in
+    <phi>, where it would fix every vertex and cost a seed check for nothing."""
+    seen = []
+
+    class Seeded(Exception):
+        pass
+
+    def stop(n, arcs, cells, budget, known):
+        seen.append(known)
+        raise Seeded
+
+    monkeypatch.setattr(analysis, "canonical_form", stop)
+    with pytest.raises(Seeded):
+        certificate(division_graph(G))
+    for family in seen[0]:
+        for g in family.gens:
+            assert any(family.act(g, v) != v for v in family.support), (G.name, g)
+
+
 @pytest.mark.parametrize("descriptor", ["symmetric:5", "alternating:5", "symmetric:4"])
 def test_left_seed_family_has_two_generators(descriptor, monkeypatch):
     """Greedy generators taken by descending element order: two elements
@@ -518,7 +541,30 @@ def test_lattice_invariant_is_read_off_the_graph(G):
     assert analysis._lattice_invariant(G, L) == from_graph
 
 
-def test_conjecture_scan_builds_graphs_only_where_lattices_collide(monkeypatch):
+def _euler_phi(m):
+    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+@pytest.mark.parametrize("G", [H for G in dv.standard_groups(24) for H in (G, _shuffled(G, 23))]
+                         + [_metacyclic(8, 4, 3, 0), _metacyclic(8, 4, 7, 0)],
+                         ids=lambda G: G.name)
+def test_element_order_histogram_is_read_off_the_graph(G):
+    """The scan's first tier skips lattices only because the histogram is a
+    function of the graph: a component's trivial color has orbits of length
+    m = ord(phi), and it stands for phi(m) elements of order m per member of
+    its conjugate cyclic family."""
+    dg = division_graph(G)
+    sketch = recover_lattice(dg)
+    _, families = recover_cyclic_colors(dg, sketch)
+    from_graph = Counter()
+    for (_, comp), family in zip(dg.components, families):
+        m = comp.clusters[sketch.trivial_color][0]
+        from_graph[m] += _euler_phi(m) * len(family)
+    assert G.element_order_histogram() == dict(from_graph)
+
+
+@pytest.mark.parametrize("order, groups", [(48, 104), (64, 130)])
+def test_conjecture_scan_builds_lattices_only_where_histograms_collide(order, groups, monkeypatch):
     calls = Counter()
 
     def counted(name):
@@ -532,11 +578,19 @@ def test_conjecture_scan_builds_graphs_only_where_lattices_collide(monkeypatch):
     counted("all_subgroups")
     counted("division_graph")
     counted("are_isomorphic")
-    report = conjecture_scan(dv.standard_groups(48))
-    assert report.clean
+    catalog = dv.standard_groups(order)
+    report = conjecture_scan(catalog)
+    assert report.clean and len(catalog) == groups
     assert [calls[name] for name in ("all_subgroups", "division_graph", "are_isomorphic")] == [
-        104, 0, 7]
+        4, 0, 9]
     assert report.certified == 0
+
+
+def test_conjecture_scan_refuses_a_group_above_the_cap_before_any_work(monkeypatch):
+    """Refused up front, though the lone group would need no lattice."""
+    monkeypatch.setattr(dv.Group, "element_order_histogram", None)
+    with pytest.raises(dv.LatticeCapExceeded, match=r"^order 5 exceeds lattice cap 4$"):
+        conjecture_scan([dv.cyclic(5)], lattice_cap=4)
 
 
 def test_conjecture_scan_certifies_only_shared_invariants():

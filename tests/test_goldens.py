@@ -6,7 +6,7 @@ canonical sort the exporter already applies.  Full byte equality is also
 asserted since the output is deterministic.  The same groups' certificate
 bytes are pinned by sha256, and so is the stdout of ``analyze`` and of
 ``division-graph --format json`` on them and on symmetric:4, and the stdout
-of ``conjecture-scan`` at two order bounds.
+of ``conjecture-scan`` at three order bounds.
 """
 
 import hashlib
@@ -115,6 +115,7 @@ def test_stdout_bytes_pinned(descriptor, command, capsys):
 SCAN_STDOUT_SHA256 = {
     24: "4fb7cf651f854f5dfcd5d042c88087e6cd91cae2309c224b751a7d6c6e444ee9",
     48: "70cdc663b9de44c0203eb276b10f1cd813cfc362572e460675d44bd7eee30ef9",
+    64: "76bdaeadd5ef424edaa6c32f0ff378dfaebf8d8d86651f68ef50f9f9d3dae45c",
 }
 
 
