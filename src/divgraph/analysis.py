@@ -525,12 +525,12 @@ def conjecture_scan(groups, budget: int = DEFAULT_BUDGET,
                     lattice_cap: int = DEFAULT_ORDER_LIMIT) -> ScanReport:
     """Look for equal certificates among non-isomorphic groups, in four tiers.
 
-    Groups are bucketed by order and element-order histogram, a graph
-    invariant: each component has phi(m) elements of order m per member of
-    its conjugate cyclic family, m an orbit length of its trivial color.  In
-    a bucket each group is tested with ``are_isomorphic`` against one
-    representative per class found so far, and every pair in one class is
-    matched.  Only a bucket of two classes or more builds its representatives'
+    Groups are bucketed by order and element-order histogram (element orders
+    are cached on the group), a graph invariant: each component has phi(m)
+    elements of order m per member of its conjugate cyclic family, m an orbit
+    length of its trivial color.  In a bucket each group is tested with
+    ``are_isomorphic`` against one representative per class found so far, and
+    every pair in one class is matched.  Only a bucket of two classes or more builds its representatives'
     lattices, sub-bucketed by ``_lattice_invariant``; representatives still
     tied are certified on those lattices, and equal certificates collide.
     Groups an invariant tells apart can neither collide nor be isomorphic; a

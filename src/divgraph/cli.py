@@ -8,6 +8,7 @@ which would be either a bug or a very loud finding).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -209,6 +210,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every run
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="divgraph",

@@ -7,7 +7,9 @@ Groups are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice, repeat, permutations as _itertools_permutations
+from itertools import chain, islice, repeat, permutations as _itertools_permutations
+from math import gcd
+from operator import itemgetter
 
 from .errors import (
     DegreeMismatch,
@@ -36,7 +38,7 @@ class Group:
     """
 
     __slots__ = ("name", "order", "names", "inverse", "perm_images",
-                 "_table", "_perm_index", "_generators")
+                 "_table", "_perm_index", "_generators", "_orders")
 
     def __init__(self, name, order, names, inverse, perm_images, table, perm_index):
         self.name = name
@@ -47,6 +49,7 @@ class Group:
         self._table = table
         self._perm_index = perm_index
         self._generators = None
+        self._orders = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -97,12 +100,23 @@ class Group:
         return result
 
     def element_order(self, g: int) -> int:
-        order = 1
-        x = g
-        while x != 0:
-            x = self.mul(x, g)
-            order += 1
-        return order
+        return self.element_orders()[g]
+
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of every element (cached).  The powers of each element
+        not yet seen are walked once: if g has order m, g^k has order m/gcd(k, m)."""
+        if self._orders is None:
+            orders = [0] * self.order
+            for g in self.elements():
+                if not orders[g]:
+                    powers = [g]
+                    while powers[-1]:
+                        powers.append(self.mul(powers[-1], g))
+                    m = len(powers)
+                    for k, x in enumerate(powers, 1):
+                        orders[x] = m // gcd(k, m)
+            self._orders = tuple(orders)
+        return self._orders
 
     @property
     def table(self) -> list[list[int]]:
@@ -126,7 +140,8 @@ class Group:
         return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
 
     def element_order_histogram(self) -> dict[int, int]:
-        return dict(Counter(map(self.element_order, self.elements())))
+        """How many elements have each order, read off :meth:`element_orders`."""
+        return dict(Counter(self.element_orders()))
 
     def __repr__(self) -> str:
         return f"<Group {self.name!r} of order {self.order}>"
@@ -191,11 +206,16 @@ def greedy_generators(G: Group, candidates=None):
 def _check_latin(table) -> None:
     n = len(table)
     full = frozenset(range(n))
-    for i, row in enumerate(table):
+    if (set(map(len, table)) == {n}
+            and set(map(type, chain.from_iterable(table))) == {int}  # a bool is no index
+            and set(map(frozenset, table)) == {full}
+            and set(map(frozenset, zip(*table))) == {full}):
+        return
+    for i, row in enumerate(table):  # name the first fault
         if len(row) != n:
             raise NotClosed(f"row {i} has length {len(row)}, expected {n}")
         for j, entry in enumerate(row):
-            if type(entry) is not int or entry < 0 or entry >= n:  # a bool is no index
+            if type(entry) is not int or entry < 0 or entry >= n:
                 raise NotClosed(f"cell ({i},{j}) holds {entry!r}, not an index in 0..{n - 1}")
         if set(row) != full:
             dup = next(x for x in row if row.count(x) > 1)
@@ -249,21 +269,19 @@ def validate_cayley_table(table, names=None, name="table-group",
         raise OrderCapExceeded(f"order {n} exceeds cap {order_cap}")
     _check_latin(table)
 
-    identity = None
-    for e in range(n):
-        if all(table[e][i] == i and table[i][e] == i for i in range(n)):
-            identity = e
-            break
-    if identity is None:
+    ids = list(range(n))  # row e is ids for at most one e: the columns are Latin
+    identity = next((e for e, row in enumerate(table) if row == ids), None)
+    if identity is None or [row[identity] for row in table] != ids:
         raise NoIdentity("no two-sided identity element")
 
-    relabel = list(range(n))
+    relabel = ids.copy()
     relabel[0], relabel[identity] = identity, 0  # an involution
-    if identity != 0:
-        table = [
-            [relabel[table[relabel[i]][relabel[j]]] for j in range(n)]
-            for i in range(n)
-        ]
+    if identity != 0:  # swap rows, columns and values 0 and identity in place
+        table[0], table[identity] = table[identity], table[0]
+        for row in table:
+            row[0], row[identity] = row[identity], row[0]
+            i, j = row.index(0), row.index(identity)
+            row[i], row[j] = identity, 0
         if names is not None:
             names = list(names)
             names[0], names[identity] = names[identity], names[0]
@@ -272,9 +290,10 @@ def validate_cayley_table(table, names=None, name="table-group",
     gens = []
     for a in greedy_generators(group):
         row_a = table[a]
+        times_a = itemgetter(*row_a)  # row_x -> the row of x*(a*y) over y
         for x, row_x in enumerate(table):
             row_xa = table[row_x[a]]
-            if [row_x[v] for v in row_a] != row_xa:
+            if list(times_a(row_x)) != row_xa:
                 y = next(y for y in range(n) if row_x[row_a[y]] != row_xa[y])
                 x, a, y = relabel[x], relabel[a], relabel[y]  # input labels
                 raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
@@ -667,24 +686,31 @@ def relabeled_copy(G: Group, relabel) -> Group:
                                  order_cap=n)
 
 
+def _element_keys(G: Group) -> list[tuple[int, int]]:
+    """(order, number of square roots) of each element; an isomorphism keeps both."""
+    roots = Counter(G.mul(x, x) for x in G.elements())
+    return [(m, roots[g]) for g, m in enumerate(G.element_orders())]
+
+
 def are_isomorphic(G1: Group, G2: Group) -> bool:
     """Backtracking table-isomorphism test (meant for small orders).
 
-    G1's generators get images one at a time among G2's elements of the same
-    order.  The images so far are closed into the map on the subgroup they
-    generate (x*g -> f(x)*h), and a choice is dropped as soon as that map is
+    Each element is keyed by its order and its number of square roots, and
+    groups whose key multisets differ are not isomorphic.  G1's generators
+    get images one at a time among G2's elements of the same key.  The images
+    so far are closed into the map on the subgroup they generate
+    (x*g -> f(x)*h), and a choice is dropped as soon as that map is
     ill-defined or not injective; a full choice that survives is an
     isomorphism.  Each generator at least doubles the subgroup, so the
     closures along one search path cost about two closures of G1.
     """
     if G1.order != G2.order:
         return False
-    if G1.element_order_histogram() != G2.element_order_histogram():
+    keys1, keys2 = _element_keys(G1), _element_keys(G2)
+    if sorted(keys1) != sorted(keys2):
         return False
     gens = G1.generating_set()
-    orders2 = [G2.element_order(h) for h in G2.elements()]
-    candidates = [[h for h, o in enumerate(orders2) if o == order]
-                  for order in map(G1.element_order, gens)]
+    candidates = [[h for h, key in enumerate(keys2) if key == keys1[g]] for g in gens]
 
     def extends(images: tuple[int, ...]) -> bool:
         mapping, hit, frontier = {0: 0}, {0}, [0]

@@ -311,6 +311,20 @@ def test_usage_error_exits_1_with_one_line(capsys, argv):
     assert err.startswith("error: ") and one_line(err)
 
 
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_a_usage_error_leaves_the_next_command_working(capsys):
+    """The one parser keeps no state from a parse that failed part way."""
+    assert invoke(capsys, "compare", "cyclic:3")[0] == 1
+    code, out, _ = invoke(capsys, "compare", "cyclic:3", "cyclic:3")
+    assert code == 0 and json.loads(out)["result"] == "same"
+    assert invoke(capsys, "an-divisions", "--n", "x")[0] == 1
+    code, out, _ = invoke(capsys, "an-divisions", "--n", "5")
+    assert code == 0 and json.loads(out)["n"] == 5
+
+
 def test_unknown_descriptor_exits_1(capsys):
     code, _, err = invoke(capsys, "divisions", "--catalog", "nonsense:9")
     assert code == 1

@@ -116,6 +116,7 @@ SCAN_STDOUT_SHA256 = {
     24: "4fb7cf651f854f5dfcd5d042c88087e6cd91cae2309c224b751a7d6c6e444ee9",
     48: "70cdc663b9de44c0203eb276b10f1cd813cfc362572e460675d44bd7eee30ef9",
     64: "76bdaeadd5ef424edaa6c32f0ff378dfaebf8d8d86651f68ef50f9f9d3dae45c",
+    128: "a2c6314feed6722a1435f256a0dd881e1c7a22f3ce8acdd14aab7fd81e3e2ec9",
 }
 
 

@@ -22,11 +22,13 @@ from divgraph.errors import (
 from divgraph.groups import (
     EAGER_TABLE_LIMIT,
     Group,
+    _element_keys,
     closure_from_generators,
     greedy_generators,
     right_coset_partition,
 )
 from divgraph.perms import Permutation
+from test_analysis import _metacyclic, _shuffled
 
 
 # -- validate_cayley_table ---------------------------------------------------
@@ -46,6 +48,24 @@ def test_q8_table_roundtrip(q8):
 def test_latin_square_violation():
     with pytest.raises(NotClosed, match="repeats"):
         dv.validate_cayley_table([[0, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1, 2], [1, 2], [2, 0, 1]], "row 1 has length 2, expected 3"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, True]], "cell (2,2) holds True, not an index in 0..2"),
+    ([[0, 1, 2], [1, 2, 3], [2, 0, 1]], "cell (1,2) holds 3, not an index in 0..2"),
+    ([[0, 1, 2], [1, 2, 0.0], [2, 0, 1]], "cell (1,2) holds 0.0, not an index in 0..2"),
+    ([[0, 1, 2], [1, 2, 1], [2, 0, 1]], "row 1 repeats 1"),
+    ([[0, 1, 2], [1, 2, 0], [1, 2, 0]], "column 0 repeats 1"),
+    ([[0, 1, 1], [1, True, 0], [2]], "row 0 repeats 1"),
+], ids=["short-row", "bool", "out-of-range", "float", "row-repeat", "column-repeat",
+        "first-fault"])
+def test_latin_refusals_name_the_first_fault(table, message):
+    """The row-at-a-time check hands every failure to the cell walk, which
+    names the first fault in row order, columns last.  The bool and the float
+    sit in rows whose sets equal {0, 1, 2}, so only their types refuse them."""
+    with pytest.raises(NotClosed, match=f"^{re.escape(message)}$"):
+        dv.validate_cayley_table(table)
 
 
 def test_no_identity():
@@ -485,6 +505,54 @@ def test_random_triples_associative_and_ab_ba_same_order(data):
     assert G.element_order(G.mul(a, b)) == G.element_order(G.mul(b, a))
 
 
+def _orders_by_powers(G):
+    """Each element's order by the plain walk g, g^2, ... up to the identity."""
+    orders = []
+    for g in G.elements():
+        x, m = g, 1
+        while x:
+            x, m = G.mul(x, g), m + 1
+        orders.append(m)
+    return orders
+
+
+def test_element_orders_match_the_power_walk():
+    """Tables, relabelled tables, and symmetric:6, above the eager table
+    limit, whose products compose permutations."""
+    groups = dv.standard_groups(64)
+    s6 = dv.catalog("symmetric:6")
+    assert s6.order > EAGER_TABLE_LIMIT and s6._table is None
+    for G in [*groups, *(_shuffled(G, seed) for seed, G in enumerate(groups)), s6]:
+        orders = _orders_by_powers(G)
+        assert list(G.element_orders()) == orders, G.name
+        assert G.element_order_histogram() == dict(Counter(orders)), G.name
+
+
+def test_element_orders_are_computed_once(monkeypatch):
+    G = dv.catalog("symmetric:6")
+    orders = G.element_orders()
+    products = Counter()
+    mul = Group.mul
+    monkeypatch.setattr(Group, "mul", lambda self, a, b: products.update([self]) or mul(self, a, b))
+    assert G.element_orders() is orders
+    assert [G.element_order(g) for g in G.elements()] == list(orders)
+    assert sum(G.element_order_histogram().values()) == G.order
+    assert not products
+
+
+def test_square_root_keys():
+    """Each element's (order, square-root count) matches a direct count, the
+    key multiset survives relabelling, and it tells C4 x C4 from Q8 x C2,
+    which share their element-order histogram."""
+    for seed, G in enumerate(dv.standard_groups(32)):
+        roots = Counter(G.mul(x, x) for x in G.elements())
+        assert _element_keys(G) == [(m, roots[g]) for g, m in enumerate(_orders_by_powers(G))]
+        assert sorted(_element_keys(G)) == sorted(_element_keys(_shuffled(G, seed)))
+    A, B = dv.catalog("product:cyclic:4:cyclic:4"), dv.catalog("product:quaternion8:cyclic:2")
+    assert A.element_order_histogram() == B.element_order_histogram()
+    assert sorted(_element_keys(A)) != sorted(_element_keys(B))
+
+
 def test_element_order_divides_group_order():
     for G in [dv.quaternion8(), dv.symmetric(4), dv.heisenberg27(), dv.dihedral(5)]:
         for g in G.elements():
@@ -572,15 +640,17 @@ def test_are_isomorphic_distinguishes_order8():
 def _reference_are_isomorphic(G1, G2):
     """The enumerate-then-close oracle: every tuple of generator images of
     matching orders, each closed into a full map that is then checked for
-    bijectivity.  Slow, but with no pruning to get wrong."""
+    bijectivity.  Slow, but with no pruning to get wrong, and its element
+    orders come from its own power walk."""
     if G1.order != G2.order:
         return False
-    if G1.element_order_histogram() != G2.element_order_histogram():
+    orders1, orders2 = _orders_by_powers(G1), _orders_by_powers(G2)
+    if sorted(orders1) != sorted(orders2):
         return False
     gens = G1.generating_set()
     by_order = {}
-    for h in G2.elements():
-        by_order.setdefault(G2.element_order(h), []).append(h)
+    for h, m in enumerate(orders2):
+        by_order.setdefault(m, []).append(h)
 
     def extend(assignment):
         mapping, frontier = {0: 0}, [0]
@@ -597,19 +667,19 @@ def _reference_are_isomorphic(G1, G2):
         return len(mapping) == G1.order and len(set(mapping.values())) == G1.order
 
     return any(extend(dict(zip(gens, images))) for images in
-               itertools.product(*(by_order[G1.element_order(g)] for g in gens)))
+               itertools.product(*(by_order[orders1[g]] for g in gens)))
 
 
 def test_are_isomorphic_matches_the_reference_oracle():
-    """Every same-order pair of standard_groups(32), and each group against
-    a seeded relabelled copy of itself."""
+    """Every same-order pair of standard_groups(32), two pairs with equal
+    element-order histograms (C4 x C4 and Q8 x C2; C8 : C4 with b acting as
+    a -> a^3 and as a -> a^7), and each group against a seeded relabelled
+    copy of itself."""
     groups = dv.standard_groups(32)
     pairs = [(a, b) for a, b in itertools.combinations(groups, 2) if a.order == b.order]
-    copies = []
-    for seed, G in enumerate(groups):
-        relabel = list(range(G.order))
-        random.Random(seed).shuffle(relabel)
-        copies.append((G, dv.relabeled_copy(G, relabel)))
+    pairs += [(dv.catalog("product:cyclic:4:cyclic:4"), dv.catalog("product:quaternion8:cyclic:2")),
+              (_metacyclic(8, 4, 3, 0), _metacyclic(8, 4, 7, 0))]
+    copies = [(G, _shuffled(G, seed)) for seed, G in enumerate(groups)]
     verdicts = [(dv.are_isomorphic(a, b), _reference_are_isomorphic(a, b)) for a, b in pairs]
     assert all(new == ref for new, ref in verdicts)
     assert sum(new for new, _ in verdicts) == 8  # groups the catalog names twice
