@@ -174,9 +174,9 @@ class _Searcher:
 
         A round reads the one adjacency list (out-entries, then in-entries)
         of each vertex ``changed`` by the previous round into signatures
-        indexed by vertex, splits each non-singleton cell so reached by its
-        members' sorted entries, each list closed by ``top``, above every
-        entry (one entry x is keyed by x alone, ranked as (x, top)), and
+        indexed by vertex, splits each non-singleton cell so reached by the
+        tuples of its members' sorted entries, each closed by ``top``, above
+        every entry (one key shape, whatever the list's length), and
         applies all its splits at once, so the schedule is invariant under
         isomorphism.  At the root every vertex is changed, so the lists are
         full signatures; out-entries sort below in-entries, so one marker
@@ -209,14 +209,11 @@ class _Searcher:
                 for v in cell_at[s]:
                     if (key := sig[v]) is None:
                         rest.append(v)
-                    elif len(key) == 1:
-                        parts.setdefault(key[0], []).append(v)
                     else:
                         key.sort()
                         key.append(top)
                         parts.setdefault(tuple(key), []).append(v)
-                ordered = [parts[k] for k in sorted(
-                    parts, key=lambda k: (k, top) if type(k) is int else k)]
+                ordered = [parts[k] for k in sorted(parts)]
                 if rest:
                     ordered.append(rest)
                 if len(ordered) > 1:

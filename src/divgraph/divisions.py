@@ -32,26 +32,6 @@ class Division:
     common_order: int
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def conjugacy_classes(G: Group) -> list[ConjugacyClass]:
     """Conjugation orbits, each represented by its minimal element.
 
@@ -87,23 +67,27 @@ def golomb_classes(G: Group) -> list[ConjugacyClass]:
     for the same (a, b), its class has exactly n/k elements.
     """
     n = G.order
-    uf = _UnionFind(n)
+    parent = list(range(n))
+
+    def root(x: int) -> int:  # path halving
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     diag_count = [0] * n
     for a in range(n):
         for b in range(n):
             ab = G.mul(a, b)
             ba = G.mul(b, a)
-            uf.union(ab, ba)
+            ra, rb = root(ab), root(ba)
+            if ra != rb:  # the smaller root wins
+                parent[max(ra, rb)] = min(ra, rb)
             if ab == ba:
                 diag_count[ab] += 1
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}  # each root is its class's least member
     for g in range(n):
-        groups.setdefault(uf.find(g), []).append(g)
-    classes = [
-        ConjugacyClass(min(members), tuple(sorted(members)))
-        for members in groups.values()
-    ]
-    classes.sort(key=lambda c: c.representative)
+        groups.setdefault(root(g), []).append(g)
+    classes = [ConjugacyClass(r, tuple(members)) for r, members in groups.items()]
     for c in classes:
         k = diag_count[c.representative]
         if k == 0 or n % k or n // k != len(c.members):
@@ -115,33 +99,29 @@ def golomb_classes(G: Group) -> list[ConjugacyClass]:
 
 
 def divisions(G: Group, classes: list[ConjugacyClass] | None = None) -> list[Division]:
-    """Divisions as fused conjugacy classes.
+    """Divisions as orbits of the units mod ord(phi) on the classes.
 
-    For each class representative phi, the classes of phi^k over all k
-    coprime to ord(phi) are merged; the fusion runs over whole classes via a
-    union-find keyed by class ids.
+    The division of phi is the classes of phi^k over all k prime to
+    ord(phi).  The units form a group, so one walk of phi's powers from each
+    class not yet covered gives its division whole, represented by its
+    least member.
     """
     if classes is None:
         classes = conjugacy_classes(G)
-    class_of = [0] * G.order
+    class_of = {g: idx for idx, c in enumerate(classes) for g in c.members}
+    covered, out = set(), []
     for idx, c in enumerate(classes):
-        for g in c.members:
-            class_of[g] = idx
-    uf = _UnionFind(len(classes))
-    for idx, c in enumerate(classes):
-        phi = c.representative
+        if idx in covered:
+            continue
+        phi = x = c.representative
         order = G.element_order(phi)
-        x = phi
+        class_ids = {idx}
         for k in range(1, order):
             if gcd(k, order) == 1:
-                uf.union(idx, class_of[x])
+                class_ids.add(class_of[x])
             x = G.mul(x, phi)
-    grouped: dict[int, list[int]] = {}
-    for idx in range(len(classes)):
-        grouped.setdefault(uf.find(idx), []).append(idx)
-    out = []
-    for class_ids in grouped.values():
-        members = sorted(g for idx in class_ids for g in classes[idx].members)
+        covered |= class_ids
+        members = sorted(g for i in class_ids for g in classes[i].members)
         rep = members[0]
         orders = {G.element_order(g) for g in members}
         if len(orders) != 1:
@@ -167,8 +147,8 @@ def division_of(G: Group, g: int, divs: list[Division] | None = None) -> Divisio
 
 
 def _check_partition(t) -> tuple[int, ...]:
-    t = tuple(int(x) for x in t)
-    if not t or any(x < 1 for x in t):
+    t = tuple(t)
+    if not t or any(type(x) is not int or x < 1 for x in t):  # a bool is no part
         raise ValueError(f"not a partition of a positive integer: {t}")
     if list(t) != sorted(t, reverse=True):
         raise ValueError(f"partition must be weakly decreasing: {t}")
@@ -201,6 +181,8 @@ def split_class_inverse_closed(t) -> bool:
 
 def ambivalent_alternating(n: int) -> bool:
     """Is every element of A_n conjugate (in A_n) to its inverse?"""
+    if type(n) is not int:
+        raise ValueError(f"alternating ambivalence needs an int degree, got {n!r}")
     if n < 2:
         raise ValueError(f"alternating ambivalence needs n >= 2, got {n}")
     return n in (2, 5, 6, 10, 14)
@@ -231,8 +213,8 @@ def same_class_in_alternating(p: Permutation, q: Permutation, n: int) -> bool:
     yes.  For split types any conjugator has a well-defined parity, so the
     canonical one decides.
     """
-    if p.degree != n or q.degree != n:
-        raise TypeMismatch(f"expected degree {n}, got {p.degree} and {q.degree}")
+    if type(n) is not int or p.degree != n or q.degree != n:
+        raise TypeMismatch(f"expected degree {n!r}, got {p.degree} and {q.degree}")
     if not (p.is_even() and q.is_even()):
         raise NotEvenClass("both permutations must be even")
     if p.cycle_type() != q.cycle_type():
@@ -261,6 +243,8 @@ def alternating_divisions_by_type(n: int, cap: int = 20) -> dict[tuple[int, ...]
     carries (1 or 2), decided from the splitting rule and the square criterion
     of ``_divisions_within_type`` rather than looked up.
     """
+    if type(n) is not int:
+        raise ValidationError(f"degree must be an int, got {n!r}")
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     if cap < 0:

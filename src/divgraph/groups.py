@@ -7,7 +7,7 @@ Groups are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, islice, repeat, permutations as _itertools_permutations
+from itertools import islice, repeat, permutations as _itertools_permutations
 from math import gcd
 from operator import itemgetter
 
@@ -204,24 +204,21 @@ def greedy_generators(G: Group, candidates=None):
 # -- validation ----------------------------------------------------------------
 
 def _check_latin(table) -> None:
+    """Name the first fault in one walk: row by row its length, a cell that
+    is no index in 0..n-1 (a bool is none), a repeat; then column repeats."""
     n = len(table)
     full = frozenset(range(n))
-    if (set(map(len, table)) == {n}
-            and set(map(type, chain.from_iterable(table))) == {int}  # a bool is no index
-            and set(map(frozenset, table)) == {full}
-            and set(map(frozenset, zip(*table))) == {full}):
-        return
-    for i, row in enumerate(table):  # name the first fault
+    for i, row in enumerate(table):
         if len(row) != n:
             raise NotClosed(f"row {i} has length {len(row)}, expected {n}")
-        for j, entry in enumerate(row):
-            if type(entry) is not int or entry < 0 or entry >= n:
-                raise NotClosed(f"cell ({i},{j}) holds {entry!r}, not an index in 0..{n - 1}")
-        if set(row) != full:
+        if set(map(type, row)) != {int} or frozenset(row) != full:
+            for j, entry in enumerate(row):
+                if type(entry) is not int or entry < 0 or entry >= n:
+                    raise NotClosed(f"cell ({i},{j}) holds {entry!r}, not an index in 0..{n - 1}")
             dup = next(x for x in row if row.count(x) > 1)
             raise NotClosed(f"row {i} repeats {dup}")
     for j, col in enumerate(zip(*table)):
-        if set(col) != full:
+        if frozenset(col) != full:
             dup = next(x for x in col if col.count(x) > 1)
             raise NotClosed(f"column {j} repeats {dup}")
 

@@ -915,3 +915,18 @@ def test_recover_lattice_rejects_disagreeing_color_sets_and_an_empty_graph():
         recover_lattice(_with_component(dg, 1, fewer))
     with pytest.raises(MalformedGraph, match="^empty division graph$"):
         recover_lattice(DivisionGraph(dg.group_name, ()))
+
+
+def test_recover_lattice_rejects_a_cluster_size_that_does_not_divide_the_order():
+    """cyclic:4's identity component has clusters of 4, 2 and 1 orbits.
+    Dropping one orbit of the trivial subgroup's cluster reads the order as
+    3, which the order-2 subgroup's cluster of 2 does not divide."""
+    from dataclasses import replace
+    from divgraph.errors import MalformedGraph
+
+    dg = division_graph(dv.cyclic(4))
+    comp = dg.components[0][1]
+    assert comp.clusters == {0: (1, 1, 1, 1), 1: (1, 1), 2: (1,)}
+    short = replace(comp, clusters={**comp.clusters, 0: (1, 1, 1)})
+    with pytest.raises(MalformedGraph, match="^cluster size 2 does not divide 3$"):
+        recover_lattice(_with_component(dg, 0, short))

@@ -437,8 +437,8 @@ def test_root_round_splits_out_from_in_lists_at_the_smallest_head_entry():
 def test_one_entry_signature_ranks_after_the_longer_lists_it_starts():
     """At the root, vertex 0's signature is the one entry x of its arc into
     2 and vertex 1's is (x, y): (x, y, top) ranks before (x, top), so 1
-    leads the split of their cell.  Ranking the bare int x as (x,) instead
-    puts 0 first and makes this test fail."""
+    leads the split of their cell.  A key that leaves out the closing top,
+    (x,), would put 0 first and make this test fail."""
     n, arcs, cells = 4, [(0, 2, 1), (1, 2, 1), (1, 3, 1)], [[0, 1], [2], [3]]
     _assert_matches_reference(n, arcs, cells)
     assert canonical_form(n, arcs, cells).order == [1, 0, 2, 3]

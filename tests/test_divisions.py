@@ -119,6 +119,12 @@ def test_z3xz3_has_five_divisions():
     assert len(all_types) == 3
 
 
+def test_division_of_refuses_an_element_outside_the_group(s4):
+    with pytest.raises(ValueError) as info:
+        dv.division_of(s4, 24)
+    assert str(info.value) == "element 24 outside 0..23"
+
+
 def test_division_of_identity_is_singleton(s4):
     d = dv.division_of(s4, 0)
     assert d.members == (0,)
@@ -251,6 +257,43 @@ def test_ambivalent_alternating_list():
     assert [n for n in range(2, 20) if dv.ambivalent_alternating(n)] == [2, 5, 6, 10, 14]
 
 
+@pytest.mark.parametrize("t", [(2.9, 2.1), (7.5, 1.2), ("5", "3", "1"), (True,), (5.0,)])
+def test_partition_parts_must_be_ints_not_coerced(t):
+    """A float, a string or a bool is refused, not read as the int it rounds to."""
+    for check in (dv.class_splits_in_alternating, dv.split_class_inverse_closed):
+        with pytest.raises(ValueError) as info:
+            check(t)
+        assert str(info.value) == f"not a partition of a positive integer: {t}"
+
+
+@pytest.mark.parametrize("t, message", [
+    ((3, 0), "not a partition of a positive integer: (3, 0)"),
+    ((3, -1, 1), "not a partition of a positive integer: (3, -1, 1)"),
+    ((), "not a partition of a positive integer: ()"),
+    ((1, 3), "partition must be weakly decreasing: (1, 3)"),
+])
+def test_partition_refusals_name_the_fault(t, message):
+    with pytest.raises(ValueError) as info:
+        dv.class_splits_in_alternating(t)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [5.0, "7", True, None])
+def test_alternating_degrees_must_be_ints(n):
+    with pytest.raises(ValidationError) as info:
+        dv.alternating_divisions_by_type(n)
+    assert str(info.value) == f"degree must be an int, got {n!r}"
+    with pytest.raises(ValueError) as info:
+        dv.ambivalent_alternating(n)
+    assert str(info.value) == f"alternating ambivalence needs an int degree, got {n!r}"
+
+
+def test_ambivalent_alternating_refuses_degree_one():
+    with pytest.raises(ValueError) as info:
+        dv.ambivalent_alternating(1)
+    assert str(info.value) == "alternating ambivalence needs n >= 2, got 1"
+
+
 SPLIT_PARITY_CASES = [
     # (cycles of pi, n, same A_n class as pi**2?)
     ([(1, 2, 3, 4, 5)], 5, False),
@@ -329,6 +372,21 @@ def test_same_class_trivial_and_errors():
     odd = Permutation.from_cycles([(1, 2)], 5)
     with pytest.raises(NotEvenClass):
         dv.same_class_in_alternating(odd, odd, 5)
+
+
+def test_conjugator_and_class_test_refusals_name_the_mismatch():
+    p = Permutation.from_cycles([(1, 2, 3, 4, 5)], 5)
+    q = Permutation.from_cycles([(1, 2, 3)], 5)
+    with pytest.raises(TypeMismatch) as info:
+        standard_conjugator(p, q)
+    assert str(info.value) == "(1 2 3 4 5) and (1 2 3) have different cycle types"
+    small = Permutation.from_cycles([(1, 2, 3)], 4)
+    with pytest.raises(TypeMismatch) as info:
+        dv.same_class_in_alternating(small, p, 5)
+    assert str(info.value) == "expected degree 5, got 4 and 5"
+    with pytest.raises(TypeMismatch) as info:
+        dv.same_class_in_alternating(p, p, 5.0)
+    assert str(info.value) == "expected degree 5.0, got 5 and 5"
 
 
 def test_non_split_type_is_one_class_without_a_conjugator(monkeypatch):

@@ -569,6 +569,16 @@ def test_subgroup_as_group(q8):
     assert dv.are_isomorphic(sub, dv.cyclic(4))
 
 
+def test_subgroup_as_group_refuses_members_without_identity_or_closure(q8):
+    with pytest.raises(ValueError) as info:
+        dv.subgroup_as_group(q8, [1, 2, 3])
+    assert str(info.value) == "subgroup members must contain the identity 0"
+    outside = next(x for x in range(1, 8) if q8.mul(x, x) != 0)
+    with pytest.raises(ValueError) as info:
+        dv.subgroup_as_group(q8, [0, outside])
+    assert str(info.value) == "member set is not closed under the product"
+
+
 def test_quotient_group_q8_by_center(q8):
     quotient, coset_of = dv.quotient_group(q8, [0, 1])
     assert quotient.order == 4
