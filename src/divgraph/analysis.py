@@ -18,7 +18,7 @@ from itertools import chain, combinations, islice
 from operator import or_
 
 from .canon import DEFAULT_BUDGET, SeedGroup, canonical_form
-from .errors import MalformedGraph
+from .errors import MalformedGraph, check_cap
 from .groups import (
     Group,
     are_isomorphic,
@@ -537,6 +537,8 @@ def conjecture_scan(groups, budget: int = DEFAULT_BUDGET,
     false "not isomorphic" splits a class in two, whose certificates collide.
     A group above ``lattice_cap`` is refused before any work.
     """
+    check_cap(lattice_cap, "lattice cap")
+    check_cap(budget, "budget")
     groups = list(groups)
     for g in groups:
         if g.order > lattice_cap:

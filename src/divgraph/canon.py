@@ -28,7 +28,7 @@ from itertools import chain
 from operator import eq, itemgetter
 from typing import NamedTuple
 
-from .errors import CanonicalizationBudgetExceeded, InternalInvariantError, ValidationError
+from .errors import CanonicalizationBudgetExceeded, InternalInvariantError, check_cap
 
 DEFAULT_BUDGET = 500_000
 
@@ -74,8 +74,7 @@ def canonical_form(n: int, arcs, init_cells, budget: int = DEFAULT_BUDGET,
     ``SeedGroup``s to prune with from the start; only their generators'
     maps are checked.
     """
-    if budget < 0:
-        raise ValidationError(f"budget must be non-negative, got {budget}")
+    check_cap(budget, "budget")
     return _Searcher(n, arcs, init_cells, budget, known).run()
 
 

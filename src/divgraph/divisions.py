@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
 from .errors import (InternalInvariantError, NotEvenClass, NotSplitClass,
-                     ResourceCapExceeded, TypeMismatch, ValidationError)
+                     ResourceCapExceeded, TypeMismatch, ValidationError, check_cap)
 from .groups import Group
 from .perms import Permutation, parity_of_type
 
@@ -135,12 +135,11 @@ def divisions(G: Group, classes: list[ConjugacyClass] | None = None) -> list[Div
 
 def division_of(G: Group, g: int, divs: list[Division] | None = None) -> Division:
     """The unique division containing g."""
-    if divs is None:
-        divs = divisions(G)
-    for d in divs:
-        if g in d.members:
-            return d
-    raise ValueError(f"element {g} outside 0..{G.order - 1}")
+    if type(g) is int and 0 <= g < G.order:
+        for d in divisions(G) if divs is None else divs:
+            if g in d.members:
+                return d
+    raise ValueError(f"element {g!r} outside 0..{G.order - 1}")
 
 
 # -- alternating-group division theory ----------------------------------------
@@ -247,8 +246,7 @@ def alternating_divisions_by_type(n: int, cap: int = 20) -> dict[tuple[int, ...]
         raise ValidationError(f"degree must be an int, got {n!r}")
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
-    if cap < 0:
-        raise ValidationError(f"cap must be non-negative, got {cap}")
+    check_cap(cap, "cap")
     if n > cap:
         raise ResourceCapExceeded(f"degree {n} exceeds cap {cap}")
     return {t: _divisions_within_type(t) for t in _even_partitions(n)}

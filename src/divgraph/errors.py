@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all divgraph modules.
+"""Exception hierarchy shared by all divgraph modules, and the check on caps.
 
 Exit-code mapping used by the CLI:
   ValidationError subclasses  -> 1 (bad input)
@@ -73,3 +73,12 @@ class CanonicalizationBudgetExceeded(ResourceCapExceeded):
 
 class InternalInvariantError(DivgraphError):
     """A structural invariant that should be a theorem failed to hold."""
+
+
+def check_cap(value, what: str) -> None:
+    """A cap or budget whose type is not int (a bool's is not), or a negative
+    one, is bad input (exit 1), not a cap that ran out."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an int, got {value!r}")
+    if value < 0:
+        raise ValidationError(f"{what} must be non-negative, got {value}")

@@ -7,7 +7,7 @@ Groups are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice, repeat, permutations as _itertools_permutations
+from itertools import islice, permutations, repeat
 from math import gcd
 from operator import itemgetter
 
@@ -19,7 +19,7 @@ from .errors import (
     NotClosed,
     OrderCapExceeded,
     UnknownDescriptor,
-    ValidationError,
+    check_cap,
 )
 from .perms import Permutation
 
@@ -55,13 +55,10 @@ class Group:
 
     @staticmethod
     def _from_permutations(name, perms):
-        """Internal: wrap a full, closed list of permutations (identity first)."""
+        """Internal: wrap a closed list of distinct permutations, the identity
+        first (a closure walked from the identity, or itertools.permutations)."""
         n = len(perms)
         index = {p.images: i for i, p in enumerate(perms)}
-        if len(index) != n:
-            raise ValueError("duplicate permutations")
-        if perms[0] != Permutation.identity(perms[0].degree):
-            raise NoIdentity("element 0 is not the identity permutation")
         inverse = tuple(index[p.inverse().images] for p in perms)
         names = [str(p) for p in perms]
         g = Group(name, n, names, inverse, perms, None, index)
@@ -223,12 +220,6 @@ def _check_latin(table) -> None:
             raise NotClosed(f"column {j} repeats {dup}")
 
 
-def _check_order_cap(order_cap: int) -> None:
-    """A negative cap is bad input (exit 1), not a cap that ran out."""
-    if order_cap < 0:
-        raise ValidationError(f"order cap must be non-negative, got {order_cap}")
-
-
 def validate_cayley_table(table, names=None, name="table-group",
                           order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Validate an n x n index table and wrap it as a Group.
@@ -257,7 +248,7 @@ def validate_cayley_table(table, names=None, name="table-group",
     The closure grows by :func:`extend_subgroup`; its argument holds here,
     as it multiplies only good elements and H's right cosets partition the table.
     """
-    _check_order_cap(order_cap)
+    check_cap(order_cap, "order cap")
     table = [list(row) for row in table]
     n = len(table)
     if n == 0:
@@ -319,7 +310,7 @@ def from_permutation_generators(gens, degree: int, name=None,
     is rejected before a permutation of that degree is built; every group
     within the cap acts faithfully on at most that many points.
     """
-    _check_order_cap(order_cap)
+    check_cap(order_cap, "order cap")
     gens = list(gens)
     for g in gens:
         if g.degree != degree:
@@ -349,18 +340,30 @@ def from_permutation_generators(gens, degree: int, name=None,
 
 # -- catalog -------------------------------------------------------------------
 
+def _table_group(name: str, n: int, mul, names) -> Group:
+    """The group on 0..n-1 under the product rule ``mul``, validated as a table."""
+    return validate_cayley_table([[mul(a, b) for b in range(n)] for a in range(n)],
+                                 names, name, order_cap=n)
+
+
+def _permutation_group(family: str, n: int, keep=None) -> Group:
+    """``family:n`` on the permutations of degree n that ``keep`` accepts (all
+    if it is None), in lexicographic image order."""
+    if n < 1:
+        raise UnknownDescriptor(f"{family} degree must be positive, got {n}")
+    perms = [p for p in map(Permutation, permutations(range(n))) if keep is None or keep(p)]
+    return Group._from_permutations(f"{family}:{n}", perms)
+
+
 def cyclic(n: int) -> Group:
     if n < 1:
         raise UnknownDescriptor(f"cyclic order must be positive, got {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    names = [str(i) for i in range(n)]
-    return validate_cayley_table(table, names, f"cyclic:{n}", order_cap=n)
+    return _table_group(f"cyclic:{n}", n, lambda a, b: (a + b) % n, [str(i) for i in range(n)])
 
 
 def klein4() -> Group:
-    g = elementary_abelian(2, 2)
-    g.name = "klein4"
-    return g
+    """(Z_2)^2, its elements named as in ``elementary_abelian(2, 2)``."""
+    return _table_group("klein4", 4, int.__xor__, ["(0,0)", "(0,1)", "(1,0)", "(1,1)"])
 
 
 def dihedral(n: int) -> Group:
@@ -375,10 +378,9 @@ def dihedral(n: int) -> Group:
             return fa * n + (ia + ib) % n
         return (1 - fa) * n + (ib - ia) % n
 
-    table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
     names = [f"r{i}" for i in range(n)] + [f"sr{i}" for i in range(n)]
     names[0] = "e"
-    return validate_cayley_table(table, names, f"dihedral:{n}", order_cap=2 * n)
+    return _table_group(f"dihedral:{n}", 2 * n, mul, names)
 
 
 _QUNITS = ("1", "i", "j", "k")
@@ -400,31 +402,20 @@ def quaternion8() -> Group:
         u, flip = _QMUL[ua][ub]
         return 2 * u + (sa ^ sb ^ flip)
 
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
     names = []
     for u in _QUNITS:
         names.extend([u, f"-{u}"])
-    return validate_cayley_table(table, names, "quaternion8", order_cap=8)
+    return _table_group("quaternion8", 8, mul, names)
 
 
 def symmetric(n: int) -> Group:
     """Symmetric group S_n with elements in lexicographic image order."""
-    if n < 1:
-        raise UnknownDescriptor(f"symmetric degree must be positive, got {n}")
-    perms = [Permutation(images) for images in _itertools_permutations(range(n))]
-    return Group._from_permutations(f"symmetric:{n}", perms)
+    return _permutation_group("symmetric", n)
 
 
 def alternating(n: int) -> Group:
     """Alternating group A_n with elements in lexicographic image order."""
-    if n < 1:
-        raise UnknownDescriptor(f"alternating degree must be positive, got {n}")
-    perms = [
-        p
-        for images in _itertools_permutations(range(n))
-        if (p := Permutation(images)).is_even()
-    ]
-    return Group._from_permutations(f"alternating:{n}", perms)
+    return _permutation_group("alternating", n, Permutation.is_even)
 
 
 def elementary_abelian(p: int, k: int) -> Group:
@@ -433,17 +424,10 @@ def elementary_abelian(p: int, k: int) -> Group:
         raise UnknownDescriptor(f"elementary_abelian needs a prime, got {p}")
     if k < 1:
         raise UnknownDescriptor(f"elementary_abelian rank must be positive, got {k}")
-    tuples = [()]
-    for _ in range(k):
-        tuples = [t + (c,) for t in tuples for c in range(p)]
-    index = {t: i for i, t in enumerate(tuples)}
-    table = [
-        [index[tuple((a + b) % p for a, b in zip(ta, tb))] for tb in tuples]
-        for ta in tuples
-    ]
-    names = [f"({','.join(str(c) for c in t)})" for t in tuples]
-    return validate_cayley_table(table, names, f"elementary_abelian:{p}:{k}",
-                                 order_cap=len(table))
+    places = [p ** j for j in reversed(range(k))]  # element i has the digits i // q % p
+    names = [f"({','.join(str(i // q % p) for q in places)})" for i in range(p ** k)]
+    return _table_group(f"elementary_abelian:{p}:{k}", p ** k,
+                        lambda a, b: sum((a // q + b // q) % p * q for q in places), names)
 
 
 def heisenberg27() -> Group:
@@ -460,8 +444,6 @@ def heisenberg27() -> Group:
         e, f = divmod(rest, 3)
         return 9 * ((a + d - c * e) % 3) + 3 * ((b + e) % 3) + (c + f) % 3
 
-    table = [[mul(u, v) for v in range(27)] for u in range(27)]
-
     def fmt(u):
         a, rest = divmod(u, 9)
         b, c = divmod(rest, 3)
@@ -473,21 +455,15 @@ def heisenberg27() -> Group:
                 parts.append(f"{sym}^2")
         return " ".join(parts) or "e"
 
-    names = [fmt(u) for u in range(27)]
-    return validate_cayley_table(table, names, "heisenberg27", order_cap=27)
+    return _table_group("heisenberg27", 27, mul, [fmt(u) for u in range(27)])
 
 
 def direct_product(a: Group, b: Group) -> Group:
     """Direct product with element (i, j) at index i*|b| + j."""
     nb = b.order
-    table = [
-        [a.mul(i1, i2) * nb + b.mul(j1, j2) for i2 in range(a.order) for j2 in range(nb)]
-        for i1 in range(a.order)
-        for j1 in range(nb)
-    ]
     names = [f"({na},{nbn})" for na in a.names for nbn in b.names]
-    return validate_cayley_table(table, names, f"product:{a.name}:{b.name}",
-                                 order_cap=len(table))
+    return _table_group(f"product:{a.name}:{b.name}", a.order * nb,
+                        lambda x, y: a.mul(x // nb, y // nb) * nb + b.mul(x % nb, y % nb), names)
 
 
 #: One row per catalog family: its constructor, the factors of its order from
@@ -560,7 +536,7 @@ def _check_order(name: str, order: int, table: bool, order_cap: int) -> None:
 def catalog(descriptor: str, order_cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Build a named group from a descriptor like ``symmetric:4`` or
     ``product:cyclic:2:cyclic:4``; its caps are checked before anything is built."""
-    _check_order_cap(order_cap)
+    check_cap(order_cap, "order cap")
     name, order, table, build = _parse(descriptor, order_cap)
     _check_order(name, order, table, order_cap)
     return build()
@@ -595,7 +571,7 @@ def standard_groups(max_order: int) -> list[Group]:
     is refused at once.  Isomorphic duplicates under different constructions
     are kept on purpose.
     """
-    _check_order_cap(max_order)
+    check_cap(max_order, "order cap")
     parsed = [_parse(descriptor, max_order)
               for descriptor in (*(f"cyclic:{n}" for n in range(1, max_order + 1)),
                                  *(f"dihedral:{n}" for n in range(2, max_order // 2 + 1)),
@@ -620,13 +596,12 @@ def subgroup_as_group(G: Group, members) -> tuple[Group, list[int]]:
     if not members or members[0] != 0:
         raise ValueError("subgroup members must contain the identity 0")
     local = {g: i for i, g in enumerate(members)}
+    names = [G.names[g] for g in members]
     try:
-        table = [[local[G.mul(a, b)] for b in members] for a in members]
+        sub = _table_group(f"{G.name}|sub{len(members)}", len(members),
+                           lambda a, b: local[G.mul(members[a], members[b])], names)
     except KeyError:
         raise ValueError("member set is not closed under the product") from None
-    names = [G.names[g] for g in members]
-    sub = validate_cayley_table(table, names, f"{G.name}|sub{len(members)}",
-                                order_cap=len(members))
     return sub, members
 
 
@@ -659,10 +634,9 @@ def quotient_group(G: Group, normal_members) -> tuple[Group, list[int]]:
         for h in nset:
             if coset_of[G.mul(h, s)] != coset_of[G.mul(s, h)]:
                 raise ValueError("subgroup is not normal")
-    table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
     names = [f"[{G.names[r]}]" for r in reps]
-    quotient = validate_cayley_table(table, names, f"{G.name}/N{len(nset)}",
-                                     order_cap=len(reps))
+    quotient = _table_group(f"{G.name}/N{len(nset)}", len(reps),
+                            lambda a, b: coset_of[G.mul(reps[a], reps[b])], names)
     return quotient, coset_of
 
 
@@ -677,10 +651,9 @@ def relabeled_copy(G: Group, relabel) -> Group:
     inverse = [0] * n
     for old, new in enumerate(relabel):
         inverse[new] = old
-    table = [[relabel[G.mul(inverse[i], inverse[j])] for j in range(n)] for i in range(n)]
     names = [G.names[inverse[i]] for i in range(n)]
-    return validate_cayley_table(table, names=names, name=f"{G.name}~relabeled",
-                                 order_cap=n)
+    return _table_group(f"{G.name}~relabeled", n,
+                        lambda i, j: relabel[G.mul(inverse[i], inverse[j])], names)
 
 
 def _element_keys(G: Group) -> list[tuple[int, int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import LatticeCapExceeded, ValidationError
+from .errors import LatticeCapExceeded, check_cap
 from .groups import Group, closure_from_generators, extend_subgroup
 
 DEFAULT_ORDER_LIMIT = 384
@@ -120,9 +120,8 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
     automorphism, so the covers of t^-1 R t are the t^-1 K t, same index.
     """
     n = G.order
-    cap = min(order_limit, count_limit)
-    if cap < 0:
-        raise ValidationError(f"lattice cap must be non-negative, got {cap}")
+    check_cap(order_limit, "lattice cap")
+    check_cap(count_limit, "lattice cap")
     if n > order_limit:
         raise LatticeCapExceeded(f"order {n} exceeds lattice cap {order_limit}")
 

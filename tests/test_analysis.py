@@ -21,6 +21,7 @@ from divgraph.analysis import (
 )
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, normal_subgroup_ids
 from divgraph.canon import canonical_form
+from divgraph.errors import ValidationError
 from divgraph.groups import closure_from_generators
 from divgraph.ust import DivisionGraph, division_graph
 from extraction import arcs_of, encoding, extract, quotient_components, restricted_components
@@ -608,6 +609,20 @@ def test_conjecture_scan_refuses_a_group_above_the_cap_before_any_work(monkeypat
     monkeypatch.setattr(dv.Group, "element_order_histogram", None)
     with pytest.raises(dv.LatticeCapExceeded, match=r"^order 5 exceeds lattice cap 4$"):
         conjecture_scan([dv.cyclic(5)], lattice_cap=4)
+
+
+@pytest.mark.parametrize("caps, message", [
+    ({"lattice_cap": 2.5}, "lattice cap must be an int, got 2.5"),
+    ({"budget": 1.5}, "budget must be an int, got 1.5"),
+])
+def test_conjecture_scan_refuses_a_non_int_cap_before_any_work(monkeypatch, caps, message):
+    """Refused up front, though the lone group needs neither a lattice nor a
+    certificate."""
+    monkeypatch.setattr(dv.Group, "element_order_histogram", None)
+    with pytest.raises(ValidationError) as info:
+        conjecture_scan([dv.cyclic(2)], **caps)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
 
 
 def test_conjecture_scan_certifies_only_shared_invariants():

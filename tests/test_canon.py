@@ -150,6 +150,17 @@ def test_negative_budget_is_invalid_input(budget, error):
         analysis.compare(catalog("cyclic:2"), catalog("cyclic:2"), budget=budget)
 
 
+@pytest.mark.parametrize("search", [
+    lambda: canonical_form(2, [(0, 1, 1)], [[0, 1]], budget=1.5),
+    lambda: analysis.compare(catalog("symmetric:3"), catalog("symmetric:3"), budget=1.5),
+], ids=["canonical_form", "compare"])
+def test_budget_must_be_an_int(search):
+    with pytest.raises(ValidationError) as info:
+        search()
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "budget must be an int, got 1.5"
+
+
 def test_deep_search_hits_budget_not_recursion_limit():
     # the empty graph on 1500 vertices is searched along a 1500-deep path
     with pytest.raises(CanonicalizationBudgetExceeded) as info:

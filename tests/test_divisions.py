@@ -125,6 +125,22 @@ def test_division_of_refuses_an_element_outside_the_group(s4):
     assert str(info.value) == "element 24 outside 0..23"
 
 
+@pytest.mark.parametrize("g", [True, 1.0])
+def test_division_of_refuses_an_element_that_is_not_an_int(s4, g):
+    with pytest.raises(ValueError) as info:
+        dv.division_of(s4, g)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"element {g!r} outside 0..23"
+
+
+@pytest.mark.parametrize("cap", [5.5, True])
+def test_alternating_divisions_cap_must_be_an_int(cap):
+    with pytest.raises(ValidationError) as info:
+        dv.alternating_divisions_by_type(5, cap=cap)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"cap must be an int, got {cap!r}"
+
+
 def test_division_of_identity_is_singleton(s4):
     d = dv.division_of(s4, 0)
     assert d.members == (0,)

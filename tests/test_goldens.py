@@ -6,10 +6,12 @@ canonical sort the exporter already applies.  Full byte equality is also
 asserted since the output is deterministic.  The same groups' certificate
 bytes are pinned by sha256, and so is the stdout of ``analyze`` and of
 ``division-graph --format json`` on them and on symmetric:4, and the stdout
-of ``conjecture-scan`` at three order bounds.
+of ``conjecture-scan`` at three order bounds.  So are the catalog's groups
+themselves, with subgroups, quotients and relabelled copies built from them.
 """
 
 import hashlib
+import random
 import re
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import pytest
 import divgraph as dv
 from divgraph.analysis import certificate
 from divgraph.cli import run
+from divgraph.groups import closure_from_generators
 from divgraph.ust import division_graph, division_graph_to_dot
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -125,3 +128,37 @@ def test_conjecture_scan_stdout_pinned(max_order, capsys):
     assert run(["conjecture-scan", "--max-order", str(max_order)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_STDOUT_SHA256[max_order]
+
+
+#: Catalog groups pinned beyond ``standard_groups(128)``, and the nonabelian
+#: groups whose subgroup, quotient and relabelled copy are pinned too
+#: (symmetric:6 is above ``EAGER_TABLE_LIMIT``, so its products are composed).
+CATALOG_EXTRAS = ("quaternion8", "heisenberg27", "elementary_abelian:5:3",
+                  "elementary_abelian:2:6", "dihedral:100", "cyclic:1",
+                  "product:klein4:quaternion8")
+DERIVED_FROM = ("symmetric:4", "quaternion8", "dihedral:6", "heisenberg27", "symmetric:6")
+
+#: sha256 over each group's name, stored table, permutations, names, inverses
+#: and ``generating_set()``.
+CATALOG_SHA256 = "171b1640ba423ef1d6087e03cc28f01a715bf5d58da16c8d185c539166d6d26a"
+
+
+def pinned_groups():
+    yield from dv.standard_groups(128)
+    yield from map(dv.catalog, CATALOG_EXTRAS)
+    for descriptor in DERIVED_FROM:
+        G = dv.catalog(descriptor)
+        yield dv.subgroup_as_group(G, closure_from_generators(G, G.generating_set()[:-1]))[0]
+        yield dv.quotient_group(G, dv.commutator_subgroup(G).members)[0]
+        relabel = list(G.elements())
+        random.Random(descriptor).shuffle(relabel)
+        yield dv.relabeled_copy(G, relabel)
+
+
+def test_catalog_groups_pinned():
+    digest = hashlib.sha256()
+    for G in pinned_groups():
+        perms = G.perm_images and [p.images for p in G.perm_images]
+        record = (G.name, G._table, perms, G.names, G.inverse, G.generating_set())
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == CATALOG_SHA256

@@ -132,6 +132,21 @@ def test_negative_order_cap_is_invalid_input(build, zero_error):
         build(0)
 
 
+@pytest.mark.parametrize("build, cap", [
+    (lambda cap: dv.catalog("symmetric:3", order_cap=cap), 6.5),
+    (lambda cap: dv.from_permutation_generators([], 2, order_cap=cap), 2.5),
+    (lambda cap: dv.validate_cayley_table([[0]], order_cap=cap), True),
+    (dv.standard_groups, 5.5),
+    (dv.standard_groups, True),
+], ids=["catalog", "no-generators", "table", "standard-float", "standard-bool"])
+def test_order_caps_must_be_ints(build, cap):
+    """A float or a bool is no cap: it is refused, not compared with an order."""
+    with pytest.raises(ValidationError) as info:
+        build(cap)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"order cap must be an int, got {cap!r}"
+
+
 def _loops(n):
     """Every n x n Latin square whose row 0 and column 0 are the identity."""
     table = [[i if j == 0 else j if i == 0 else None for j in range(n)]

@@ -143,6 +143,15 @@ def test_negative_lattice_cap_is_invalid_input(cap, error):
             all_subgroups(dv.cyclic(6), **{limit: cap})
 
 
+@pytest.mark.parametrize("limit, cap", [("count_limit", True), ("order_limit", 6.5)])
+def test_lattice_caps_must_be_ints(limit, cap):
+    """A bool count cap is bad input (exit 1), not a cap of one that ran out."""
+    with pytest.raises(ValidationError) as info:
+        all_subgroups(dv.symmetric(3), **{limit: cap})
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"lattice cap must be an int, got {cap!r}"
+
+
 def test_count_cap_is_exact_when_whole_classes_are_added():
     """S4 has 30 subgroups in 11 conjugacy classes, added a class at a time."""
     assert len(all_subgroups(dv.symmetric(4), count_limit=30)) == 30
