@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, count, islice
 from operator import or_
 
 from .canon import DEFAULT_BUDGET, SeedGroup, canonical_form
@@ -49,7 +49,7 @@ from .ust import DivisionGraph, USTComponent, division_graph
 def _identity_component(dg: DivisionGraph) -> USTComponent:
     all_one = [
         comp for _, comp in dg.components
-        if comp.arcs.labels.count(1) == len(comp.arcs.labels)
+        if all(labels.count(1) == len(labels) for *_, labels in comp.arcs)
     ]
     if len(all_one) != 1:
         raise MalformedGraph(
@@ -117,14 +117,14 @@ def recover_lattice(dg: DivisionGraph) -> LatticeSketch:
 
     index_of_pair: dict[tuple[int, int], int] = {}
     for _, comp in dg.components:
-        sums: dict[tuple[tuple[int, int], int], int] = {}
-        for low, up, label in zip(comp.arcs.lower, comp.arcs.upper, comp.arcs.labels):
-            key = (low, up[0])
-            sums[key] = sums.get(key, 0) + label
-        for ((low_color, _), up_color), total in sums.items():
-            pair = (low_color, up_color)
-            if index_of_pair.setdefault(pair, total) != total:
-                raise MalformedGraph(f"label sums disagree on the index of {pair}")
+        for low, up, targets, labels in comp.arcs:
+            sums = [0] * len(comp.clusters[low])  # per lower orbit
+            for t, label in zip(targets, labels):
+                sums[t] += label
+            pair = (low, up)
+            for total in set(map(sums.__getitem__, targets)):
+                if index_of_pair.setdefault(pair, total) != total:
+                    raise MalformedGraph(f"label sums disagree on the index of {pair}")
 
     identity = _identity_component(dg)
     total_order = max(map(len, identity.clusters.values()))  # recover_order(dg)
@@ -422,9 +422,8 @@ def certificate(dg: DivisionGraph, budget: int = DEFAULT_BUDGET) -> bytes:
 
     def structural():  # made as canon reads them: no list of their ends lasts through the search
         for ci, (_, comp) in enumerate(dg.components):
-            at = {color: first[ci, color] for color in comp.clusters}
-            for (c, o), (d, p), label in zip(comp.arcs.lower, comp.arcs.upper, comp.arcs.labels):
-                yield at[c] + o, at[d] + p, label
+            for low, up, targets, labels in comp.arcs:
+                yield from zip(map(first[ci, low].__add__, targets), count(first[ci, up]), labels)
 
     seeds = () if dg.group is None else _group_seeds(dg, first, color_node, n)
     result = canonical_form(n, chain(arcs, structural()), [cells[k] for k in sorted(cells)],

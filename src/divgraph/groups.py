@@ -38,7 +38,7 @@ class Group:
     """
 
     __slots__ = ("name", "order", "names", "inverse", "perm_images",
-                 "_table", "_perm_index", "_generators", "_orders")
+                 "_table", "_perm_index", "_generators", "_orders", "_keys")
 
     def __init__(self, name, order, names, inverse, perm_images, table, perm_index):
         self.name = name
@@ -50,6 +50,7 @@ class Group:
         self._perm_index = perm_index
         self._generators = None
         self._orders = None
+        self._keys = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -656,10 +657,13 @@ def relabeled_copy(G: Group, relabel) -> Group:
                         lambda i, j: relabel[G.mul(inverse[i], inverse[j])], names)
 
 
-def _element_keys(G: Group) -> list[tuple[int, int]]:
-    """(order, number of square roots) of each element; an isomorphism keeps both."""
-    roots = Counter(G.mul(x, x) for x in G.elements())
-    return [(m, roots[g]) for g, m in enumerate(G.element_orders())]
+def _element_keys(G: Group) -> tuple[tuple[int, int], ...]:
+    """(order, number of square roots) of each element, cached on the group;
+    an isomorphism keeps both."""
+    if G._keys is None:
+        roots = Counter(G.mul(x, x) for x in G.elements())
+        G._keys = tuple((m, roots[g]) for g, m in enumerate(G.element_orders()))
+    return G._keys
 
 
 def are_isomorphic(G1: Group, G2: Group) -> bool:

@@ -307,11 +307,16 @@ def prime_factorization(n: int) -> dict[int, int]:
 
 
 def minimal_generator_count(G: Group) -> int:
-    """Smallest size of a generating set, by direct search unless G is abelian."""
-    n, upper = G.order, len(G.generating_set())
-    if G.is_abelian():  # the largest log_p |G : G^p| with G^p = {g^p}, p | |G|
-        return max((prime_factorization(n // len({G.power(g, p) for g in G.elements()}))[p]
-                    for p in prime_factorization(n)), default=0)
+    """Smallest size of a generating set.  For an abelian group or a p-group,
+    Burnside's basis theorem gives it: the largest, over primes p dividing |G|,
+    of log_p of the p-part of |G : <g^p, [G, G]>|.  Otherwise by direct search."""
+    n, primes = G.order, prime_factorization(G.order)
+    if len(primes) < 2 or G.is_abelian():
+        commutators = _derived(G, G.generating_set())[1]
+        return max((prime_factorization(n // len(closure_from_generators(
+            G, [*{G.power(g, p) for g in G.elements()}, *commutators])))[p]
+            for p in primes), default=0)
+    upper = len(G.generating_set())
     for r in range(upper):
         for combo in combinations(range(1, n), r):
             if len(closure_from_generators(G, combo)) == n:

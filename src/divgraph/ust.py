@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 
 from .divisions import Division, divisions
@@ -36,29 +37,25 @@ class Orbit:
     length: int
 
 
-@dataclass(frozen=True, slots=True)
-class ArcTable:
-    """Arcs as three columns: arc i runs from the orbit vertex ``lower[i]``
-    (subgroup_id, orbit_idx) of the larger group up to ``upper[i]`` of the
-    smaller one, with label ``labels[i]``."""
-
-    lower: tuple[tuple[int, int], ...] = ()
-    upper: tuple[tuple[int, int], ...] = ()
-    labels: tuple[int, ...] = ()
-
-
 @dataclass(frozen=True)
 class USTComponent:
     division_rep: int
     clusters: dict[int, tuple[int, ...]]  # color -> orbit lengths, by minimal coset
     orbit_of: dict[int, tuple[int, ...]]  # color -> the orbit of each coset
-    arcs: ArcTable
+    # one block (low, up, targets, labels) per cover: arc u runs from orbit
+    # targets[u] of color low up to orbit u of color up, with label labels[u]
+    arcs: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
 
     def cluster_sizes(self) -> dict[int, int]:
         return {sid: len(orbits) for sid, orbits in self.clusters.items()}
 
     def label_multiset(self) -> dict[int, int]:
-        return dict(Counter(self.arcs.labels))
+        return dict(Counter(chain.from_iterable(labels for *_, labels in self.arcs)))
+
+    def arc_list(self) -> list[tuple[tuple[int, int], tuple[int, int], int]]:
+        """Every arc as ((low, orbit), (up, orbit), label), block by block."""
+        return [((low, t), (up, u), label) for low, up, targets, labels in self.arcs
+                for u, (t, label) in enumerate(zip(targets, labels))]
 
     def vertex_count(self) -> int:
         return sum(len(orbits) for orbits in self.clusters.values())
@@ -144,10 +141,7 @@ def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
     """The component of <phi> acting on the given coset spaces."""
     right = [G.mul(g, phi) for g in G.elements()]
     orbit_of, lengths, starts = zip(*(_cycles(cs, right) for cs in spaces))
-    # orbit k of H_sid has one end (sid, k), shared by every arc at it; arcs
-    # come in cover order, then by upper orbit, as columns with no object per arc
-    ends = [tuple((sid, k) for k in range(len(ls))) for sid, ls in enumerate(lengths)]
-    lower, upper, labels = [], [], []
+    blocks = []  # one per cover, in cover order; the upper orbit is the arc's index
     for (low_id, up_id, index), projection in zip(L.covers, projections):
         low_of = orbit_of[low_id]
         projected = [low_of[c] for c in projection]
@@ -160,6 +154,7 @@ def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
             )
         low_lengths = lengths[low_id]
         sums = [0] * len(low_lengths)
+        labels = []
         for up_length, low_idx in zip(lengths[up_id], targets):
             label, rest = divmod(up_length, low_lengths[low_idx])
             if rest:
@@ -173,14 +168,12 @@ def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
                 f"arc labels from H{low_id} to H{up_id} sum to {sums}, "
                 f"expected the relative index {index}"
             )
-        lower += map(ends[low_id].__getitem__, targets)
-        upper += ends[up_id]
+        blocks.append((low_id, up_id, tuple(targets), tuple(labels)))
 
     if lengths[L.full_id] != [1]:
         raise InternalInvariantError("base cluster must be a single length-1 orbit")
     return USTComponent(phi, dict(enumerate(map(tuple, lengths))),
-                        dict(enumerate(map(tuple, orbit_of))),
-                        ArcTable(tuple(lower), tuple(upper), tuple(labels)))
+                        dict(enumerate(map(tuple, orbit_of))), tuple(blocks))
 
 
 def division_graph(G: Group, L: SubgroupLattice | None = None) -> DivisionGraph:
@@ -305,8 +298,7 @@ def division_graph_to_dot(dg: DivisionGraph) -> str:
                 names.append(f'"d{rep}/H{sid}/o{k}"')
                 lines.append(f'    "d{rep}/H{sid}/o{k}" [color="{sid}" length="{length}"];')
             lines.append(f"    {{ rank=same; {' '.join(names)} }}")
-        arcs = comp.arcs
-        for (ls, lo), (us, uo), label in sorted(zip(arcs.lower, arcs.upper, arcs.labels)):
+        for (ls, lo), (us, uo), label in sorted(comp.arc_list()):
             lines.append(
                 f'    "d{rep}/H{ls}/o{lo}" -> "d{rep}/H{us}/o{uo}" [label="{label}"];'
             )
@@ -337,8 +329,7 @@ def division_graph_to_json(dg: DivisionGraph, group: Group) -> dict:
             },
             "arcs": [
                 {"lower": list(lower), "upper": list(upper), "label": label}
-                for lower, upper, label in sorted(
-                    zip(comp.arcs.lower, comp.arcs.upper, comp.arcs.labels))
+                for lower, upper, label in sorted(comp.arc_list())
             ],
         })
     return {

@@ -1,7 +1,10 @@
+from functools import cache
+
 import pytest
 
 import divgraph as dv
 from divgraph import groups
+from divgraph.lattice import all_subgroups
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +35,28 @@ def ea33():
 @pytest.fixture(scope="session")
 def h27():
     return dv.heisenberg27()
+
+
+@pytest.fixture(scope="session")
+def sylow2_s8_classes_of():
+    """A function giving one group per isomorphism class of the subgroups of
+    a given order of the Sylow 2-subgroup of S_8 (order 128): groups the
+    catalog does not name."""
+    gens = [dv.Permutation.from_cycles(c, 8)
+            for c in ([(1, 2)], [(1, 3), (2, 4)], [(1, 5), (2, 6), (3, 7), (4, 8)])]
+    P = dv.from_permutation_generators(gens, 8)
+    L = all_subgroups(P)
+
+    @cache
+    def classes(order):
+        found = []
+        for s in L.subgroups:
+            if s.order == order and L.classes[s.id][0] == s.id:
+                H, _ = dv.subgroup_as_group(P, s.members)
+                if not any(dv.are_isomorphic(H, K) for K in found):
+                    found.append(H)
+        return tuple(found)
+    return classes
 
 
 @pytest.fixture

@@ -11,11 +11,6 @@ from divgraph.lattice import all_subgroups
 from divgraph.ust import division_graph
 
 
-def arcs_of(comp) -> list:
-    """The arc triples of a ``USTComponent``, which holds them as columns."""
-    return list(zip(comp.arcs.lower, comp.arcs.upper, comp.arcs.labels))
-
-
 def encoding(clusters, arcs, color_key) -> bytes:
     """Canonical bytes of one component with its colors pinned: two components
     encode alike exactly when a color-, length- and label-preserving
@@ -56,7 +51,7 @@ def restricted_components(dg, h: int) -> list:
     is onto."""
     out = []
     for _, comp in dg.components:
-        arcs, base = arcs_of(comp), comp.clusters[h]
+        arcs, base = comp.arc_list(), comp.clusters[h]
         start_of = _walk([(low, up) for low, up, _ in arcs], [(h, b) for b in range(len(base))])
         clusters, slot_of = [{} for _ in base], {}
         for (color, idx), (_, b) in sorted(start_of.items()):
@@ -79,7 +74,7 @@ def quotient_components(dg, h: int) -> list:
     of each K >= H: K lies below H along covers, and every projection is onto."""
     out = []
     for _, comp in dg.components:
-        arcs = arcs_of(comp)
+        arcs = comp.arc_list()
         reached = _walk([(up, low) for low, up, _ in arcs],
                         [(h, k) for k in range(len(comp.clusters[h]))])
         out.append(({c: comp.clusters[c] for c, _ in reached},
@@ -105,4 +100,4 @@ def extract(G, L, dg, h_id: int, quotient: bool = False) -> tuple[set, set]:
 
     direct = division_graph(target, lattice).components
     return ({encoding(*comp, key) for comp in found},
-            {encoding(c.clusters, arcs_of(c), lambda color: color) for _, c in direct})
+            {encoding(c.clusters, c.arc_list(), lambda color: color) for _, c in direct})

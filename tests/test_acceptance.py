@@ -66,9 +66,10 @@ def test_acceptance_1_q8_golden():
 
     comp = ust_component(q8, L, divs[1])
     assert sorted(comp.cluster_sizes().values()) == [1, 2, 2, 2, 4, 4]
-    twos = [up for up, label in zip(comp.arcs.upper, comp.arcs.labels) if label == 2]
+    arcs = comp.arc_list()
+    twos = [up for _, up, label in arcs if label == 2]
     assert len(twos) == 4
-    assert set(comp.arcs.labels) <= {1, 2}
+    assert {label for *_, label in arcs} <= {1, 2}
     assert all(up[0] == L.trivial_id for up in twos)
     _report(1, started, 1.0)
 

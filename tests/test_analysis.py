@@ -24,7 +24,7 @@ from divgraph.canon import canonical_form
 from divgraph.errors import ValidationError
 from divgraph.groups import closure_from_generators
 from divgraph.ust import DivisionGraph, division_graph
-from extraction import arcs_of, encoding, extract, quotient_components, restricted_components
+from extraction import encoding, extract, quotient_components, restricted_components
 
 
 # -- recovery operations -------------------------------------------------------
@@ -385,7 +385,7 @@ def test_certificate_graph_is_colors_then_connected_components(G, monkeypatch):
     for _, comp in dg.components:
         reach = {(sid, k): {(sid, k)} for sid, lengths in comp.clusters.items()
                  for k in range(len(lengths))}
-        for a, b in zip(comp.arcs.lower, comp.arcs.upper):
+        for a, b, _ in comp.arc_list():
             if reach[a] is not reach[b]:
                 merged = reach[a] | reach[b]
                 for v in merged:
@@ -637,19 +637,10 @@ def test_conjecture_scan_certifies_only_shared_invariants():
 
 
 @pytest.fixture(scope="module", params=[16, 32])
-def sylow2_s8_classes(request):
+def sylow2_s8_classes(request, sylow2_s8_classes_of):
     """One group per isomorphism class of order-16 (or order-32) subgroups of
     the Sylow 2-subgroup of S_8 (order 128): groups the catalog does not name."""
-    gens = [dv.Permutation.from_cycles(c, 8)
-            for c in ([(1, 2)], [(1, 3), (2, 4)], [(1, 5), (2, 6), (3, 7), (4, 8)])]
-    P = dv.from_permutation_generators(gens, 8)
-    L = all_subgroups(P)
-    classes = []
-    for s in L.subgroups:
-        if s.order == request.param and L.classes[s.id][0] == s.id:
-            H, _ = dv.subgroup_as_group(P, s.members)
-            if not any(dv.are_isomorphic(H, K) for K in classes):
-                classes.append(H)
+    classes = list(sylow2_s8_classes_of(request.param))
     assert len(classes) == 10
     return classes
 
@@ -760,7 +751,7 @@ def test_component_encoding_distinguishes_lengths():
 
     divs = dv.divisions(g)
     enc = {
-        encoding(comp.clusters, arcs_of(comp), lambda c: c)
+        encoding(comp.clusters, comp.arc_list(), lambda c: c)
         for comp in (ust_component(g, L, d) for d in divs)
     }
     assert len(enc) == 3  # three structurally distinct components
@@ -806,9 +797,8 @@ def test_walks_reach_the_sketch_subgroups_and_overgroups():
                 assert set(clusters) == below, (G.name, h)
             for (clusters, arcs), (_, whole) in zip(quotient_components(dg, h), dg.components):
                 assert clusters == {c: whole.clusters[c] for c in above}, (G.name, h)
-                columns = (whole.arcs.lower, whole.arcs.upper, whole.arcs.labels)
                 assert sorted(arcs) == sorted(
-                    arc for arc in zip(*columns) if arc[0][0] in above and arc[1][0] in above
+                    arc for arc in whole.arc_list() if arc[0][0] in above and arc[1][0] in above
                 ), (G.name, h)
 
 
@@ -819,34 +809,33 @@ def _shuffled_graph_copy(dg, rng):
 
 
 def _shuffled_graph_copy_and_color_map(dg, rng):
-    from divgraph.ust import ArcTable, DivisionGraph, USTComponent
+    from divgraph.ust import DivisionGraph, USTComponent
 
     colors = sorted({c for _, comp in dg.components for c in comp.clusters})
     new_ids = rng.sample(range(1000, 1000 + 10 * len(colors)), len(colors))
     color_map = dict(zip(colors, new_ids))
     components = []
     for d, comp in dg.components:
+        perms = {}
         slot_maps = {}
         clusters = {}
         orbit_of = {}
         for color, orbits in comp.clusters.items():
-            perm = list(range(len(orbits)))
+            perm = perms[color] = list(range(len(orbits)))
             rng.shuffle(perm)
             # perm[new_idx] = old_idx
             slot_maps[color] = {old: new for new, old in enumerate(perm)}
             clusters[color_map[color]] = tuple(orbits[old] for old in perm)
             orbit_of[color_map[color]] = tuple(slot_maps[color][k] for k in comp.orbit_of[color])
-        arcs = sorted(
-            (
-                (color_map[lc], slot_maps[lc][lo]),
-                (color_map[uc], slot_maps[uc][uo]),
-                label,
-            )
-            for (lc, lo), (uc, uo), label in zip(comp.arcs.lower, comp.arcs.upper,
-                                                 comp.arcs.labels)
+        # new upper orbit u is old orbit perm[u], so its arc moves to index u
+        blocks = sorted(
+            (color_map[low], color_map[up],
+             tuple(slot_maps[low][targets[old]] for old in perms[up]),
+             tuple(labels[old] for old in perms[up]))
+            for low, up, targets, labels in comp.arcs
         )
         components.append((d, USTComponent(comp.division_rep, clusters, orbit_of,
-                                           ArcTable(*zip(*arcs)))))
+                                           tuple(blocks))))
     rng.shuffle(components)
     return DivisionGraph(dg.group_name, tuple(components)), color_map
 
@@ -894,11 +883,14 @@ def test_recover_lattice_rejects_inconsistent_label_sums():
     dg = division_graph(dv.cyclic(4))
     ci = next(i for i, (d, _) in enumerate(dg.components) if d.representative == 2)
     comp = dg.components[ci][1]
-    labels = list(comp.arcs.labels)
+    b = next(b for b, (*_, labels) in enumerate(comp.arcs) if 2 in labels)
+    low, up, targets, labels = comp.arcs[b]
+    labels = list(labels)
     labels[labels.index(2)] = 1
-    arcs = replace(comp.arcs, labels=tuple(labels))
-    with pytest.raises(MalformedGraph):
-        recover_lattice(_with_component(dg, ci, replace(comp, arcs=arcs)))
+    arcs = list(comp.arcs)
+    arcs[b] = (low, up, targets, tuple(labels))
+    with pytest.raises(MalformedGraph, match="^label sums disagree on the index of "):
+        recover_lattice(_with_component(dg, ci, replace(comp, arcs=tuple(arcs))))
 
 
 def test_recover_lattice_rejects_components_that_disagree_on_an_index():
@@ -910,12 +902,10 @@ def test_recover_lattice_rejects_components_that_disagree_on_an_index():
     dg = division_graph(dv.cyclic(4))
     ci = next(i for i, (d, _) in enumerate(dg.components) if d.representative == 2)
     comp = dg.components[ci][1]
-    pairs = [(low[0], up[0]) for low, up in zip(comp.arcs.lower, comp.arcs.upper)]
-    pair = pairs[comp.arcs.labels.index(2)]
-    labels = tuple(2 * label if p == pair else label
-                   for p, label in zip(pairs, comp.arcs.labels))
-    broken = _with_component(dg, ci, replace(comp, arcs=replace(comp.arcs, labels=labels)))
-    with pytest.raises(MalformedGraph):
+    arcs = tuple((low, up, targets, tuple(2 * label for label in labels) if 2 in labels else labels)
+                 for low, up, targets, labels in comp.arcs)
+    broken = _with_component(dg, ci, replace(comp, arcs=arcs))
+    with pytest.raises(MalformedGraph, match="^label sums disagree on the index of "):
         recover_lattice(broken)
 
 

@@ -561,11 +561,26 @@ def test_square_root_keys():
     which share their element-order histogram."""
     for seed, G in enumerate(dv.standard_groups(32)):
         roots = Counter(G.mul(x, x) for x in G.elements())
-        assert _element_keys(G) == [(m, roots[g]) for g, m in enumerate(_orders_by_powers(G))]
+        assert list(_element_keys(G)) == [(m, roots[g])
+                                          for g, m in enumerate(_orders_by_powers(G))]
         assert sorted(_element_keys(G)) == sorted(_element_keys(_shuffled(G, seed)))
     A, B = dv.catalog("product:cyclic:4:cyclic:4"), dv.catalog("product:quaternion8:cyclic:2")
     assert A.element_order_histogram() == B.element_order_histogram()
     assert sorted(_element_keys(A)) != sorted(_element_keys(B))
+
+
+def test_are_isomorphic_keys_each_group_once(monkeypatch):
+    """The (order, square-root count) keys are cached on the group, so a second
+    test of two groups whose keys differ makes no product at all."""
+    A, B = dv.catalog("product:cyclic:4:cyclic:4"), dv.catalog("product:quaternion8:cyclic:2")
+    assert not dv.are_isomorphic(A, B)
+    keys = _element_keys(A)
+    products = Counter()
+    mul = Group.mul
+    monkeypatch.setattr(Group, "mul", lambda self, a, b: products.update([self]) or mul(self, a, b))
+    assert not dv.are_isomorphic(A, B)
+    assert _element_keys(A) is keys
+    assert not products
 
 
 def test_element_order_divides_group_order():

@@ -520,13 +520,42 @@ def test_minimal_generator_counts():
     assert minimal_generator_count(dv.heisenberg27()) == 2
 
 
+def _fewest_generators(G):
+    return next(r for r in range(G.order) if any(
+        len(closure_from_generators(G, gens)) == G.order
+        for gens in combinations(range(1, G.order), r)))
+
+
 @pytest.mark.parametrize("G", [G for G in dv.standard_groups(32) if G.is_abelian()],
                          ids=lambda G: G.name)
 def test_minimal_generator_count_of_abelian_groups_by_brute_force(G):
-    smallest = next(r for r in range(G.order) if any(
-        len(closure_from_generators(G, gens)) == G.order
-        for gens in combinations(range(1, G.order), r)))
-    assert minimal_generator_count(G) == smallest
+    assert minimal_generator_count(G) == _fewest_generators(G)
+
+
+def test_minimal_generator_count_of_p_groups_by_brute_force(sylow2_s8_classes_of):
+    """Burnside's basis theorem on the nonabelian groups of prime-power order
+    up to 32 and the order-16 subgroup classes of the Sylow 2-subgroup of S_8."""
+    groups = [G for G in dv.standard_groups(32)
+              if not G.is_abelian() and len(prime_factorization(G.order)) == 1]
+    assert len(groups) >= 5
+    for G in groups + list(sylow2_s8_classes_of(16)):
+        assert minimal_generator_count(G) == _fewest_generators(G), G.name
+
+
+@pytest.mark.parametrize("descriptor", [
+    "heisenberg27", "product:dihedral:4:elementary_abelian:2:3", "quaternion8",
+    "cyclic:12", "product:cyclic:6:cyclic:10",
+])
+def test_minimal_generator_count_takes_one_closure_per_prime(descriptor, monkeypatch):
+    """An abelian group or a p-group needs one closure per prime dividing its
+    order, not a search over generating sets."""
+    G = dv.catalog(descriptor)
+    calls = []
+    closure = divgraph.lattice.closure_from_generators
+    monkeypatch.setattr(divgraph.lattice, "closure_from_generators",
+                        lambda *args: calls.append(args) or closure(*args))
+    minimal_generator_count(G)
+    assert len(calls) == len(prime_factorization(G.order))
 
 
 def test_normal_and_cyclic_id_helpers(s3):

@@ -12,7 +12,6 @@ from divgraph.errors import InternalInvariantError
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, is_normal
 from divgraph.perms import Permutation
 from divgraph.ust import (
-    ArcTable,
     Orbit,
     USTComponent,
     division_graph,
@@ -22,7 +21,7 @@ from divgraph.ust import (
     ust_component,
     verify_lagarias,
 )
-from extraction import arcs_of, encoding
+from extraction import encoding
 
 
 def q8_setup(q8):
@@ -186,8 +185,7 @@ def test_q8_minus_one_component_structure(q8):
     comp = ust_component(q8, L, d)
     sizes = sorted(comp.cluster_sizes().values())
     assert sizes == [1, 2, 2, 2, 4, 4]
-    arcs = comp.arcs
-    twos = [up for up, label in zip(arcs.upper, arcs.labels) if label == 2]
+    twos = [up for _, up, label in comp.arc_list() if label == 2]
     assert len(twos) == 4
     assert comp.label_multiset()[2] == 4
     # every label-2 arc lands in the top cluster (the trivial color)
@@ -199,7 +197,7 @@ def test_identity_component_structure(q8):
     comp = ust_component(q8, L, divs[0])
     for s in L.subgroups:
         assert len(comp.clusters[s.id]) == q8.order // s.order
-    assert set(comp.arcs.labels) == {1}
+    assert {label for *_, label in comp.arc_list()} == {1}
 
 
 def test_cyclic_q_generator_component_is_single_chain():
@@ -209,7 +207,7 @@ def test_cyclic_q_generator_component_is_single_chain():
         divs = dv.divisions(g)
         comp = ust_component(g, L, divs[1])
         assert comp.cluster_sizes() == {0: 1, 1: 1}
-        assert comp.arcs.labels == (q,)
+        assert comp.arcs == ((L.full_id, L.trivial_id, (0,), (q,)),)
 
 
 def test_arc_label_sums_reproduce_cover_indices(s4):
@@ -217,7 +215,7 @@ def test_arc_label_sums_reproduce_cover_indices(s4):
     for d in dv.divisions(s4):
         comp = ust_component(s4, L, d)
         sums = {}
-        for low, up, label in zip(comp.arcs.lower, comp.arcs.upper, comp.arcs.labels):
+        for low, up, label in comp.arc_list():
             key = (low, up[0])
             sums[key] = sums.get(key, 0) + label
         index = {(low, up): label for low, up, label in L.covers}
@@ -229,8 +227,7 @@ def test_multiplicativity_of_labels(s4):
     L = all_subgroups(s4)
     for d in dv.divisions(s4):
         comp = ust_component(s4, L, d)
-        for (ls, lo), (us, uo), label in zip(comp.arcs.lower, comp.arcs.upper,
-                                             comp.arcs.labels):
+        for (ls, lo), (us, uo), label in comp.arc_list():
             assert comp.clusters[us][uo] == label * comp.clusters[ls][lo]
 
 
@@ -275,7 +272,7 @@ def test_decomposition_group_detection(q8):
 
 def _unique_top_colors(G, L, comp):
     succ = {}
-    for low, up in zip(comp.arcs.lower, comp.arcs.upper):
+    for low, up, _ in comp.arc_list():
         succ.setdefault(low, []).append(up)
     top_color = L.trivial_id
 
@@ -306,10 +303,10 @@ def test_representative_independence(q8):
         L = all_subgroups(G)
         for d in dv.divisions(G):
             comp = ust_component(G, L, d)
-            base = encoding(comp.clusters, arcs_of(comp), lambda c: c)
+            base = encoding(comp.clusters, comp.arc_list(), lambda c: c)
             for rep in d.members:
                 comp = ust_component(G, L, d, representative=rep)
-                alt = encoding(comp.clusters, arcs_of(comp), lambda c: c)
+                alt = encoding(comp.clusters, comp.arc_list(), lambda c: c)
                 assert alt == base, (G.name, d.members, rep)
 
 
@@ -423,28 +420,48 @@ def test_label_sums_off_the_cover_index_raise(s4):
         ust._component(s4, wrong, spaces, projections, phi)
 
 
-# -- arc columns ---------------------------------------------------------------------
+# -- arc blocks ----------------------------------------------------------------------
 
 
-def test_arc_table_is_three_columns_and_nothing_else():
-    arcs = (((0, 0), (1, 0), 2), ((0, 0), (1, 1), 1), ((2, 1), (1, 1), 3))
-    table = ArcTable(*zip(*arcs))
-    assert table.lower == ((0, 0), (0, 0), (2, 1)) and table.labels == (2, 1, 3)
-    assert table == ArcTable(*zip(*arcs)) and table != arcs and ArcTable() == ArcTable((), (), ())
-    assert not any(hasattr(table, name) for name in ("__len__", "__iter__", "__getitem__"))
-    comp = USTComponent(0, {}, {}, table)
-    assert comp.arcs is table and comp.label_multiset() == {2: 1, 1: 1, 3: 1}
-    with pytest.raises(AttributeError):
-        table.labels = ()
+def test_arcs_are_one_block_per_cover_and_nothing_else():
+    """A block (low, up, targets, labels) holds arc u from orbit targets[u] of
+    color low up to orbit u of color up: the upper end is the arc's index, so
+    no arc has an end of its own."""
+    blocks = ((0, 1, (0, 0), (2, 1)), (2, 1, (1, 0), (3, 1)))
+    comp = USTComponent(0, {}, {}, blocks)
+    assert comp.arcs is blocks and comp.label_multiset() == {2: 1, 1: 2, 3: 1}
+    assert comp.arc_list() == [((0, 0), (1, 0), 2), ((0, 0), (1, 1), 1),
+                               ((2, 1), (1, 0), 3), ((2, 0), (1, 1), 1)]
+    assert USTComponent(0, {}, {}, ()).arc_list() == []
 
 
-def test_each_orbit_vertex_has_one_shared_end():
-    for _, comp in division_graph(dv.catalog("symmetric:4")).components:
-        ends = {}
-        for end in comp.arcs.lower + comp.arcs.upper:
-            assert ends.setdefault(end, end) is end
-        assert set(ends) == {(sid, k) for sid, orbits in comp.clusters.items()
-                             for k in range(len(orbits))}
+def test_blocks_follow_the_covers_and_hold_plain_ints():
+    G = dv.catalog("symmetric:4")
+    L = all_subgroups(G)
+    for _, comp in division_graph(G, L).components:
+        assert [block[:2] for block in comp.arcs] == [cover[:2] for cover in L.covers]
+        for low, up, targets, labels in comp.arcs:
+            assert type(targets) is tuple and type(labels) is tuple
+            assert {type(x) for x in targets + labels} == {int}
+        ends = {end for low, up, _ in comp.arc_list() for end in (low, up)}
+        assert ends == {(sid, k) for sid, orbits in comp.clusters.items()
+                        for k in range(len(orbits))}
+
+
+def test_each_cover_has_one_arc_per_upper_orbit_and_lower_sums_give_its_index():
+    for G in dv.standard_groups(24):
+        relabel = list(range(G.order))
+        random.Random(G.name).shuffle(relabel)
+        for H in (G, dv.relabeled_copy(G, relabel)):
+            L = all_subgroups(H)
+            index = {(low, up): i for low, up, i in L.covers}
+            for _, comp in division_graph(H, L).components:
+                for low, up, targets, labels in comp.arcs:
+                    assert len(targets) == len(labels) == len(comp.clusters[up]), H.name
+                    sums = [0] * len(comp.clusters[low])
+                    for t, label in zip(targets, labels):
+                        sums[t] += label
+                    assert sums == [index[low, up]] * len(sums), H.name
 
 
 def _oracle_arcs(G, L, dg, comp):
@@ -496,14 +513,14 @@ def test_arcs_match_an_orbit_oracle_on_relabelled_groups(descriptor):
     L = all_subgroups(G)
     dg = division_graph(G, L)
     for _, comp in dg.components:
-        arcs = comp.arcs
-        assert sorted(zip(arcs.lower, arcs.upper, arcs.labels)) == _oracle_arcs(G, L, dg, comp)
+        assert sorted(comp.arc_list()) == _oracle_arcs(G, L, dg, comp)
 
 
 def test_symmetric_5_division_graph_memory():
-    """Shared ends, no object per arc and none per orbit: the graph of
-    symmetric:5 (68,825 arcs, 13,595 orbits), its lattice and coset spaces
-    peak under 4.25 MiB of allocations."""
+    """One block of plain ints per cover, no object per arc and none per
+    orbit: the graph of symmetric:5 (68,825 arcs, 13,595 orbits), its lattice
+    and coset spaces peak under 3 MiB of allocations (2.6 MiB measured; 3.5
+    with a shared (color, orbit) end per orbit and two end columns)."""
     G = dv.catalog("symmetric:5")
     tracemalloc.start()
     try:
@@ -511,7 +528,7 @@ def test_symmetric_5_division_graph_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.25 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_alternating_5_certificate_memory():
@@ -661,7 +678,7 @@ def test_trivial_group_division_graph():
     assert len(dg.components) == 1
     _, comp = dg.components[0]
     assert comp.vertex_count() == 1
-    assert comp.arcs == ArcTable()
+    assert comp.arcs == ()
 
 
 def test_orbit_sum_identity_per_cluster(s4):
