@@ -86,9 +86,10 @@ class LatticeSketch:
 
     def join(self, chosen) -> int:
         """Smallest color containing every color in ``chosen``."""
-        need = 0
-        for c in chosen:
-            need |= self.below[c]
+        return self.join_mask(reduce(or_, (self.below[c] for c in chosen), 0))
+
+    def join_mask(self, need: int) -> int:
+        """Smallest color containing every color whose bit is set in ``need``."""
         above = [c for c in self.colors if need & ~self.below[c] == 0]
         return min(above, key=lambda c: self.order_of[c])
 
@@ -116,9 +117,14 @@ def recover_lattice(dg: DivisionGraph) -> LatticeSketch:
         raise MalformedGraph("empty division graph")
 
     index_of_pair: dict[tuple[int, int], int] = {}
+    summed = {}  # components may share a block: sum it once per lower-cluster size
     for _, comp in dg.components:
-        for low, up, targets, labels in comp.arcs:
+        for block in comp.arcs:
+            low, up, targets, labels = block
+            if summed.get(id(block)) == len(comp.clusters[low]):
+                continue
             sums = [0] * len(comp.clusters[low])  # per lower orbit
+            summed[id(block)] = len(sums)
             for t, label in zip(targets, labels):
                 sums[t] += label
             pair = (low, up)
@@ -187,7 +193,9 @@ def _abelian_from_sketch(sketch: LatticeSketch, normal_colors, cyclic_colors):
         key=lambda c: -sketch.order_of[c],
     )
 
-    def search(remaining: int, start: int, chosen: list[int]):
+    join = cache(sketch.join_mask)  # on the OR of the chosen colors' masks
+
+    def search(remaining: int, start: int, chosen: list[int], need: int):
         if remaining == 1:
             return list(chosen)
         for i in range(start, len(candidates)):
@@ -195,16 +203,16 @@ def _abelian_from_sketch(sketch: LatticeSketch, normal_colors, cyclic_colors):
             order = sketch.order_of[c]
             if remaining % order:
                 continue
-            if chosen and sketch.meet(sketch.join(chosen), c) != trivial:
+            if chosen and sketch.meet(join(need), c) != trivial:
                 continue
             chosen.append(c)
-            found = search(remaining // order, i + 1, chosen)
+            found = search(remaining // order, i + 1, chosen, need | sketch.below[c])
             if found is not None:
                 return found
             chosen.pop()
         return None
 
-    family = search(total, 0, [])
+    family = search(total, 0, [], 0)
     if family is None:
         return None
     return sorted(sketch.order_of[c] for c in family)
@@ -247,11 +255,18 @@ def invariant_factors_direct(G: Group) -> tuple[int, ...] | None:
 
 
 def _min_generators_from_sketch(sketch: LatticeSketch, cyclic_colors) -> int:
-    """Smallest join cover of maximal cyclic colors (generator-count heuristic):
-    colors join to the full one when their masks' OR lies in no color it covers."""
+    """Generator count: with one color P of each Sylow order (G nilpotent), Burnside's
+    largest log_p |P : Phi(P)|, Phi(P) the meet of the colors P covers.  Else the fewest
+    maximal cyclic colors whose masks' OR lies in no color the full one covers."""
     full = sketch.full_color
     if sketch.order_of[full] == 1:
         return 0
+    sylow = {p: [c for c in sketch.colors if sketch.order_of[c] == p ** e]
+             for p, e in prime_factorization(sketch.order_of[full]).items()}
+    if all(len(colors) == 1 for colors in sylow.values()):
+        return max(prime_factorization(sketch.order_of[P] // sketch.order_of[
+            reduce(sketch.meet, (up for low, up, _ in sketch.covers if low == P))])[p]
+            for p, (P,) in sylow.items())
     maximal = [
         c for c in cyclic_colors
         if not any(d != c and sketch.contains(d, c) for d in cyclic_colors)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
-from operator import itemgetter
+from operator import and_, floordiv, itemgetter, mod
 
 from .divisions import Division, divisions
 from .errors import InternalInvariantError
@@ -90,7 +91,7 @@ def orbit_cosets(orbit_of, count: int) -> list[list[int]]:
     return cosets
 
 
-def _cycles(cs: CosetSpace, right: list[int]) -> tuple[list[int], list[int], list[int]]:
+def _cycles(cs: CosetSpace, right: list[int]) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
     """The cycles of Hg -> H(g phi), given right[g] = g phi, numbered in the
     order of their minimal cosets: the cycle of each coset, each cycle's
     length and its minimal coset."""
@@ -107,7 +108,7 @@ def _cycles(cs: CosetSpace, right: list[int]) -> tuple[list[int], list[int], lis
                 c = act[c]
             lengths.append(n)
             starts.append(start)
-    return orbit_of, lengths, starts
+    return tuple(orbit_of), tuple(lengths), starts
 
 
 def _coset_spaces(G: Group, L: SubgroupLattice) -> list[CosetSpace]:
@@ -115,10 +116,67 @@ def _coset_spaces(G: Group, L: SubgroupLattice) -> list[CosetSpace]:
     return [right_cosets(G, L, s.id) for s in L.subgroups]
 
 
-def _projections(L: SubgroupLattice, spaces: list[CosetSpace]) -> list[list[int]]:
-    """Per cover (H, K), the coset Hg of H\\G holding each coset Kg of K\\G."""
-    return [[spaces[low_id].coset_of[x] for x in spaces[up_id].reps]
-            for low_id, up_id, _ in L.covers]
+def _check_projections(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
+                       projections: list[list[int]]) -> None:
+    """Each projection K\\G -> H\\G commutes with G's generators, so with every
+    phi, and is [H:K]-to-one (a G-map onto the transitive H\\G has fibres of
+    one size): for every division at once each <phi>-orbit projects onto one
+    orbit, and the labels at an orbit below sum to [H:K]."""
+    gens = G.generating_set()
+    rights = [[G.mul(g, s) for g in G.elements()] for s in gens]
+    acts = [[[cs.coset_of[right[x]] for x in cs.reps] for right in rights] for cs in spaces]
+    for (low_id, up_id, index), projection in zip(L.covers, projections):
+        for s, low_act, up_act in zip(gens, acts[low_id], acts[up_id]):
+            moved = list(map(low_act.__getitem__, projection))
+            if moved != list(map(projection.__getitem__, up_act)):
+                c = next(c for c, d in enumerate(up_act) if projection[d] != moved[c])
+                raise InternalInvariantError(
+                    f"cover H{low_id} > H{up_id}: the projection of coset {c} of "
+                    f"H{up_id} does not commute with right multiplication by {s}")
+        if len(projection) != index * (n := len(spaces[low_id])):
+            raise InternalInvariantError(
+                f"cover H{low_id} > H{up_id}: coset 0 of H{low_id} is the image of "
+                f"{len(projection) // n} cosets, expected the relative index {index}")
+
+
+def _components(G: Group, L: SubgroupLattice, spaces: list[CosetSpace], phis):
+    """The component of each <phi>, which acts on H\\G through G/core_G(H).  So
+    where that core N is not trivial, H's cycles are keyed by the cosets of N
+    holding phi's powers, and a cover's block by its upper space's key (whose
+    core lies in the lower one's): components agreeing there share one result."""
+    projections = [[spaces[low_id].coset_of[x] for x in spaces[up_id].reps]  # Kg -> Hg
+                   for low_id, up_id, _ in L.covers]
+    _check_projections(G, L, spaces, projections)
+    cores = [L.id_of(reduce(and_, (L.subgroups[h].mask for h in c))) for c in L.classes]
+    cycles_of, block_of = {}, {}
+    for phi in phis:
+        right = [G.mul(g, phi) for g in G.elements()]
+        powers = L.subgroups[L.cyclic_of[phi]].members
+        keyed = {N: frozenset(map(spaces[N].coset_of.__getitem__, powers)) for N in set(cores) if N}
+        keys = [keyed.get(N) for N in cores]
+        cycles = []
+        for sid, key in enumerate(keys):
+            cycles.append(key and cycles_of.get((sid, key)) or _cycles(spaces[sid], right))
+            if key:
+                cycles_of.setdefault((sid, key), cycles[-1])
+        blocks = []  # one per cover, in cover order; the upper orbit is the arc's index
+        for i, ((low_id, up_id, _), projection) in enumerate(zip(L.covers, projections)):
+            found = keys[up_id] and block_of.get((i, keys[up_id]))
+            if not found:  # the projection is checked: each upper orbit's start gives its target
+                (low_of, low_lengths, _), (_, up_lengths, starts) = cycles[low_id], cycles[up_id]
+                targets = tuple([low_of[projection[c]] for c in starts])
+                below = list(map(low_lengths.__getitem__, targets))
+                if any(map(mod, up_lengths, below)):
+                    raise InternalInvariantError("non-integer relative degree " + next(
+                        f"{u}/{n}" for u, n in zip(up_lengths, below) if u % n))
+                found = low_id, up_id, targets, tuple(map(floordiv, up_lengths, below))
+                if keys[up_id]:
+                    block_of[i, keys[up_id]] = found
+            blocks.append(found)
+        if cycles[L.full_id][1] != (1,):
+            raise InternalInvariantError("base cluster must be a single length-1 orbit")
+        orbit_of, lengths, _ = zip(*cycles)
+        yield USTComponent(phi, dict(enumerate(lengths)), dict(enumerate(orbit_of)), tuple(blocks))
 
 
 def ust_component(G: Group, L: SubgroupLattice, d: Division,
@@ -132,62 +190,19 @@ def ust_component(G: Group, L: SubgroupLattice, d: Division,
     phi = d.representative if representative is None else representative
     if phi not in d.members:
         raise ValueError(f"element {phi} is not in division [{d.representative}]")
-    spaces = _coset_spaces(G, L)
-    return _component(G, L, spaces, _projections(L, spaces), phi)
-
-
-def _component(G: Group, L: SubgroupLattice, spaces: list[CosetSpace],
-               projections: list[list[int]], phi: int) -> USTComponent:
-    """The component of <phi> acting on the given coset spaces."""
-    right = [G.mul(g, phi) for g in G.elements()]
-    orbit_of, lengths, starts = zip(*(_cycles(cs, right) for cs in spaces))
-    blocks = []  # one per cover, in cover order; the upper orbit is the arc's index
-    for (low_id, up_id, index), projection in zip(L.covers, projections):
-        low_of = orbit_of[low_id]
-        projected = [low_of[c] for c in projection]
-        targets = [projected[c] for c in starts[up_id]]
-        up_of = orbit_of[up_id]
-        if projected != [targets[u] for u in up_of]:
-            up_idx = next(u for u, t in zip(up_of, projected) if t != targets[u])
-            raise InternalInvariantError(
-                f"orbit {up_idx} of H{up_id} projects onto several orbits of H{low_id}"
-            )
-        low_lengths = lengths[low_id]
-        sums = [0] * len(low_lengths)
-        labels = []
-        for up_length, low_idx in zip(lengths[up_id], targets):
-            label, rest = divmod(up_length, low_lengths[low_idx])
-            if rest:
-                raise InternalInvariantError(
-                    f"non-integer relative degree {up_length}/{low_lengths[low_idx]}"
-                )
-            sums[low_idx] += label
-            labels.append(label)
-        if any(s != index for s in sums):
-            raise InternalInvariantError(
-                f"arc labels from H{low_id} to H{up_id} sum to {sums}, "
-                f"expected the relative index {index}"
-            )
-        blocks.append((low_id, up_id, tuple(targets), tuple(labels)))
-
-    if lengths[L.full_id] != [1]:
-        raise InternalInvariantError("base cluster must be a single length-1 orbit")
-    return USTComponent(phi, dict(enumerate(map(tuple, lengths))),
-                        dict(enumerate(map(tuple, orbit_of))), tuple(blocks))
+    return next(_components(G, L, _coset_spaces(G, L), [phi]))
 
 
 def division_graph(G: Group, L: SubgroupLattice | None = None) -> DivisionGraph:
     """One component per division, ordered by division representative.
 
-    Coset spaces and cover projections are built once and shared; spaces are kept.
+    Coset spaces, cover projections and what components agree on are shared; spaces are kept.
     """
     if L is None:
         L = all_subgroups(G)
-    spaces = _coset_spaces(G, L)
-    projections = _projections(L, spaces)
-    components = tuple((d, _component(G, L, spaces, projections, d.representative))
-                       for d in divisions(G))
-    return DivisionGraph(G.name, components, G, L, tuple(spaces))
+    spaces, divs = _coset_spaces(G, L), divisions(G)
+    components = zip(divs, _components(G, L, spaces, [d.representative for d in divs]))
+    return DivisionGraph(G.name, tuple(components), G, L, tuple(spaces))
 
 
 # -- Lagarias equivalence check ---------------------------------------------------

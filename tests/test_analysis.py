@@ -174,8 +174,9 @@ def _min_generators_by_join(sketch, cyclic_colors):
 
 
 def test_min_generators_mask_test_matches_the_join_loop():
-    """Testing the OR of the masks against the maximal subgroups' masks
-    counts what joining every combination counts."""
+    """The Burnside reading on nilpotent groups, and on the rest the OR of
+    the masks tested against the maximal subgroups' masks, count what joining
+    every combination counts."""
     groups = {G.name: G for G in dv.standard_groups(48)}
     for name in ("heisenberg27", "elementary_abelian:2:4"):
         groups.setdefault(name, dv.catalog(name))
@@ -188,6 +189,27 @@ def test_min_generators_mask_test_matches_the_join_loop():
         assert r == _min_generators_by_join(sketch, cyclic), G.name
         seen.add(r)
     assert seen == {0, 1, 2, 3, 4}
+
+
+def test_min_generators_of_nilpotent_groups_by_burnside(monkeypatch, sylow2_s8_classes_of):
+    """With one color of each Sylow order, the count is read off each Sylow
+    color and the meet of the colors it covers, with no combination of
+    cyclic colors tried, and it is ``minimal_generator_count``."""
+    def refuse(*args):
+        raise AssertionError("combinations of cyclic colors were searched")
+
+    nilpotent = [G for G in dv.standard_groups(64) if lattice.is_nilpotent(G, all_subgroups(G))]
+    assert len(nilpotent) == 94
+    monkeypatch.setattr(analysis, "combinations", refuse)
+    seen = set()
+    for G in nilpotent + list(sylow2_s8_classes_of(16)) + [dv.elementary_abelian(2, 5)]:
+        dg = division_graph(G)
+        sketch = recover_lattice(dg)
+        cyclic, _ = recover_cyclic_colors(dg, sketch)
+        r = analysis._min_generators_from_sketch(sketch, cyclic)
+        assert r == lattice.minimal_generator_count(G), G.name
+        seen.add(r)
+    assert seen == {0, 1, 2, 3, 4, 5}
 
 
 def test_analyze_report_serializes(s3):

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import divgraph as dv
 from divgraph import ust
-from divgraph.analysis import certificate
+from divgraph.analysis import certificate, recover_lattice
 from divgraph.errors import InternalInvariantError
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, is_normal
 from divgraph.perms import Permutation
 from divgraph.ust import (
+    DivisionGraph,
     Orbit,
     USTComponent,
     division_graph,
@@ -356,14 +357,20 @@ def test_division_graph_components_are_the_single_components(descriptor):
         ust_component(G, L, d) for d in dv.divisions(G)]
 
 
-def test_tampered_projection_raises(s4):
-    """Two cosets of one orbit projecting into different orbits below is an
-    internal invariant violation, caught coset by coset."""
+def _tamper_setup(s4):
     L = all_subgroups(s4)
     spaces = [right_cosets(s4, L, s.id) for s in L.subgroups]
-    projections = ust._projections(L, spaces)
     phi = next(g for g in s4.elements() if s4.element_order(g) == 4)
-    comp = ust._component(s4, L, spaces, projections, phi)
+    comp = next(ust._components(s4, L, spaces, [phi]))
+    projections = [[spaces[low].coset_of[x] for x in spaces[up].reps] for low, up, _ in L.covers]
+    return L, spaces, projections, phi, comp
+
+
+def test_tampered_projection_raises(s4):
+    """Two cosets of one orbit projecting into different orbits below: the
+    once-per-cover check refuses the projection, naming the cover and a coset
+    where it fails to commute with a generator."""
+    L, spaces, projections, phi, comp = _tamper_setup(s4)
     for i, (low_id, up_id, _) in enumerate(L.covers):
         up_idx = next((k for k, n in enumerate(comp.clusters[up_id]) if n > 1), None)
         if len(comp.clusters[low_id]) > 1 and up_idx is not None:
@@ -375,23 +382,16 @@ def test_tampered_projection_raises(s4):
     elsewhere = next(c for c, k in enumerate(low_of) if k != low_of[here])
     tampered[i][up_cosets[-1]] = elsewhere
     with pytest.raises(InternalInvariantError, match=(
-            f"^orbit {up_idx} of H{up_id} "
-            f"projects onto several orbits of H{low_id}$")):
-        ust._component(s4, L, spaces, tampered, phi)
+            f"^cover H{low_id} > H{up_id}: the projection of coset \\d+ of H{up_id} "
+            f"does not commute with right multiplication by \\d+$")):
+        ust._check_projections(s4, L, spaces, tampered)
+    ust._check_projections(s4, L, spaces, projections)
 
 
-def _tamper_setup(s4):
-    L = all_subgroups(s4)
-    spaces = [right_cosets(s4, L, s.id) for s in L.subgroups]
-    phi = next(g for g in s4.elements() if s4.element_order(g) == 4)
-    return L, spaces, ust._projections(L, spaces), phi
-
-
-def test_non_integer_relative_degree_raises(s4):
-    """Sending a whole orbit into a longer orbit below keeps each orbit on
-    one orbit below, but its length is no multiple of the one below."""
-    L, spaces, projections, phi = _tamper_setup(s4)
-    comp = ust._component(s4, L, spaces, projections, phi)
+def test_a_whole_orbit_sent_into_a_longer_orbit_raises(s4):
+    """Sending a whole orbit into a longer orbit below keeps it on one orbit
+    below, but is no G-map."""
+    L, spaces, projections, phi, comp = _tamper_setup(s4)
     for i, (low_id, up_id, _) in enumerate(L.covers):
         low_lengths = comp.clusters[low_id]
         longest = low_lengths.index(max(low_lengths))
@@ -404,20 +404,135 @@ def test_non_integer_relative_degree_raises(s4):
         if k == up_idx:
             tampered[i][c] = comp.orbit_of[low_id].index(longest)
     with pytest.raises(InternalInvariantError, match=(
-            f"^non-integer relative degree {comp.clusters[up_id][up_idx]}/"
-            f"{low_lengths[longest]}$")):
-        ust._component(s4, L, spaces, tampered, phi)
+            f"^cover H{low_id} > H{up_id}: the projection of coset \\d+ of H{up_id} "
+            f"does not commute with right multiplication by \\d+$")):
+        ust._check_projections(s4, L, spaces, tampered)
+
+
+def _tampered_cycles(monkeypatch, subgroup_id, lengths_of):
+    """Make ``_cycles`` report lengths_of(lengths) on one coset space."""
+    cycles = ust._cycles
+
+    def tampered(cs, right):
+        orbit_of, lengths, starts = cycles(cs, right)
+        if cs.subgroup_id == subgroup_id:
+            lengths = lengths_of(lengths)
+        return orbit_of, lengths, starts
+    monkeypatch.setattr(ust, "_cycles", tampered)
+
+
+def test_non_integer_relative_degree_raises(monkeypatch, s4):
+    """Orbits of length 3 on the trivial subgroup's cosets, under an element
+    of order 4: the first arc above an orbit of length 2 or 4 has no integer
+    label."""
+    L, spaces, _, phi, comp = _tamper_setup(s4)
+    below = next(comp.clusters[low][t] for low, up, targets, _ in comp.arcs
+                 if up == L.trivial_id for t in targets if comp.clusters[low][t] > 1)
+    _tampered_cycles(monkeypatch, L.trivial_id, lambda lengths: (3,) * len(lengths))
+    with pytest.raises(InternalInvariantError, match=(
+            f"^non-integer relative degree 3/{below}$")):
+        next(ust._components(s4, L, spaces, [phi]))
+
+
+def test_a_base_cluster_of_two_orbits_raises(monkeypatch, s4):
+    L, spaces, _, phi, _ = _tamper_setup(s4)
+    _tampered_cycles(monkeypatch, L.full_id, lambda lengths: (1, 1))
+    with pytest.raises(InternalInvariantError, match=(
+            "^base cluster must be a single length-1 orbit$")):
+        next(ust._components(s4, L, spaces, [phi]))
 
 
 def test_label_sums_off_the_cover_index_raise(s4):
-    L, spaces, projections, phi = _tamper_setup(s4)
+    """A cover index one too large: each coset below is the image of fewer
+    cosets than that, coset 0 among them."""
+    L, spaces, projections, _, _ = _tamper_setup(s4)
     low_id, up_id, index = L.covers[0]
-    wrong = SimpleNamespace(covers=[(low_id, up_id, index + 1)] + L.covers[1:],
-                            full_id=L.full_id)
+    wrong = SimpleNamespace(covers=[(low_id, up_id, index + 1)] + L.covers[1:])
     with pytest.raises(InternalInvariantError, match=(
-            f"^arc labels from H{low_id} to H{up_id} sum to \\[.*\\], "
-            f"expected the relative index {index + 1}$")):
-        ust._component(s4, wrong, spaces, projections, phi)
+            f"^cover H{low_id} > H{up_id}: coset 0 of H{low_id} is the image of "
+            f"{index} cosets, expected the relative index {index + 1}$")):
+        ust._check_projections(s4, wrong, spaces, projections)
+
+
+# -- shared actions against the per-division reference ------------------------------
+
+
+def _reference_component(G, L, spaces, projections, phi):
+    """The component as it was built division by division: every orbit walked,
+    and each cover's projection checked coset by coset, so that each orbit
+    projects onto one orbit and the labels at each lower orbit sum to the
+    index."""
+    right = [G.mul(g, phi) for g in G.elements()]
+    orbit_of, lengths, starts = zip(*(ust._cycles(cs, right) for cs in spaces))
+    blocks = []
+    for (low_id, up_id, index), projection in zip(L.covers, projections):
+        low_of = orbit_of[low_id]
+        projected = [low_of[c] for c in projection]
+        targets = [projected[c] for c in starts[up_id]]
+        assert projected == [targets[u] for u in orbit_of[up_id]]
+        low_lengths = lengths[low_id]
+        sums = [0] * len(low_lengths)
+        labels = []
+        for up_length, low_idx in zip(lengths[up_id], targets):
+            label, rest = divmod(up_length, low_lengths[low_idx])
+            assert not rest
+            sums[low_idx] += label
+            labels.append(label)
+        assert sums == [index] * len(sums)
+        blocks.append((low_id, up_id, tuple(targets), tuple(labels)))
+    assert lengths[L.full_id] == (1,)
+    return USTComponent(phi, dict(enumerate(map(tuple, lengths))),
+                        dict(enumerate(map(tuple, orbit_of))), tuple(blocks))
+
+
+def _assert_shared_graph_is_the_reference(G):
+    L = all_subgroups(G)
+    dg = division_graph(G, L)
+    spaces = list(dg.spaces)
+    projections = [[spaces[low].coset_of[x] for x in spaces[up].reps]
+                   for low, up, _ in L.covers]
+    reference = DivisionGraph(G.name, tuple(
+        (d, _reference_component(G, L, spaces, projections, d.representative))
+        for d in dv.divisions(G)))
+    assert dg.components == reference.components, G.name
+    assert recover_lattice(dg) == recover_lattice(reference), G.name
+
+
+def test_shared_components_are_the_reference_on_standard_groups():
+    for G in dv.standard_groups(64):
+        _assert_shared_graph_is_the_reference(G)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "dihedral:8", "product:symmetric:3:cyclic:4", "product:elementary_abelian:2:3:cyclic:4",
+    "heisenberg27", "symmetric:5",
+])
+def test_shared_components_are_the_reference_on_relabelled_groups(descriptor):
+    _assert_shared_graph_is_the_reference(_relabelled(descriptor))
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_shared_components_are_the_reference_off_the_catalog(sylow2_s8_classes_of, order):
+    for G in sylow2_s8_classes_of(order):
+        _assert_shared_graph_is_the_reference(G)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "elementary_abelian:2:5", "product:dihedral:4:elementary_abelian:2:3",
+])
+def test_shared_components_are_the_reference_on_order_32_and_64(descriptor):
+    _assert_shared_graph_is_the_reference(dv.catalog(descriptor))
+
+
+def test_components_agreeing_modulo_the_core_share_blocks():
+    """Every subgroup of an abelian group is normal, its own core: the 24
+    components of product:elementary_abelian:2:3:cyclic:4 hold 10,680 blocks
+    in 3,594 objects, and each component's base cluster is one object."""
+    dg = division_graph(dv.catalog("product:elementary_abelian:2:3:cyclic:4"))
+    blocks = [block for _, comp in dg.components for block in comp.arcs]
+    assert (len(dg.components), len(blocks), len({id(b) for b in blocks})) == (24, 10680, 3594)
+    full = dg.lattice.full_id
+    assert len({id(comp.clusters[full]) for _, comp in dg.components}) == 1
 
 
 # -- arc blocks ----------------------------------------------------------------------
