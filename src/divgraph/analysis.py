@@ -86,12 +86,9 @@ class LatticeSketch:
 
     def join(self, chosen) -> int:
         """Smallest color containing every color in ``chosen``."""
-        return self.join_mask(reduce(or_, (self.below[c] for c in chosen), 0))
-
-    def join_mask(self, need: int) -> int:
-        """Smallest color containing every color whose bit is set in ``need``."""
-        above = [c for c in self.colors if need & ~self.below[c] == 0]
-        return min(above, key=lambda c: self.order_of[c])
+        need = reduce(or_, (self.below[c] for c in chosen), 0)
+        return min((c for c in self.colors if need & ~self.below[c] == 0),
+                   key=self.order_of.__getitem__)
 
     def meet(self, a: int, b: int) -> int:
         """The color containing exactly what both a and b contain."""
@@ -162,20 +159,20 @@ def recover_cyclic_colors(dg: DivisionGraph,
                           sketch: LatticeSketch | None = None):
     """Cyclic colors and, per component, the conjugate family they form.
 
-    In the component of a division, the minimal colors containing a
-    length-1 orbit (a prime with inertial degree one) are exactly the
-    conjugates of the decomposition group of that division.
+    In the component of <phi> of order m (its orbit length on the trivial
+    color), a color has a length-1 orbit (a prime with inertial degree one)
+    exactly when it contains a conjugate of <phi>, so the conjugates of the
+    decomposition group are the colors of order m that have one.
     """
     if sketch is None:
         sketch = recover_lattice(dg)
     families = []
     for _, comp in dg.components:
-        fixed = [color for color, lengths in comp.clusters.items() if 1 in lengths]
-        family = tuple(sorted(
-            c for c in fixed
-            if not any(d != c and sketch.contains(c, d) for d in fixed)
-        ))
-        families.append(family)
+        m = comp.clusters[sketch.trivial_color][0]
+        families.append(tuple(sorted(
+            c for c, lengths in comp.clusters.items()
+            if sketch.order_of[c] == m and 1 in lengths
+        )))
     cyclic = frozenset(c for family in families for c in family)
     return cyclic, families
 
@@ -184,38 +181,31 @@ def recover_cyclic_colors(dg: DivisionGraph,
 
 
 def _abelian_from_sketch(sketch: LatticeSketch, normal_colors, cyclic_colors):
-    """Direct-product-of-normal-cyclics test; returns factor orders or None."""
-    total = sketch.order_of[sketch.full_color]
-    trivial = sketch.trivial_color
-    candidates = sorted(
-        (c for c in sketch.colors
-         if c in normal_colors and c in cyclic_colors and sketch.order_of[c] > 1),
-        key=lambda c: -sketch.order_of[c],
-    )
+    """Direct-product-of-normal-cyclics test; returns factor orders or None.
 
-    join = cache(sketch.join_mask)  # on the OR of the chosen colors' masks
+    Every subgroup of an abelian group is normal (Dedekind), so a color that is
+    not normal answers at once.  Two normal colors whose meet is trivial
+    generate a color of order |J||c|, so the search carries the join J of the
+    colors chosen so far and tests each candidate's mask against J's.
+    """
+    if len(normal_colors) < len(sketch.colors):
+        return None
+    order_of, below, trivial = sketch.order_of, sketch.below, sketch.trivial_color
+    candidates = sorted((c for c in sketch.colors if c in cyclic_colors and order_of[c] > 1),
+                        key=lambda c: -order_of[c])  # stable: ties keep the colors' order
 
-    def search(remaining: int, start: int, chosen: list[int], need: int):
+    def search(remaining: int, start: int, orders: list[int], J: int):
         if remaining == 1:
-            return list(chosen)
-        for i in range(start, len(candidates)):
-            c = candidates[i]
-            order = sketch.order_of[c]
-            if remaining % order:
-                continue
-            if chosen and sketch.meet(join(need), c) != trivial:
-                continue
-            chosen.append(c)
-            found = search(remaining // order, i + 1, chosen, need | sketch.below[c])
-            if found is not None:
-                return found
-            chosen.pop()
+            return sorted(orders)
+        for i, c in enumerate(candidates[start:], start):
+            if remaining % order_of[c] == 0 and below[J] & below[c] == below[trivial]:
+                found = search(remaining // order_of[c], i + 1, orders + [order_of[c]],
+                               sketch.join([J, c]))
+                if found is not None:
+                    return found
         return None
 
-    family = search(total, 0, [], 0)
-    if family is None:
-        return None
-    return sorted(sketch.order_of[c] for c in family)
+    return search(order_of[sketch.full_color], 0, [], trivial)
 
 
 def invariant_factors_from_cyclic_orders(orders) -> tuple[int, ...]:

@@ -30,21 +30,23 @@ from .errors import (
 
 
 def _load_group(args, spec: str | None = None) -> groups.Group:
-    """Resolve one group from --catalog/--input or a positional spec."""
-    cap, path = args.order_cap, getattr(args, "input", None)
-    if spec is None:
-        spec = getattr(args, "catalog", None)
-    elif spec.endswith(".json") or "/" in spec or Path(spec).exists():
-        spec, path = None, spec
-    if spec:
-        return groups.catalog(spec, order_cap=cap)
+    """Resolve the one group given as a positional spec, --catalog or --input."""
+    name, path = getattr(args, "catalog", None), getattr(args, "input", None)
+    if sum(s is not None for s in (spec, name, path)) > 1:
+        raise ValidationError("give one group: a positional group, --catalog or --input")
+    if spec is not None and (spec.endswith(".json") or "/" in spec or Path(spec).exists()):
+        path = spec
+    elif spec is not None:
+        name = spec
+    if name:
+        return groups.catalog(name, order_cap=args.order_cap)
     if path is None:
         raise ValidationError("no group given: use --catalog NAME or --input FILE")
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:  # nesting deeper than the interpreter's stack
         raise ValidationError("JSON input nested too deeply") from None
-    return groups.group_from_json(data, order_cap=cap)
+    return groups.group_from_json(data, order_cap=args.order_cap)
 
 
 def _emit(args, text: str) -> None:
@@ -98,18 +100,14 @@ def _cmd_divisions(args) -> int:
 
 def _cmd_division_graph(args) -> int:
     G = _load_group(args, args.group)
+    if args.division is not None and args.division not in G.names:
+        raise ValidationError(f"no element is named {args.division!r}")
     L = lattice.all_subgroups(G, order_limit=args.lattice_cap)
     dg = ust.division_graph(G, L)
     if args.division is not None:
-        wanted = [
-            (d, comp) for d, comp in dg.components
-            if G.names[d.representative] == args.division
-        ]
-        if not wanted:
-            raise ValidationError(
-                f"no division has representative named {args.division!r}"
-            )
-        dg = ust.DivisionGraph(dg.group_name, tuple(wanted))
+        x = G.names.index(args.division)
+        dg = ust.DivisionGraph(dg.group_name, tuple(
+            (d, comp) for d, comp in dg.components if x in d.members))
     if args.format == "dot":
         _emit(args, ust.division_graph_to_dot(dg))
     else:

@@ -161,6 +161,58 @@ def test_analyze_simple_group_detection():
     assert report.oracle_checks["simple"].graph_value is False
 
 
+def _refuse(*args):
+    raise AssertionError("a search this reading replaces was called")
+
+
+def test_abelian_test_answers_a_non_normal_color_without_a_join(monkeypatch):
+    """Every subgroup of an abelian group is normal (Dedekind), so a group with a
+    color that is not normal is not abelian, with no join taken."""
+    monkeypatch.setattr(analysis.LatticeSketch, "join", _refuse)
+    monkeypatch.setattr(analysis.LatticeSketch, "join_mask", _refuse, raising=False)
+    for descriptor in ("symmetric:5", "dihedral:32", "product:symmetric:4:cyclic:2"):
+        dg = division_graph(dv.catalog(descriptor))
+        sketch = recover_lattice(dg)
+        normal = recover_normal_colors(dg)
+        cyclic, _ = recover_cyclic_colors(dg, sketch)
+        assert len(normal) < len(sketch.colors), descriptor
+        assert analysis._abelian_from_sketch(sketch, normal, cyclic) is None, descriptor
+
+
+def test_abelian_verdict_where_every_subgroup_is_normal():
+    """Hamiltonian groups pass the normality exit, so the carried-join search
+    runs to exhaustion and finds no direct product of cyclic colors;
+    product:quaternion8:cyclic:2 has the element-order histogram of the
+    abelian product:cyclic:4:cyclic:4."""
+    hamiltonian = dv.catalog("product:quaternion8:cyclic:2")
+    abelian = dv.catalog("product:cyclic:4:cyclic:4")
+    assert hamiltonian.element_order_histogram() == abelian.element_order_histogram()
+    for G, factors in ((hamiltonian, None), (abelian, (4, 4)),
+                       (dv.catalog("product:quaternion8:elementary_abelian:2:2"), None)):
+        report = analyze(G)
+        assert report.all_agree, G.name
+        assert report.normal_color_ids == frozenset(report.lattice_sketch.colors), G.name
+        assert report.oracle_checks["abelian"].graph_value is (factors is not None), G.name
+        assert report.oracle_checks["abelian_invariant_factors"].graph_value == factors, G.name
+
+
+@pytest.mark.parametrize("G", dv.standard_groups(24), ids=lambda G: G.name)
+def test_decomposition_families_are_the_fixed_colors_of_order_m(G, monkeypatch):
+    """A component's family is its colors of order m = ord(phi) holding a length-1
+    orbit, the conjugates of <phi>, with no containment test; also after the
+    colors are renamed and the components and orbits shuffled."""
+    L = all_subgroups(G)
+    dg = division_graph(G, L)
+    shuffled, color_map = _shuffled_graph_copy_and_color_map(dg, random.Random(G.name))
+    sketches = recover_lattice(dg), recover_lattice(shuffled)
+    monkeypatch.setattr(analysis.LatticeSketch, "contains", _refuse)
+    _, families = recover_cyclic_colors(dg, sketches[0])
+    assert families == [L.classes[L.cyclic_of[d.representative]] for d, _ in dg.components]
+    _, families = recover_cyclic_colors(shuffled, sketches[1])
+    assert families == [tuple(sorted(color_map[c] for c in L.classes[L.cyclic_of[d.representative]]))
+                        for d, _ in shuffled.components]
+
+
 def _min_generators_by_join(sketch, cyclic_colors):
     """The smallest number of maximal cyclic colors whose ``sketch.join``
     is the full color, by trying every combination."""

@@ -110,7 +110,24 @@ def test_division_graph_unknown_division_exits_1(capsys):
     code, out, err = invoke(capsys, "division-graph", "--catalog", "quaternion8",
                             "--division", "z")
     assert (code, out) == (1, "")
-    assert err == "error: no division has representative named 'z'\n"
+    assert err == "error: no element is named 'z'\n"
+
+
+@pytest.mark.parametrize("descriptor", ["symmetric:3", "quaternion8", "dihedral:4"])
+def test_division_by_any_member_name_is_the_representatives_output(capsys, descriptor):
+    """``--division`` takes any element's name and prints its division, byte for
+    byte what the representative's name prints: "(1 3)" selects the division
+    of "(2 3)" in symmetric:3."""
+    from divgraph.divisions import divisions
+
+    G = groups.catalog(descriptor)
+    for d in divisions(G):
+        rep = invoke(capsys, "division-graph", descriptor,
+                     f"--division={G.names[d.representative]}")  # "=" lets "-i" be a value
+        assert rep[0] == 0 and len(json.loads(rep[1])["components"]) == 1
+        for x in d.members:
+            assert invoke(capsys, "division-graph", descriptor,
+                          f"--division={G.names[x]}") == rep, (descriptor, G.names[x])
 
 
 def test_subgroups_dot(capsys):
@@ -265,6 +282,22 @@ def test_order_cap_acts_in_every_command(capsys, command):
     code, out, err = invoke(capsys, command, *argv, "--order-cap", "2")
     assert (code, out) == (2, "")
     assert err.startswith("cap exceeded:") and one_line(err)
+
+
+@pytest.mark.parametrize("command", sorted(
+    c for c, opts in OPTIONS.items() if "--catalog" in opts))
+def test_two_group_sources_are_invalid_input(tmp_path, capsys, command):
+    """A command reads one group: a positional group, --catalog or --input.
+    Two or three of them are refused, not silently reduced to one."""
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps({"name": "c3", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+    refused = (1, "", "error: give one group: a positional group, --catalog or --input\n")
+    for argv in (("cyclic:4", "--catalog", "klein4"), ("cyclic:4", "--input", str(path)),
+                 (str(path), "--catalog", "klein4"), ("--catalog", "cyclic:4", "--input", str(path)),
+                 ("cyclic:4", "--catalog", "cyclic:4", "--input", str(path))):
+        assert invoke(capsys, command, *argv) == refused, argv
+    for argv in (("cyclic:4",), ("--catalog", "cyclic:4"), ("--input", str(path))):
+        assert invoke(capsys, command, *argv)[0] == 0, argv
 
 
 #: Every (command, flag) pair taking a cap or budget, with arguments the cap acts on.
