@@ -77,12 +77,10 @@ from .divisions import (
 from .ust import (
     CosetSpace,
     DivisionGraph,
-    Orbit,
     USTComponent,
     division_graph,
     division_graph_to_dot,
     division_graph_to_json,
-    orbit_decomposition,
     right_cosets,
     ust_component,
     verify_lagarias,

@@ -270,6 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    while "--division" in argv[:-1]:  # argparse reads a spaced "-i" as an option
+        i = argv.index("--division")
+        argv[i:i + 2] = [f"--division={argv[i + 1]}"]
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -113,11 +113,18 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
     longer than log2 |G| (the doubling argument of Light's test in
     :func:`~divgraph.groups.validate_cayley_table`).
 
+    R forms one join per double coset RgR it reaches, since <R, rgr'> = <R, g>:
+    once a join is formed, the right cosets of RgR are marked done, closing Rg
+    under right multiplication by R's generator tuple.  Members of a class
+    are conjugated through one permutation g -> s^-1 g s per generator s of G.
+
     The covers of R are its minimal joins: a cover K is <R, g> for every g
     in K - R, and any M strictly between R and a join would hold a smaller
     join <R, g>, g in M - R.  Kept by ascending order, they are the joins
-    holding no join kept before.  Conjugation by t is a lattice
-    automorphism, so the covers of t^-1 R t are the t^-1 K t, same index.
+    holding no join kept before.  Conjugation by t is a lattice automorphism,
+    so the covers of H = t^-1 R t are the t^-1 K t = <H, t^-1 g t>, same index:
+    each is read off K's class as its one member holding H and t^-1 g t, since
+    any conjugate of K holding both holds that subgroup and has its order.
     """
     n = G.order
     check_cap(order_limit, "lattice cap")
@@ -126,19 +133,22 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
         raise LatticeCapExceeded(f"order {n} exceeds lattice cap {order_limit}")
 
     moving = () if G.is_abelian() else G.generating_set()
+    conjugators = [[G.conjugate(g, s) for g in range(n)] for s in moving]
     members_by_mask: dict[int, list[int]] = {}
     rep_of: dict[int, tuple[int, int]] = {}  # K -> (R, t) with K = t^-1 R t
+    class_of: dict[int, list[int]] = {}  # R -> the masks of its class
     frontier = []
 
     def add_class(members, R, gens):
-        queue = [(members, R, 0)]
+        queue, class_of[R] = [(members, R, 0)], []
         for members_K, K, t in queue:
             if K in rep_of:
                 continue
             rep_of[K] = (R, t)
             members_by_mask[K] = members_K
-            for s in moving:
-                conj = [G.conjugate(g, s) for g in members_K]
+            class_of[R].append(K)
+            for s, conjugator in zip(moving, conjugators):
+                conj = list(map(conjugator.__getitem__, members_K))
                 queue.append((conj, _mask_of(conj), G.mul(t, s)))
         if len(rep_of) > count_limit:
             raise LatticeCapExceeded(f"subgroup count exceeds lattice cap {count_limit}")
@@ -155,21 +165,26 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
     covers_of = {}
     while frontier:
         R, gens = frontier.pop()
-        joins = set()
-        done = R  # R and each coset Rg joined: <R, rg> = <R, g>
+        members_R, joins = members_by_mask[R], {}
+        done = R  # R and each double coset RgR joined, one right coset at a time
         for _, g in seeds:
             if done >> g & 1:
                 continue
-            new_members, new_mask = extend_subgroup(
-                G, members_by_mask[R], R, gens + (g,))
-            done |= _mask_of(G.mul(h, g) for h in members_by_mask[R])
-            joins.add(new_mask)
+            new_members, new_mask = extend_subgroup(G, members_R, R, gens + (g,))
+            joins.setdefault(new_mask, g)
             if new_mask not in rep_of:
                 add_class(new_members, new_mask, gens + (g,))
+            cosets = [g] if moving else []  # RgR's right cosets marked; RgR = Rg if abelian
+            done |= _mask_of(G.mul(h, g) for h in members_R)
+            for x in cosets:
+                for r in gens:
+                    if not done >> (y := G.mul(x, r)) & 1:
+                        done |= _mask_of(G.mul(h, y) for h in members_R)
+                        cosets.append(y)
         kept = covers_of[R] = []
         for K in sorted(joins, key=int.bit_count):
-            if all(k & ~K for k in kept):
-                kept.append(K)
+            if all(k & ~K for k, _ in kept):
+                kept.append((K, joins[K]))
 
     ordered = sorted(
         (len(members), tuple(sorted(members)), mask)
@@ -179,14 +194,16 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
         Subgroup(members, mask, i) for i, (_, members, mask) in enumerate(ordered)
     ]
     id_of = {s.mask: s.id for s in subgroups}
-    covers = sorted(
-        (id_of[_conjugate_mask(G, members_by_mask[K], t) if t else K], id_of[H],
-         K.bit_count() // R.bit_count())
-        for H, (R, t) in rep_of.items() for K in covers_of[R])
-    class_ids: dict[int, list[int]] = {}
-    for s in subgroups:
-        class_ids.setdefault(rep_of[s.mask][0], []).append(s.id)
-    classes = [tuple(class_ids[rep_of[s.mask][0]]) for s in subgroups]
+    covers = []
+    for H, (R, t) in rep_of.items():
+        for K, g in covers_of[R]:
+            if t:
+                x = G.conjugate(g, t)
+                K = next(M for M in class_of[rep_of[K][0]] if M >> x & 1 and not H & ~M)
+            covers.append((id_of[K], id_of[H], K.bit_count() // R.bit_count()))
+    covers.sort()
+    class_ids = {R: tuple(sorted(map(id_of.__getitem__, masks))) for R, masks in class_of.items()}
+    classes = [class_ids[rep_of[s.mask][0]] for s in subgroups]
     cyclic_of = tuple(id_of[mask] for mask in cyclic_masks)
     return SubgroupLattice(G, subgroups, covers, cyclic_of, classes)
 

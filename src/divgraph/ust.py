@@ -32,12 +32,6 @@ class CosetSpace:
         return len(self.reps)
 
 
-@dataclass(frozen=True, slots=True)
-class Orbit:
-    cosets: tuple[int, ...]
-    length: int
-
-
 @dataclass(frozen=True)
 class USTComponent:
     division_rep: int
@@ -75,12 +69,6 @@ def right_cosets(G: Group, L: SubgroupLattice, subgroup_id: int) -> CosetSpace:
     """Right cosets Hg, ordered by least member (so coset 0 contains 0)."""
     reps, coset_of = right_coset_partition(G, L.subgroups[subgroup_id].members)
     return CosetSpace(subgroup_id, tuple(reps), tuple(coset_of))
-
-
-def orbit_decomposition(cs: CosetSpace, G: Group, phi: int) -> list[Orbit]:
-    """Orbits of the right action (Hg) . phi = H(g phi), by minimal coset index."""
-    orbit_of, lengths, _ = _cycles(cs, [G.mul(g, phi) for g in G.elements()])
-    return [Orbit(tuple(c), n) for c, n in zip(orbit_cosets(orbit_of, len(lengths)), lengths)]
 
 
 def orbit_cosets(orbit_of, count: int) -> list[list[int]]:
@@ -233,26 +221,29 @@ def _cycle_type(divisors, fixed) -> tuple[int, ...]:
 
 
 def _splitting_types(G: Group, L: SubgroupLattice) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Per cyclic subgroup <g>, its sorted orbit lengths on each H\\G: |G| conjugations
-    per space count the cosets Hx each element fixes (x g x^-1 in H)."""
+    """Per cyclic subgroup <g>, its sorted orbit lengths on each H\\G.  Conjugate
+    subgroups give isomorphic right G-sets, so one space per conjugacy class is
+    counted, its least id's, and its types serve the whole class: |G| conjugations
+    count the cosets Hx each element fixes (x g x^-1 in H)."""
     cyclics, memos = {}, {}
     for g, cyclic in enumerate(L.cyclic_of):
         if cyclic not in cyclics:
             m = G.element_order(g)
             divisors = [d for d in range(1, m + 1) if m % d == 0]
             counts = itemgetter(0, *(G.power(g, d) for d in divisors))
-            cyclics[cyclic] = (divisors, counts, memos.setdefault(m, {}), [])
+            cyclics[cyclic] = (divisors, counts, memos.setdefault(m, {}), {})
     mul, inverse = G.mul, G.inverse
-    for cs, H in zip(_coset_spaces(G, L), L.subgroups):
+    for h in sorted({c[0] for c in L.classes}):
         fixed = [0] * G.order
-        for x in cs.reps:
+        for x in right_cosets(G, L, h).reps:
             x_inv = inverse[x]
-            for k in H.members:
+            for k in L.subgroups[h].members:
                 fixed[mul(mul(x_inv, k), x)] += 1
         for divisors, counts, memo, types in cyclics.values():
             key = counts(fixed)  # led by the cosets of H, so a tuple even if |g| = 1
-            types.append(memo.get(key) or memo.setdefault(key, _cycle_type(divisors, key[1:])))
-    return {cyclic: tuple(types) for cyclic, (*_, types) in cyclics.items()}
+            types[h] = memo.get(key) or memo.setdefault(key, _cycle_type(divisors, key[1:]))
+    return {cyclic: tuple(types[c[0]] for c in L.classes)
+            for cyclic, (*_, types) in cyclics.items()}
 
 
 def verify_lagarias(G: Group, L: SubgroupLattice | None = None) -> LagariasReport:

@@ -5,6 +5,9 @@ pair: ``clusters[color]`` holds the orbit lengths of that color, and each arc
 is a ``((color, orbit), (color, orbit), label)`` triple, lower end first.
 """
 
+from dataclasses import dataclass
+
+from divgraph import ust
 from divgraph.canon import canonical_form
 from divgraph.groups import quotient_group, subgroup_as_group
 from divgraph.lattice import all_subgroups
@@ -101,3 +104,18 @@ def extract(G, L, dg, h_id: int, quotient: bool = False) -> tuple[set, set]:
     direct = division_graph(target, lattice).components
     return ({encoding(*comp, key) for comp in found},
             {encoding(c.clusters, c.arc_list(), lambda color: color) for _, c in direct})
+
+
+# -- orbits as objects, for the tests that compare against them ------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Orbit:
+    cosets: tuple[int, ...]
+    length: int
+
+
+def orbit_decomposition(cs, G, phi: int) -> list[Orbit]:
+    """Orbits of the right action (Hg) . phi = H(g phi), by minimal coset index."""
+    orbit_of, lengths, _ = ust._cycles(cs, [G.mul(g, phi) for g in G.elements()])
+    return [Orbit(tuple(c), n) for c, n in zip(ust.orbit_cosets(orbit_of, len(lengths)), lengths)]

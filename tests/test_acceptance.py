@@ -16,14 +16,14 @@ from divgraph.analysis import certificate, compare, conjecture_scan
 from divgraph.divisions import conjugacy_classes, divisions
 from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, normal_subgroup_ids
 from divgraph.perms import Permutation
-from divgraph.ust import division_graph, right_cosets, orbit_decomposition, \
-    ust_component, verify_lagarias
+from divgraph.ust import division_graph, right_cosets, ust_component, verify_lagarias
 from divgraph.analysis import (
     recover_cyclic_colors,
     recover_lattice,
     recover_normal_colors,
     recover_order,
 )
+from extraction import orbit_decomposition
 
 
 def _report(number: int, started: float, budget: float) -> None:

@@ -130,6 +130,23 @@ def test_division_by_any_member_name_is_the_representatives_output(capsys, descr
                           f"--division={G.names[x]}") == rep, (descriptor, G.names[x])
 
 
+@pytest.mark.parametrize("name", ["-1", "-i", "-j", "-k"])
+def test_division_named_with_a_dash_spaced_or_with_equals(capsys, name):
+    """A spaced ``--division -i`` prints the bytes ``--division=-i`` prints."""
+    joined = invoke(capsys, "division-graph", "quaternion8", f"--division={name}")
+    assert joined[0] == 0 and len(json.loads(joined[1])["components"]) == 1
+    assert invoke(capsys, "division-graph", "quaternion8", "--division", name) == joined
+
+
+def test_division_named_with_a_dash_before_other_options(capsys):
+    code, out, err = invoke(capsys, "division-graph", "quaternion8",
+                            "--division", "-i", "--format", "dot")
+    assert (code, err) == (0, "")
+    assert out.startswith("digraph division_graph {") and out.count("subgraph") == 1
+    assert (code, out, err) == invoke(capsys, "division-graph", "quaternion8",
+                                      "--format", "dot", "--division=-i")
+
+
 def test_subgroups_dot(capsys):
     code, out, _ = invoke(capsys, "subgroups", "--catalog", "quaternion8",
                           "--format", "dot")

@@ -13,16 +13,14 @@ from divgraph.lattice import all_subgroups, cyclic_subgroup_ids, is_normal
 from divgraph.perms import Permutation
 from divgraph.ust import (
     DivisionGraph,
-    Orbit,
     USTComponent,
     division_graph,
     orbit_cosets,
-    orbit_decomposition,
     right_cosets,
     ust_component,
     verify_lagarias,
 )
-from extraction import encoding
+from extraction import Orbit, encoding, orbit_decomposition
 
 
 def q8_setup(q8):
@@ -128,6 +126,13 @@ def test_orbits_ordered_by_minimal_coset(q8):
     assert firsts == sorted(firsts)
 
 
+def _relabelled(descriptor):
+    G = dv.catalog(descriptor)
+    relabel = list(range(G.order))
+    random.Random(descriptor).shuffle(relabel)
+    return dv.relabeled_copy(G, relabel)
+
+
 def _brute_force_orbits(G, cs, phi):
     """Orbits of <phi> on H\\G from the powers of phi, sorted, by minimal coset."""
     powers = [0]
@@ -157,6 +162,34 @@ def test_lagarias_orbit_lengths_are_the_orbit_decomposition(G):
             assert [o.cosets for o in orbits] == brute
             assert lengths == tuple(sorted(o.length for o in orbits))
             assert lengths == tuple(sorted(map(len, brute)))
+
+
+def _splitting_types_per_space(G, L):
+    """The fixed-coset count run on every coset space, conjugates included:
+    per cyclic subgroup, its sorted orbit lengths on each H\\G."""
+    firsts = {}  # cyclic subgroup -> (divisors of its order, their powers of a generator)
+    for g, cyclic in enumerate(L.cyclic_of):
+        m = G.element_order(g)
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        firsts.setdefault(cyclic, (divisors, [G.power(g, d) for d in divisors]))
+    types = {cyclic: [] for cyclic in firsts}
+    for H in L.subgroups:
+        fixed = [0] * G.order
+        for x in right_cosets(G, L, H.id).reps:
+            for k in H.members:
+                fixed[G.mul(G.mul(G.inverse[x], k), x)] += 1
+        for cyclic, (divisors, powers) in firsts.items():
+            types[cyclic].append(ust._cycle_type(divisors, [fixed[y] for y in powers]))
+    return {cyclic: tuple(per_space) for cyclic, per_space in types.items()}
+
+
+@pytest.mark.parametrize("G", dv.standard_groups(24) + [
+    _relabelled("symmetric:5"), _relabelled("alternating:5")], ids=lambda G: G.name)
+def test_splitting_types_per_class_equal_the_count_on_every_space(G):
+    """Types counted on one coset space per conjugacy class and shared by the
+    class are the types counted on every space."""
+    L = all_subgroups(G)
+    assert ust._splitting_types(G, L) == _splitting_types_per_space(G, L)
 
 
 @settings(max_examples=200, deadline=None)
@@ -613,13 +646,6 @@ def _oracle_arcs(G, L, dg, comp):
     return sorted(arcs)
 
 
-def _relabelled(descriptor):
-    G = dv.catalog(descriptor)
-    relabel = list(range(G.order))
-    random.Random(descriptor).shuffle(relabel)
-    return dv.relabeled_copy(G, relabel)
-
-
 @pytest.mark.parametrize("descriptor", [
     "symmetric:4", "dihedral:6", "product:cyclic:2:cyclic:4",
 ])
@@ -705,8 +731,8 @@ def test_lagarias_s4(s4):
 
 def test_lagarias_decomposes_each_cyclic_subgroup_once(monkeypatch, s4):
     """Each of the 17 cyclic subgroups of S4 (not its 24 elements) gets one
-    type on each of the 30 coset spaces, which are built once, and the
-    verifier walks no cycle."""
+    type on each of the 30 coset spaces, read off the spaces of the 11 class
+    representatives, each built once, and the verifier walks no cycle."""
     L = all_subgroups(s4)
     types = ust._splitting_types(s4, L)
     assert len(types) == len(cyclic_subgroup_ids(L)) == 17
@@ -724,7 +750,8 @@ def test_lagarias_decomposes_each_cyclic_subgroup_once(monkeypatch, s4):
     monkeypatch.setattr(ust, "right_cosets", counting)
     monkeypatch.setattr(ust, "_cycles", walking)
     assert verify_lagarias(s4, L).passed
-    assert sorted(built) == list(range(30))
+    assert sorted(built) == sorted({c[0] for c in L.classes})
+    assert len(built) == 11
 
 
 def test_lagarias_q8(q8):
