@@ -271,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    while "--division" in argv[:-1]:  # argparse reads a spaced "-i" as an option
-        i = argv.index("--division")
-        argv[i:i + 2] = [f"--division={argv[i + 1]}"]
+    if argv[:1] == ["division-graph"] and "--division" in argv[:-1]:
+        i = argv.index("--division")  # argparse reads a spaced "-i" as an option
+        if not argv[i + 1].startswith("--"):  # a missing value is still an error
+            argv[i:i + 2] = [f"--division={argv[i + 1]}"]
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -174,7 +174,7 @@ def all_subgroups(G: Group, order_limit: int = DEFAULT_ORDER_LIMIT,
             joins.setdefault(new_mask, g)
             if new_mask not in rep_of:
                 add_class(new_members, new_mask, gens + (g,))
-            cosets = [g] if moving else []  # RgR's right cosets marked; RgR = Rg if abelian
+            cosets = [g]  # RgR's right cosets, each marked once
             done |= _mask_of(G.mul(h, g) for h in members_R)
             for x in cosets:
                 for r in gens:

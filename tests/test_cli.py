@@ -147,6 +147,12 @@ def test_division_named_with_a_dash_before_other_options(capsys):
                                       "--format", "dot", "--division=-i")
 
 
+@pytest.mark.parametrize("argv", [("--division",), ("--division", "--format", "dot")])
+def test_division_without_a_value_is_a_one_line_error(capsys, argv):
+    assert invoke(capsys, "division-graph", "quaternion8", *argv) == (
+        1, "", "error: argument --division: expected one argument\n")
+
+
 def test_subgroups_dot(capsys):
     code, out, _ = invoke(capsys, "subgroups", "--catalog", "quaternion8",
                           "--format", "dot")
